@@ -1,11 +1,13 @@
 """Exact toolkit for extending generalized spline modules on edge-labeled graphs.
 
-Computes the key element from graph trails, certifies candidate bases via
-the determinant criterion over GCD domains, and synthesizes flow-up bases
-over PIDs, with brute-force oracles for integer instances.
+Computes the key element from one all-pairs (lcm, gcd) closure of the edge
+labels, certifies candidate bases via the determinant criterion over GCD
+domains, and synthesizes flow-up bases over PIDs, with brute-force oracles
+for integer instances.
 """
 
-from .graph import LabeledGraph, Trail, TrailCapExceededError, trail_constraint, trails_between
+from .graph import LabeledGraph, trail_constraint
+from .oracle import Trail, trails_between
 from .pid import (
     ConstraintMatrix,
     FlowUpClass,
@@ -70,7 +72,6 @@ __all__ = [
     "Spline",
     "SplineMatrix",
     "Trail",
-    "TrailCapExceededError",
     "TriangularBasis",
     "Verdict",
     "assemble_constraint_matrix",

@@ -10,7 +10,7 @@ Exit codes (stable contract):
   1  refuted, not in span, or a failed check
   2  parse error (JSON schema, expressions, dimension mismatch)
   3  graph validation error
-  4  trail cap exceeded
+  4  retired, never emitted (formerly: trail cap exceeded)
   5  inconclusive certificate
   6  flow-up synthesis requested over a non-PID ring
 """
@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
 from . import oracle, pid, rings, splines
-from .graph import DEFAULT_TRAIL_CAP, GraphValidationError, LabeledGraph, TrailCapExceededError
+from .graph import GraphValidationError, LabeledGraph
 from .rings import ParseError, RingDescriptor, RingElement, UnsupportedRingError
 from .splines import Spline, SplineMatrix, Verdict
 
@@ -32,7 +31,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_TRAIL_CAP = 4
 EXIT_INCONCLUSIVE = 5
 EXIT_NOT_PID = 6
 
@@ -152,18 +150,6 @@ def _spline_strings(s: Spline) -> List[str]:
     return [str(c) for c in s.components]
 
 
-def _trail_cap(args) -> int:
-    if args.max_trails is not None:
-        return args.max_trails
-    env = os.environ.get("EGS_MAX_TRAILS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliInputError(f"EGS_MAX_TRAILS must be an integer, got {env!r}")
-    return DEFAULT_TRAIL_CAP
-
-
 def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
     if as_json:
         print(json.dumps(doc, indent=2))
@@ -174,17 +160,16 @@ def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
 
 def cmd_qhat(args) -> int:
     g = load_instance(args.instance)
-    cap = _trail_cap(args)
-    components = splines.qhat_components(g, max_trails=cap)
-    key = splines.qhat(g, max_trails=cap)
+    components = splines.qhat_components(g)
+    key = splines.qhat(g)
     lines = [
         f"Q({g.vertex_name(i)}) = {components[i]}" for i in range(g.n)
     ]
     lines.append(f"Qhat = {key}")
     doc = {"components": [str(c) for c in components], "qhat": str(key)}
     if args.classical:
-        qg = splines.classical_qg(g, max_trails=cap)
-        h = splines.h_factor(g, max_trails=cap)
+        qg = splines.classical_qg(g)
+        h = splines.h_factor(g)
         lines.append(f"Q_G = {qg}")
         lines.append(f"H = {h}")
         doc["classical_qg"] = str(qg)
@@ -200,8 +185,7 @@ def cmd_certify(args) -> int:
         raise CliInputError(
             f"need exactly {g.n} splines to certify, got {len(columns)}"
         )
-    cap = _trail_cap(args)
-    cert = splines.certify_basis(g, SplineMatrix(g, columns), max_trails=cap)
+    cert = splines.certify_basis(g, SplineMatrix(g, columns))
     name = _VERDICT_NAMES[cert.verdict]
     lines = [
         f"verdict: {name}",
@@ -238,11 +222,10 @@ def cmd_flowup(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_PID
-    cap = _trail_cap(args)
     basis = pid.flow_up_basis(g)
-    report = pid.verify_flow_up(g, basis, max_trails=cap)
+    report = pid.verify_flow_up(g, basis)
     determinant = splines.spline_determinant(basis.matrix())
-    key = splines.qhat(g, max_trails=cap)
+    key = splines.qhat(g)
     unit = rings.associate_unit(determinant, key)
     lines = []
     for cls in basis.classes:
@@ -298,7 +281,6 @@ def cmd_oracle(args) -> int:
     g = load_instance(args.instance)
     if g.ring.kind != "integers":
         raise CliInputError("the oracle runs on integer instances only")
-    cap = _trail_cap(args)
     formula = pid.minimal_leading_entries(g)
     ok = True
     for i in range(g.n):
@@ -347,7 +329,7 @@ def cmd_oracle(args) -> int:
             sample_failures += 1
     print(f"20 random combinations reconstructed, {sample_failures} mismatches (seed {rng_seed})")
     ok = ok and sample_failures == 0
-    key = splines.qhat(g, max_trails=cap)
+    key = splines.qhat(g)
     determinant = splines.spline_determinant(matrix)
     det_ok = rings.is_associate(determinant, key)
     print(f"flow-up determinant {'matches' if det_ok else 'DOES NOT match'} qhat up to sign")
@@ -448,36 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--max-trails", type=int, default=None,
-                       help="cap on explored partial trails (or EGS_MAX_TRAILS)")
-
     p = sub.add_parser("qhat", help="compute the key element of an instance")
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classical", action="store_true",
                    help="also print the all-ones key element and the H factor")
-    common(p)
     p.set_defaults(fn=cmd_qhat)
 
     p = sub.add_parser("certify", help="run the determinant basis certificate")
     p.add_argument("instance")
     p.add_argument("--splines", required=True)
     p.add_argument("--json", action="store_true")
-    common(p)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("flowup", help="synthesize and verify a flow-up basis (PID rings)")
     p.add_argument("instance")
     p.add_argument("--json", action="store_true")
-    common(p)
     p.set_defaults(fn=cmd_flowup)
 
     p = sub.add_parser("express", help="express a target spline in a candidate basis")
     p.add_argument("instance")
     p.add_argument("--splines", required=True)
     p.add_argument("--target", required=True)
-    common(p)
     p.set_defaults(fn=cmd_express)
 
     p = sub.add_parser("oracle", help="brute-force cross-checks (integer instances)")
@@ -488,11 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="component bound for exhaustive spline enumeration")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the random reconstruction sample")
-    common(p)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("examples", help="run the bundled example corpus")
-    common(p)
     p.set_defaults(fn=cmd_examples)
 
     return parser
@@ -512,9 +484,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GraphValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except TrailCapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAIL_CAP
     except UnsupportedRingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_PID

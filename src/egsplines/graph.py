@@ -1,8 +1,14 @@
-"""Edge-labeled graphs and the trail machinery behind the key element.
+"""Edge-labeled graphs and the pairwise aggregate behind the key element.
 
 A labeled graph carries one nonzero ring element per vertex and per edge,
 plus a fixed vertex ordering that the flow-up and key-element computations
 refer to.  Graphs are immutable once built; validation results are cached.
+
+The key element is built from one pairwise aggregate: the lcm over s-t
+trails of the gcd of each trail's edge labels.  Divisibility classes of a
+GCD domain form a distributive lattice, so the aggregate for every pair at
+once is the algebraic-path closure over the semiring (lcm, gcd), computed
+by Floyd-Warshall in O(n^3) ring operations, once per graph.
 """
 
 from __future__ import annotations
@@ -10,16 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rings import (
-    RingDescriptor,
-    RingElement,
-    canonical_associate,
-    divides,
-    gcd_many,
-    lcm_many,
-)
-
-DEFAULT_TRAIL_CAP = 10**6
+from .rings import RingDescriptor, RingElement, divides, gcd, lcm
 
 
 class GraphError(Exception):
@@ -30,17 +27,6 @@ class GraphValidationError(GraphError):
     def __init__(self, violations: Sequence[str]):
         super().__init__("invalid graph: " + "; ".join(violations))
         self.violations = tuple(violations)
-
-
-class TrailCapExceededError(GraphError):
-    """Trail enumeration explored more partial trails than the cap allows."""
-
-    def __init__(self, cap: int):
-        super().__init__(
-            f"trail enumeration exceeded the cap of {cap} partial trails; "
-            f"raise the cap to get an exact answer"
-        )
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -86,7 +72,9 @@ class LabeledGraph:
             names = tuple(f"v{i + 1}" for i in range(len(self.vertex_labels)))
         self.names = tuple(names)
         self._violations: Optional[Tuple[str, ...]] = None
-        self._trail_cache: dict = {}
+        # one-slot holder for the aggregate table, shared with relabeled
+        # copies because the table depends on the edges only
+        self._aggregates: list = []
         adjacency: List[List[int]] = [[] for _ in self.vertex_labels]
         for idx, e in enumerate(self.edges):
             if 0 <= e.u < len(adjacency) and 0 <= e.v < len(adjacency):
@@ -104,8 +92,7 @@ class LabeledGraph:
 
     def with_vertex_labels(self, labels: Sequence[RingElement]) -> "LabeledGraph":
         relabeled = LabeledGraph(self.ring, labels, self.edges, self.names)
-        # trail aggregates depend on edge labels only, which are shared
-        relabeled._trail_cache = self._trail_cache
+        relabeled._aggregates = self._aggregates
         return relabeled
 
     def validate(self) -> List[str]:
@@ -164,146 +151,51 @@ class LabeledGraph:
         return f"<LabeledGraph {self.n} vertices, {len(self.edges)} edges over {self.ring}>"
 
 
-@dataclass(frozen=True)
-class Trail:
-    """Walk that repeats no edge; vertices may repeat.
+def _aggregate_table(g: LabeledGraph) -> List[List[RingElement]]:
+    """The trail aggregate of every vertex pair, as a symmetric n x n table.
 
-    vertices has one more entry than edges; vertices[k] and vertices[k+1]
-    are the endpoints of edges[k].
+    Floyd-Warshall over (lcm, gcd).  Entries start at 1, the lcm identity,
+    which also absorbs under gcd; each edge seeds its pair with the lcm of
+    the parallel labels.  Relaxations that cannot change an entry (a unit
+    gcd, or one that already divides the entry) skip the lcm.  The
+    diagonal is never read.
     """
+    if g._aggregates:
+        return g._aggregates[0]
+    n = g.n
+    one = g.ring.one
+    table = [[one] * n for _ in range(n)]
+    for u in range(n):
+        for idx in g.adjacency[u]:
+            v = g.edges[idx].other(u)
+            if v > u:
+                table[u][v] = table[v][u] = lcm(table[u][v], g.edges[idx].label)
+    for k in range(n):
+        row_k = table[k]
+        for i in range(n):
+            through = row_k[i]
+            if i == k or through == one:
+                continue
+            row_i = table[i]
+            for j in range(i + 1, n):
+                onward = row_k[j]
+                if j == k or onward == one:
+                    continue
+                candidate = gcd(through, onward)
+                if candidate != one and not divides(candidate, row_i[j]):
+                    row_i[j] = table[j][i] = lcm(row_i[j], candidate)
+    g._aggregates.append(table)
+    return table
 
-    vertices: Tuple[int, ...]
-    edges: Tuple[int, ...]
 
-    def edge_labels(self, g: LabeledGraph) -> Tuple[RingElement, ...]:
-        return tuple(g.edges[idx].label for idx in self.edges)
+def trail_constraint(g: LabeledGraph, source: int, target: int) -> RingElement:
+    """lcm over source-to-target trails of the gcd of each trail's edge labels.
 
-
-def trails_between(
-    g: LabeledGraph,
-    source: int,
-    target: int,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-) -> List[Trail]:
-    """All trails from the source vertex to the target vertex.
-
-    Depth-first extension over unused edges, in input edge order, so the
-    result order is deterministic.  Trails passing through the target and
-    returning later are all reported.  The cap counts explored partial
-    trails (every reported trail is one), guarding both output size and
-    running time.
+    Canonical.  A lookup in the graph's aggregate table, which the first
+    call builds in O(n^3) ring operations.  Every trail contains a simple
+    path whose gcd it divides, so the aggregate equals the lcm over simple
+    paths, which is what the closure computes.
     """
     if source == target:
         raise ValueError("trail endpoints must differ")
-    out: List[Trail] = []
-    steps = 0
-    path_vertices = [source]
-    path_edges: List[int] = []
-    used = [False] * len(g.edges)
-
-    def extend(current: int) -> None:
-        nonlocal steps
-        for idx in g.adjacency[current]:
-            if used[idx]:
-                continue
-            steps += 1
-            if steps > max_trails:
-                raise TrailCapExceededError(max_trails)
-            other = g.edges[idx].other(current)
-            used[idx] = True
-            path_vertices.append(other)
-            path_edges.append(idx)
-            if other == target:
-                out.append(Trail(tuple(path_vertices), tuple(path_edges)))
-            extend(other)
-            used[idx] = False
-            path_vertices.pop()
-            path_edges.pop()
-
-    extend(source)
-    return out
-
-
-def _maximal_by_edge_set(trails: Sequence[Trail]) -> List[Trail]:
-    """Drop trails whose edge set is strictly contained in another's."""
-    sets = [frozenset(t.edges) for t in trails]
-    keep = []
-    for i, t in enumerate(trails):
-        if any(i != j and sets[i] < sets[j] for j in range(len(trails))):
-            continue
-        keep.append(t)
-    return keep
-
-
-def _trail_aggregate_pruned(
-    g: LabeledGraph, source: int, target: int, max_trails: int
-) -> RingElement:
-    """lcm over all source-to-target trails of each trail's edge-label gcd.
-
-    Exact, but prunes whole subtrees: extending a trail can only shrink its
-    gcd (the gcd divides every edge label on the trail), so once the running
-    gcd divides the lcm accumulated so far, no completion through this
-    prefix can enlarge the aggregate.
-    """
-    from .rings import gcd as ring_gcd, lcm as ring_lcm
-
-    aggregate = g.ring.one
-    steps = 0
-    used = [False] * len(g.edges)
-
-    def extend(current: int, running: RingElement) -> None:
-        nonlocal aggregate, steps
-        for idx in g.adjacency[current]:
-            if used[idx]:
-                continue
-            steps += 1
-            if steps > max_trails:
-                raise TrailCapExceededError(max_trails)
-            other = g.edges[idx].other(current)
-            tightened = ring_gcd(running, g.edges[idx].label)
-            if other == target:
-                aggregate = ring_lcm(aggregate, tightened)
-            if divides(tightened, aggregate):
-                continue
-            used[idx] = True
-            extend(other, tightened)
-            used[idx] = False
-
-    extend(source, g.ring.zero)  # gcd(0, r) = r seeds the running gcd
-    return canonical_associate(aggregate)
-
-
-def trail_constraint(
-    g: LabeledGraph,
-    source: int,
-    target: int,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-    maximal_only: bool = False,
-) -> RingElement:
-    """lcm over trails of the gcd of each trail's edge labels.
-
-    maximal_only restricts to trails whose edge set is maximal under strict
-    inclusion; it exists for comparison only, the default aggregates every
-    trail.  Results are cached per graph (the aggregate depends only on the
-    edge structure, which is immutable).
-    """
-    key = (source, target, maximal_only)
-    cached = g._trail_cache.get(key)
-    if cached is not None:
-        return cached
-    if maximal_only:
-        trails = _maximal_by_edge_set(
-            trails_between(g, source, target, max_trails=max_trails)
-        )
-        seen = set()
-        gcds = []
-        for t in trails:
-            value = canonical_associate(gcd_many(t.edge_labels(g), g.ring))
-            if value not in seen:
-                seen.add(value)
-                gcds.append(value)
-        result = lcm_many(gcds, g.ring)
-    else:
-        result = _trail_aggregate_pruned(g, source, target, max_trails)
-    g._trail_cache[key] = result
-    return result
+    return _aggregate_table(g)[source][target]

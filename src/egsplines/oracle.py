@@ -1,19 +1,20 @@
 """Brute-force cross-checks and reproducible random instances.
 
-Everything here works over the integer descriptor at desk scale and is
-deliberately independent of the key-element formula: existence of flow-up
-classes is decided by residue search (congruence merging plus backtracking
-over the uncovered residues), and small splines are enumerated exhaustively.
+Everything here works at desk scale and is deliberately independent of the
+key-element formula: trails are enumerated literally, and over the integer
+descriptor the existence of flow-up classes is decided by residue search
+(congruence merging plus backtracking over the uncovered residues) and
+small splines are enumerated exhaustively.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .graph import LabeledGraph
-from .rings import ZZ, Congruence, crt
+from .rings import ZZ, Congruence, RingElement, crt
 from .splines import Spline
 
 _PRIMES = [
@@ -21,6 +22,56 @@ _PRIMES = [
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173,
 ]
+
+
+@dataclass(frozen=True)
+class Trail:
+    """Walk that repeats no edge; vertices may repeat.
+
+    vertices has one more entry than edges; vertices[k] and vertices[k+1]
+    are the endpoints of edges[k].
+    """
+
+    vertices: Tuple[int, ...]
+    edges: Tuple[int, ...]
+
+    def edge_labels(self, g: LabeledGraph) -> Tuple[RingElement, ...]:
+        return tuple(g.edges[idx].label for idx in self.edges)
+
+
+def trails_between(g: LabeledGraph, source: int, target: int) -> List[Trail]:
+    """All trails from the source vertex to the target vertex.
+
+    Depth-first extension over unused edges, in input edge order, so the
+    result order is deterministic.  Trails passing through the target and
+    returning later are all reported.  The count grows exponentially with
+    the edges: this is the literal definition that the key element's
+    aggregate table is tested against, for small graphs only.
+    """
+    if source == target:
+        raise ValueError("trail endpoints must differ")
+    out: List[Trail] = []
+    path_vertices = [source]
+    path_edges: List[int] = []
+    used = [False] * len(g.edges)
+
+    def extend(current: int) -> None:
+        for idx in g.adjacency[current]:
+            if used[idx]:
+                continue
+            other = g.edges[idx].other(current)
+            used[idx] = True
+            path_vertices.append(other)
+            path_edges.append(idx)
+            if other == target:
+                out.append(Trail(tuple(path_vertices), tuple(path_edges)))
+            extend(other)
+            used[idx] = False
+            path_vertices.pop()
+            path_edges.pop()
+
+    extend(source)
+    return out
 
 
 def _require_integers(g: LabeledGraph) -> None:

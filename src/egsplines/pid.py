@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from . import rings, splines
-from .graph import DEFAULT_TRAIL_CAP, LabeledGraph
+from .graph import LabeledGraph
 from .rings import (
     RingDescriptor,
     RingElement,
@@ -71,7 +71,7 @@ def hermite_triangularize(
     columns are reduced modulo the pivot, which makes the output unique and
     deterministic.  Returns (H, U) as lists of row lists; det(U) is a unit.
     """
-    if not ring.is_euclidean:
+    if not ring.is_pid:
         raise UnsupportedRingError(
             f"hermite triangularization needs a Euclidean ring, got {ring}"
         )
@@ -261,11 +261,7 @@ class FlowUpReport:
         return all(c.ok for c in self.checks)
 
 
-def verify_flow_up(
-    g: LabeledGraph,
-    basis: TriangularBasis,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-) -> FlowUpReport:
+def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     """Check a candidate flow-up basis against the PID-case equivalences.
 
     Columns must be splines of triangular shape, the determinant must be a
@@ -293,7 +289,7 @@ def verify_flow_up(
             )
         )
     determinant = splines.spline_determinant(basis.matrix())
-    key = splines.qhat(g, max_trails=max_trails)
+    key = splines.qhat(g)
     unit = rings.associate_unit(determinant, key)
     checks.append(
         FlowUpCheck(

@@ -127,10 +127,6 @@ class RingDescriptor:
             return True
         return self.base == "rationals" and len(self.variables) == 1
 
-    @property
-    def is_euclidean(self) -> bool:
-        return self.is_pid
-
     # ---- element construction ----
 
     def _wrap(self, value) -> "RingElement":
@@ -512,9 +508,6 @@ class RingElement:
         return f"<{format_element(self)} in {self.descriptor}>"
 
 
-Element = RingElement  # short alias used internally
-
-
 @dataclass(frozen=True)
 class Congruence:
     """x = residue (mod modulus); both in one ring, modulus nonzero."""
@@ -531,26 +524,6 @@ class Congruence:
 # ---------------------------------------------------------------------------
 # Arithmetic operations
 # ---------------------------------------------------------------------------
-
-
-def add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def sub(a: RingElement, b: RingElement) -> RingElement:
-    return a - b
-
-
-def mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def neg(a: RingElement) -> RingElement:
-    return -a
-
-
-def pow_(a: RingElement, k: int) -> RingElement:
-    return a ** k
 
 
 def try_exact_div(a: RingElement, b: RingElement) -> Optional[RingElement]:
@@ -670,7 +643,7 @@ def content_and_primitive(p: RingElement):
 
 
 def _require_euclidean(ring: RingDescriptor, what: str) -> None:
-    if not ring.is_euclidean:
+    if not ring.is_pid:
         raise UnsupportedRingError(
             f"{what} requires a Euclidean ring (ZZ, QQ or QQ[x]); got {ring}"
         )

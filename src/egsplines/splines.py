@@ -18,7 +18,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings
-from .graph import DEFAULT_TRAIL_CAP, LabeledGraph, trail_constraint
+from .graph import LabeledGraph, trail_constraint
 from .rings import RingElement, exact_div, gcd, is_unit, lcm_many, try_exact_div
 
 
@@ -164,59 +164,42 @@ class SplineMatrix:
 # ---------------------------------------------------------------------------
 
 
-def qhat_component(
-    g: LabeledGraph,
-    i: int,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-    maximal_only: bool = False,
-) -> RingElement:
+def qhat_component(g: LabeledGraph, i: int) -> RingElement:
     """Component of the key element at vertex index i (0-based).
 
     lcm of: the vertex label m_i; gcd(m_j, trail aggregate from j) for each
-    higher index j; the trail aggregate from s for each lower index s.
+    higher index j; the trail aggregate from s for each lower index s.  The
+    aggregates are lookups in the graph's (lcm, gcd) closure table, built
+    once per graph in O(n^3) ring operations (see trail_constraint).
     """
     g.require_valid()
     parts = [g.vertex_labels[i]]
     for j in range(i + 1, g.n):
-        tc = trail_constraint(g, j, i, max_trails=max_trails, maximal_only=maximal_only)
-        parts.append(gcd(g.vertex_labels[j], tc))
+        parts.append(gcd(g.vertex_labels[j], trail_constraint(g, j, i)))
     for s in range(i):
-        parts.append(
-            trail_constraint(g, s, i, max_trails=max_trails, maximal_only=maximal_only)
-        )
+        parts.append(trail_constraint(g, s, i))
     return lcm_many(parts, g.ring)
 
 
-def qhat_components(
-    g: LabeledGraph,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-    maximal_only: bool = False,
-) -> Tuple[RingElement, ...]:
-    return tuple(
-        qhat_component(g, i, max_trails=max_trails, maximal_only=maximal_only)
-        for i in range(g.n)
-    )
+def qhat_components(g: LabeledGraph) -> Tuple[RingElement, ...]:
+    return tuple(qhat_component(g, i) for i in range(g.n))
 
 
-def qhat(
-    g: LabeledGraph,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-    maximal_only: bool = False,
-) -> RingElement:
+def qhat(g: LabeledGraph) -> RingElement:
     """The key element: product of the per-vertex components, canonical."""
     result = g.ring.one
-    for c in qhat_components(g, max_trails=max_trails, maximal_only=maximal_only):
+    for c in qhat_components(g):
         result = result * c
     return rings.canonical_associate(result)
 
 
-def classical_qg(g: LabeledGraph, max_trails: int = DEFAULT_TRAIL_CAP) -> RingElement:
+def classical_qg(g: LabeledGraph) -> RingElement:
     """Key element of the graph with every vertex label replaced by 1."""
     ones = [g.ring.one] * g.n
-    return qhat(g.with_vertex_labels(ones), max_trails=max_trails)
+    return qhat(g.with_vertex_labels(ones))
 
 
-def h_factor(g: LabeledGraph, max_trails: int = DEFAULT_TRAIL_CAP) -> RingElement:
+def h_factor(g: LabeledGraph) -> RingElement:
     """The cofactor H with qhat associate to H * classical_qg.
 
     Per vertex index i, H's factor is the lcm of m_i with the higher-index
@@ -228,13 +211,9 @@ def h_factor(g: LabeledGraph, max_trails: int = DEFAULT_TRAIL_CAP) -> RingElemen
     for i in range(g.n):
         parts = [g.vertex_labels[i]]
         for j in range(i + 1, g.n):
-            tc = trail_constraint(g, j, i, max_trails=max_trails)
-            parts.append(gcd(g.vertex_labels[j], tc))
+            parts.append(gcd(g.vertex_labels[j], trail_constraint(g, j, i)))
         numerator = lcm_many(parts, g.ring)
-        lower = lcm_many(
-            [trail_constraint(g, s, i, max_trails=max_trails) for s in range(i)],
-            g.ring,
-        )
+        lower = lcm_many([trail_constraint(g, s, i) for s in range(i)], g.ring)
         result = result * exact_div(numerator, gcd(numerator, lower))
     return rings.canonical_associate(result)
 
@@ -322,11 +301,7 @@ def labels_pairwise_coprime(g: LabeledGraph) -> bool:
     return coprime_label_violation(g) is None
 
 
-def certify_basis(
-    g: LabeledGraph,
-    ms: SplineMatrix,
-    max_trails: int = DEFAULT_TRAIL_CAP,
-) -> BasisCertificate:
+def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     """Determinant criterion for basis certification.
 
     Certified when the determinant is a unit multiple of the key element
@@ -337,7 +312,7 @@ def certify_basis(
     """
     g.require_valid()
     determinant = spline_determinant(ms)
-    key = qhat(g, max_trails=max_trails)
+    key = qhat(g)
     failing = tuple(
         idx
         for idx, col in enumerate(ms.columns)
@@ -393,10 +368,7 @@ def express_in_basis(
 
 
 def qhat_span_decomposition(
-    g: LabeledGraph,
-    ms: SplineMatrix,
-    f: Spline,
-    max_trails: int = DEFAULT_TRAIL_CAP,
+    g: LabeledGraph, ms: SplineMatrix, f: Spline
 ) -> Tuple[RingElement, ...]:
     """Ring elements x with sum(x_k F_k) = qhat * f, no division involved.
 
@@ -405,7 +377,7 @@ def qhat_span_decomposition(
     unit relating determinant and key element.
     """
     determinant = spline_determinant(ms)
-    key = qhat(g, max_trails=max_trails)
+    key = qhat(g)
     unit = rings.associate_unit(determinant, key)
     if unit is None:
         raise SpanHypothesisError(
@@ -429,9 +401,7 @@ def qhat_span_decomposition(
 # ---------------------------------------------------------------------------
 
 
-def coprime_witness_matrices(
-    g: LabeledGraph, max_trails: int = DEFAULT_TRAIL_CAP
-) -> List[SplineMatrix]:
+def coprime_witness_matrices(g: LabeledGraph) -> List[SplineMatrix]:
     """The n + k witness matrices of the coprime converse argument.
 
     With labels l_1..l_{n+k} (vertex labels then edge labels) pairwise
@@ -450,7 +420,7 @@ def coprime_witness_matrices(
         )
     n = g.n
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    key = qhat(g, max_trails=max_trails)
+    key = qhat(g)
 
     def hat(skip: int) -> RingElement:
         product = g.ring.one

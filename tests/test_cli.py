@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from egsplines.cli import main
 
 DATA = "src/egsplines/data"
@@ -197,16 +199,18 @@ class TestErrors:
         assert code == 3
         assert "disconnected" in err
 
-    def test_trail_cap_exit_4(self, capsys):
-        code, _, err = run(
-            capsys, "qhat", data("c3_integer.json"), "--max-trails", "1"
-        )
-        assert code == 4
+    def test_max_trails_flag_usage_error(self, capsys):
+        # the trail cap and its flag are gone; argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["qhat", data("c3_integer.json"), "--max-trails", "1"])
+        assert exc.value.code == 2
+        assert "--max-trails" in capsys.readouterr().err
 
-    def test_trail_cap_env(self, capsys, monkeypatch):
+    def test_max_trails_env_ignored(self, capsys, monkeypatch):
+        expected = run(capsys, "qhat", data("c3_integer.json"))
         monkeypatch.setenv("EGS_MAX_TRAILS", "1")
-        code, _, _ = run(capsys, "qhat", data("c3_integer.json"))
-        assert code == 4
+        assert run(capsys, "qhat", data("c3_integer.json")) == expected
+        assert expected[0] == 0
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "qhat", "/nonexistent/instance.json")

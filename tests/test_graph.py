@@ -2,16 +2,11 @@ import random
 
 import pytest
 
-from egsplines.graph import (
-    LabeledGraph,
-    TrailCapExceededError,
-    trail_constraint,
-    trails_between,
-)
-from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.rings import ZZ, canonical_associate, gcd_many, lcm_many
+from egsplines.graph import LabeledGraph, trail_constraint
+from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.rings import ZZ, gcd_many, lcm_many
 
-from conftest import ZXY, zxy, zz
+from conftest import QX, ZXY, qx, zxy, zz
 
 
 class TestValidate:
@@ -100,10 +95,6 @@ class TestTrails:
                     e = g.edges[idx]
                     assert {t.vertices[k], t.vertices[k + 1]} == {e.u, e.v}
 
-    def test_cap(self, c3_int):
-        with pytest.raises(TrailCapExceededError):
-            trails_between(c3_int, 1, 0, max_trails=1)
-
 
 class TestTrailConstraint:
     def test_c3_symbolic_shape(self):
@@ -140,31 +131,64 @@ class TestTrailConstraint:
                         assert divides(gcd_many(t.edge_labels(g), g.ring), aggregate)
 
     def test_pruned_matches_literal_enumeration(self):
-        rng = random.Random(4)
-        for seed in range(60):
-            g = random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.5, label_bound=30))
-            if len(g.edges) > 7:
-                continue
-            j, i = rng.sample(range(g.n), 2)
-            values = [
-                canonical_associate(gcd_many(t.edge_labels(g), g.ring))
-                for t in trails_between(g, j, i)
-            ]
-            assert trail_constraint(g, j, i) == lcm_many(values, g.ring)
-
-    def test_maximal_only_flag(self, c3_int):
-        # the one-edge trail's set is not contained in the two-edge trail's,
-        # so on a triangle the two readings agree
-        assert trail_constraint(c3_int, 1, 0, maximal_only=True) == trail_constraint(
-            c3_int, 1, 0
-        )
+        # the closure table against literal trail enumeration, every ordered
+        # pair, on ZZ, QQ[x] and ZZ[x,y] graphs with up to 6 vertices; a
+        # trail's gcd depends only on its edge set, so each set counts once
+        graphs = [
+            random_instance(InstanceSpec(seed=seed, n=2 + seed % 5, edge_density=0.4, label_bound=30))
+            for seed in range(40)
+        ]
+        qx_pool = [qx("x"), qx("x+1"), qx("2*x-1"), qx("x^2+1"), qx("3")]
+        zxy_pool = [zxy("x"), zxy("y"), zxy("x+y"), zxy("2"), zxy("x*y+1")]
+        for seed in range(12):
+            graphs.append(_random_graph(QX, qx_pool, seed, 2 + seed % 5))
+            graphs.append(_random_graph(ZXY, zxy_pool, seed, 2 + seed % 5))
+        graphs = [g for g in graphs if len(g.edges) <= 9]
+        assert sum(_has_parallel_edges(g) for g in graphs) >= 5
+        for g in graphs:
+            for j in range(g.n):
+                for i in range(g.n):
+                    if i == j:
+                        continue
+                    edge_sets = {frozenset(t.edges) for t in trails_between(g, j, i)}
+                    values = [
+                        gcd_many([g.edges[idx].label for idx in edges], g.ring)
+                        for edges in edge_sets
+                    ]
+                    assert trail_constraint(g, j, i) == lcm_many(values, g.ring), (g, j, i)
 
     def test_maximal_only_can_differ(self):
-        # three parallel edges: each single-edge trail is strictly contained
-        # in a trail bouncing across all three, so the maximal-only reading
-        # keeps only the three-edge gcd
+        # three parallel edges: the lcm of the parallel labels, since each
+        # single-edge trail counts and a longer trail's gcd divides them
         g = LabeledGraph(
             ZZ, [zz(1), zz(1)], [(0, 1, zz(4)), (0, 1, zz(6)), (0, 1, zz(10))]
         )
         assert trail_constraint(g, 1, 0) == zz(60)  # lcm(4, 6, 10, gcd)
-        assert trail_constraint(g, 1, 0, maximal_only=True) == zz(2)
+
+    def test_same_endpoint_rejected(self, c3_int):
+        with pytest.raises(ValueError):
+            trail_constraint(c3_int, 1, 1)
+
+
+def _random_graph(ring, pool, seed, n):
+    """Connected graph whose labels are products of 1-3 pool elements.
+
+    A random spanning tree plus random extra pairs, repeats allowed, so
+    parallel edges occur; shared pool factors make gcds nontrivial.
+    """
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 2))]
+
+    def label():
+        out = ring.one
+        for f in rng.choices(pool, k=rng.randint(1, 3)):
+            out = out * f
+        return out
+
+    return LabeledGraph(ring, [label() for _ in range(n)], [(u, v, label()) for u, v in pairs])
+
+
+def _has_parallel_edges(g):
+    pairs = [e.endpoints() for e in g.edges]
+    return len(set(pairs)) < len(pairs)
