@@ -2,20 +2,19 @@
 
 Computes the key element from one all-pairs (lcm, gcd) closure of the edge
 labels, certifies candidate bases via the determinant criterion over GCD
-domains, and synthesizes flow-up bases over PIDs, with brute-force oracles
-for integer instances.
+domains, and synthesizes flow-up bases over PIDs from one Hermite pass
+reduced modulo the lcm of the labels, with brute-force oracles for integer
+instances.
 """
 
 from .graph import LabeledGraph, trail_constraint
 from .oracle import Trail, trails_between
 from .pid import (
-    ConstraintMatrix,
     FlowUpClass,
     TriangularBasis,
     assemble_constraint_matrix,
     flow_up_basis,
-    hermite_triangularize,
-    kernel_basis,
+    hermite_form,
     minimal_leading_entries,
     verify_flow_up,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ZZ",
     "BasisCertificate",
     "Congruence",
-    "ConstraintMatrix",
     "FlowUpClass",
     "LabeledGraph",
     "NotInSpanError",
@@ -86,11 +84,10 @@ __all__ = [
     "gcd",
     "gcd_many",
     "h_factor",
-    "hermite_triangularize",
+    "hermite_form",
     "is_associate",
     "is_spline",
     "is_unit",
-    "kernel_basis",
     "lcm",
     "lcm_many",
     "minimal_leading_entries",

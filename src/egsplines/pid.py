@@ -1,14 +1,19 @@
-"""Constructive spline-module machinery over Euclidean PID descriptors.
+"""Flow-up bases over Euclidean PIDs, from one modular Hermite pass.
 
-The spline module is cut out of R^(|V|+|E|) by one linear equation per edge;
-its kernel is computed by Hermite-style column triangularization, projected
-to vertex components, and triangularized a second time to produce a flow-up
-basis whose leading terms and determinant are then cross-checked against the
-key-element formula.
+Stack one row per edge, m_a*a_{v_a} - m_b*a_{v_b} - r_e*b_e, over one row per
+vertex, m_v*a_v.  The columns of that matrix span a lattice L whose vectors
+with a zero edge part are exactly (0, f) for the splines f.  One column
+Hermite pass over L therefore yields the spline module in Hermite form,
+which is a flow-up basis: the pivot columns of the edge rows are dropped as
+they are formed, and the vertex rows' pivot columns are the basis.  L
+contains D*R^(|E|+|V|) for D the lcm of all labels, so every entry is kept
+reduced modulo D and no unimodular transform is tracked.  The leading terms
+and determinant are cross-checked against the key-element formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -22,151 +27,152 @@ from .rings import (
     euclidean_divmod,
     euclidean_xgcd,
     exact_div,
+    lcm_many,
 )
 from .splines import Spline, SplineMatrix
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """|E| x (|V|+|E|) matrix whose kernel parameterizes the spline module.
+def assemble_constraint_matrix(g: LabeledGraph) -> List[List[RingElement]]:
+    """(|E|+|V|) x (|V|+|E|) matrix whose column lattice lifts the splines.
 
     Columns: one coefficient a_v per vertex, then one b_e per edge.  The row
     of edge e = {v_a, v_b} with a < b reads m_a * a_{v_a} - m_b * a_{v_b}
-    - r_e * b_e = 0, so splines are exactly the tuples (m_v * a_v) with
-    (a, b) in the kernel.
+    - r_e * b_e; below the edge rows, the row of vertex v holds m_v in
+    column v.  A column combination (a, b) has a zero edge part exactly when
+    its vertex part (m_v * a_v) is a spline.
     """
-
-    graph: LabeledGraph
-    rows: Tuple[Tuple[RingElement, ...], ...]
-
-
-def assemble_constraint_matrix(g: LabeledGraph) -> ConstraintMatrix:
     g.require_valid()
     n = g.n
     k = len(g.edges)
     zero = g.ring.zero
-    rows: List[Tuple[RingElement, ...]] = []
+    rows: List[List[RingElement]] = []
     for e_index, e in enumerate(g.edges):
         a, b = e.endpoints()
         row = [zero] * (n + k)
         row[a] = g.vertex_labels[a]
         row[b] = -g.vertex_labels[b]
         row[n + e_index] = -e.label
-        rows.append(tuple(row))
-    return ConstraintMatrix(g, tuple(rows))
+        rows.append(row)
+    for v in range(n):
+        row = [zero] * (n + k)
+        row[v] = g.vertex_labels[v]
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# Hermite-style column triangularization
+# Column Hermite form modulo a lattice exponent
 # ---------------------------------------------------------------------------
 
 
-def hermite_triangularize(
-    rows: Sequence[Sequence[RingElement]], ring: RingDescriptor
-):
-    """Column echelon form by unimodular column operations: M * U = H.
+def _size(x: RingElement) -> int:
+    """Euclidean size: |x| over ZZ, degree + 1 over QQ[x], 0 over QQ."""
+    v = x.value
+    if type(v) is tuple:
+        return len(v)
+    return abs(v) if x.descriptor.kind == "integers" else 0
 
-    Euclidean descriptors only.  Pivots are canonical (positive integers,
-    monic polynomials); in each pivot row the entries of earlier pivot
-    columns are reduced modulo the pivot, which makes the output unique and
-    deterministic.  Returns (H, U) as lists of row lists; det(U) is a unit.
+
+def hermite_form(
+    rows: Sequence[Sequence[RingElement]],
+    ring: RingDescriptor,
+    modulus: RingElement,
+    skip: int = 0,
+) -> List[List[RingElement]]:
+    """Column Hermite form of the lattice spanned by the columns and modulus*R^N.
+
+    N is the number of rows.  When the column lattice contains modulus*R^N,
+    as the caller must ensure, the result is its Hermite form: lower
+    triangular, canonical pivots (positive integers, monic polynomials), and
+    in each pivot row the entries left of the pivot reduced modulo it.
+    Euclidean descriptors only.  With skip = k the pivot columns of the
+    first k rows are dropped as soon as they are formed, so the result is
+    the Hermite form of the sublattice whose first k coordinates vanish,
+    restricted to the other rows.
+
+    The folded-in column modulus*e_i gives every row a pivot dividing the
+    modulus, and lets every entry below the current row be reduced modulo
+    it; an entry is reduced only once its size reaches the modulus's.
+    Column operations touch only rows at or below the current row, since
+    the rows above are zero in the columns still being worked on.
     """
     if not ring.is_pid:
         raise UnsupportedRingError(
-            f"hermite triangularization needs a Euclidean ring, got {ring}"
+            f"hermite form needs a Euclidean ring, got {ring}"
         )
+    if modulus.is_zero:
+        raise ValueError("the modulus must be nonzero")
+    modulus = canonical_associate(modulus)
+    bound = _size(modulus)
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    h = [list(r) for r in rows]
     zero, one = ring.zero, ring.one
-    u = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
 
-    def col_swap(c1: int, c2: int) -> None:
-        for r in range(nrows):
-            h[r][c1], h[r][c2] = h[r][c2], h[r][c1]
-        for r in range(ncols):
-            u[r][c1], u[r][c2] = u[r][c2], u[r][c1]
+    def reduced(x: RingElement) -> RingElement:
+        return euclidean_divmod(x, modulus)[1] if _size(x) >= bound else x
 
-    def col_combine(cp: int, cc: int, s, t, nb, a) -> None:
-        # (col_cp, col_cc) <- (s*col_cp + t*col_cc, nb*col_cp + a*col_cc);
-        # the 2x2 block [[s, nb], [t, a]] has determinant 1
-        for matrix, height in ((h, nrows), (u, ncols)):
-            for r in range(height):
-                x, y = matrix[r][cp], matrix[r][cc]
-                matrix[r][cp] = s * x + t * y
-                matrix[r][cc] = nb * x + a * y
-
-    def col_scale(c: int, unit: RingElement) -> None:
-        for r in range(nrows):
-            h[r][c] = unit * h[r][c]
-        for r in range(ncols):
-            u[r][c] = unit * u[r][c]
-
-    def col_subtract(c: int, cp: int, q: RingElement) -> None:
-        for r in range(nrows):
-            h[r][c] = h[r][c] - q * h[r][cp]
-        for r in range(ncols):
-            u[r][c] = u[r][c] - q * u[r][cp]
-
-    next_col = 0
-    for row in range(nrows):
-        if next_col >= ncols:
-            break
-        pivot_col = None
-        for c in range(next_col, ncols):
-            if not h[row][c].is_zero:
-                pivot_col = c
-                break
-        if pivot_col is None:
+    ncols = len(rows[0]) if nrows else 0
+    work = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
+    kept: List[List[RingElement]] = []
+    for i in range(nrows):
+        below = range(i + 1, nrows)
+        pivot = None
+        rest = []
+        for col in work:
+            if col[i].is_zero:
+                rest.append(col)
+            elif pivot is None:
+                pivot = col
+            else:
+                # (pivot, col) <- (s*pivot + t*col, a*col - b*pivot), det 1
+                d, s, t = euclidean_xgcd(pivot[i], col[i])
+                a = exact_div(pivot[i], d)
+                b = exact_div(col[i], d)
+                for r in below:
+                    x, y = pivot[r], col[r]
+                    if x or y:
+                        pivot[r] = reduced(s * x + t * y)
+                        col[r] = reduced(a * y - b * x)
+                pivot[i] = d
+                col[i] = zero
+                if any(col[r] for r in below):
+                    rest.append(col)
+        # fold modulus*e_i into the pivot p: (pivot, modulus*e_i) <-
+        # (s*pivot + t*modulus*e_i, (p/d)*modulus*e_i - (modulus/d)*pivot).
+        # The second column is zero in row i and, modulo the modulus, reads
+        # (modulus/d)*((-pivot) mod d) below; dropping it would lose part of
+        # the lattice, since the modulus need not be a multiple of its index
+        if pivot is None:
+            pivot = [zero] * nrows
+            d, s = modulus, one
+        else:
+            d, s, _ = euclidean_xgcd(pivot[i], modulus)
+            if d != one:
+                cofactor = exact_div(modulus, d)
+                extra = [zero] * nrows
+                for r in below:
+                    x = pivot[r]
+                    if x:
+                        extra[r] = cofactor * euclidean_divmod(-x, d)[1]
+                if any(extra[r] for r in below):
+                    rest.append(extra)
+        work = rest
+        if i < skip:
             continue
-        if pivot_col != next_col:
-            col_swap(next_col, pivot_col)
-        for c in range(next_col + 1, ncols):
-            if h[row][c].is_zero:
+        if s != one:
+            for r in below:
+                if pivot[r]:
+                    pivot[r] = reduced(s * pivot[r])
+        pivot[i] = d
+        for col in kept:
+            if col[i].is_zero:
                 continue
-            g, s, t = euclidean_xgcd(h[row][next_col], h[row][c])
-            a = exact_div(h[row][next_col], g)
-            b = exact_div(h[row][c], g)
-            col_combine(next_col, c, s, t, -b, a)
-        pivot = h[row][next_col]
-        canon = canonical_associate(pivot)
-        if canon != pivot:
-            col_scale(next_col, exact_div(canon, pivot))
-        for c in range(next_col):
-            if h[row][c].is_zero:
-                continue
-            q, _ = euclidean_divmod(h[row][c], h[row][next_col])
+            q, col[i] = euclidean_divmod(col[i], d)
             if not q.is_zero:
-                col_subtract(c, next_col, q)
-        next_col += 1
-    return h, u
-
-
-def kernel_basis(matrix: ConstraintMatrix) -> List[Tuple[RingElement, ...]]:
-    """Free-module basis of the kernel, from the zero columns of H via U."""
-    g = matrix.graph
-    ring = g.ring
-    ncols = g.n + len(g.edges)
-    if not matrix.rows:
-        # no constraints: the kernel is everything
-        zero, one = ring.zero, ring.one
-        return [
-            tuple(one if i == j else zero for i in range(ncols))
-            for j in range(ncols)
-        ]
-    h, u = hermite_triangularize(matrix.rows, ring)
-    out = []
-    for c in range(ncols):
-        if all(h[r][c].is_zero for r in range(len(matrix.rows))):
-            vector = tuple(u[r][c] for r in range(ncols))
-            for row in matrix.rows:
-                residual = ring.zero
-                for entry, x in zip(row, vector):
-                    residual = residual + entry * x
-                if not residual.is_zero:
-                    raise rings.RingError("internal error: kernel vector fails M x = 0")
-            out.append(vector)
-    return out
+                for r in below:
+                    if pivot[r]:
+                        col[r] = reduced(col[r] - q * pivot[r])
+        kept.append(pivot)
+    return [[col[r] for col in kept] for r in range(skip, nrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +204,10 @@ class TriangularBasis:
 def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     """Flow-up basis of the spline module over a PID descriptor.
 
-    The kernel of the constraint matrix is projected to vertex components
-    (f_v = m_v * a_v) and triangularized so column i has its first nonzero
-    entry at vertex index i.  The projection is injective and onto the
-    spline module, so the result is a genuine module basis; triangularity
-    then makes each column a flow-up class.
+    The Hermite form of the spline module, from one pass over the stacked
+    constraint matrix modulo the lcm of all labels (see hermite_form).  It
+    is lower triangular, so column i has its first nonzero entry at vertex
+    index i and is a flow-up class.
     """
     g.require_valid()
     if not g.ring.is_pid:
@@ -211,28 +216,18 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
             f"over general GCD domains a free spline module may have no "
             f"flow-up basis at all"
         )
-    kernel = kernel_basis(assemble_constraint_matrix(g))
-    n = g.n
-    if len(kernel) != n:
-        raise rings.RingError(
-            f"internal error: spline lattice rank {len(kernel)}, expected {n}"
-        )
-    # rows v_1 .. v_n (top to bottom), one column per kernel vector
-    projected = [
-        [g.vertex_labels[r] * kernel[c][r] for c in range(n)] for r in range(n)
-    ]
-    h, _ = hermite_triangularize(projected, g.ring)
-    classes = []
-    for i in range(n):
-        components = [h[r][i] for r in range(n)]
-        if any(not components[s].is_zero for s in range(i)) or components[i].is_zero:
-            raise rings.RingError(
-                "internal error: triangularized spline basis is not flow-up"
-            )
-        classes.append(
-            FlowUpClass(Spline(g, components), i, components[i])
-        )
-    return TriangularBasis(g, tuple(classes))
+    labels = list(g.vertex_labels) + [e.label for e in g.edges]
+    h = hermite_form(
+        assemble_constraint_matrix(g),
+        g.ring,
+        lcm_many(labels, g.ring),
+        skip=len(g.edges),
+    )
+    classes = tuple(
+        FlowUpClass(Spline(g, [row[i] for row in h]), i, h[i][i])
+        for i in range(g.n)
+    )
+    return TriangularBasis(g, classes)
 
 
 def minimal_leading_entries(g: LabeledGraph) -> Tuple[RingElement, ...]:
@@ -289,7 +284,8 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
             )
         )
     determinant = splines.spline_determinant(basis.matrix())
-    key = splines.qhat(g)
+    formula = minimal_leading_entries(g)
+    key = canonical_associate(math.prod(formula, start=g.ring.one))
     unit = rings.associate_unit(determinant, key)
     checks.append(
         FlowUpCheck(
@@ -298,7 +294,6 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
             f"det = {determinant}, key element = {key}",
         )
     )
-    formula = minimal_leading_entries(g)
     for cls, expected in zip(basis.classes, formula):
         ok = rings.is_associate(cls.leading_term, expected)
         checks.append(

@@ -572,6 +572,11 @@ def lcm(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
     if a.is_zero or b.is_zero:
         return a.descriptor.zero
+    one = _const_value(1, a.descriptor.depth)
+    if a.value == one:
+        return canonical_associate(b)
+    if b.value == one:
+        return canonical_associate(a)
     return canonical_associate(exact_div(a * b, gcd(a, b)))
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -7,8 +8,7 @@ from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import (
     assemble_constraint_matrix,
     flow_up_basis,
-    hermite_triangularize,
-    kernel_basis,
+    hermite_form,
     minimal_leading_entries,
     verify_flow_up,
 )
@@ -18,138 +18,114 @@ from egsplines.splines import Verdict, certify_basis, spline_determinant
 from conftest import QX, ZX, qx, zz
 
 
+def _values(rows):
+    return [[x.value for x in row] for row in rows]
+
+
 class TestConstraintMatrix:
     def test_p2(self, p2):
-        cm = assemble_constraint_matrix(p2)
-        assert [[x.value for x in row] for row in cm.rows] == [[2, -3, -4]]
+        rows = _values(assemble_constraint_matrix(p2))
+        assert rows == [[2, -3, -4], [2, 0, 0], [0, 3, 0]]
 
     def test_single_vertex(self, single_vertex):
-        cm = assemble_constraint_matrix(single_vertex)
-        assert cm.rows == ()
+        assert _values(assemble_constraint_matrix(single_vertex)) == [[5]]
 
     def test_c3_pattern(self, c3_int):
-        cm = assemble_constraint_matrix(c3_int)
-        rows = [[x.value for x in row] for row in cm.rows]
+        rows = _values(assemble_constraint_matrix(c3_int))
         assert rows == [
             [4, -6, 0, -2, 0, 0],
             [0, 6, -9, 0, -3, 0],
             [4, 0, -9, 0, 0, -5],
+            [4, 0, 0, 0, 0, 0],
+            [0, 6, 0, 0, 0, 0],
+            [0, 0, 9, 0, 0, 0],
         ]
 
-    def test_kernel_members_are_splines(self, c3_int):
-        from egsplines.splines import is_spline
 
-        for vector in kernel_basis(assemble_constraint_matrix(c3_int)):
-            components = [
-                c3_int.vertex_labels[v] * vector[v] for v in range(c3_int.n)
-            ]
-            assert is_spline(c3_int, components)
+def _int_rows(values):
+    return [[zz(x) for x in row] for row in values]
+
+
+def _random_matrix(rng, nrows, ncols, bound):
+    return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
 
 
 class TestHermite:
     def test_identity(self):
         rows = [[ZZ.one, ZZ.zero], [ZZ.zero, ZZ.one]]
-        h, u = hermite_triangularize(rows, ZZ)
-        assert [[x.value for x in r] for r in h] == [[1, 0], [0, 1]]
-        assert [[x.value for x in r] for r in u] == [[1, 0], [0, 1]]
+        assert _values(hermite_form(rows, ZZ, ZZ.one)) == [[1, 0], [0, 1]]
 
     def test_single_row_gcd(self):
-        rows = [[zz(2), zz(-3), zz(-4)]]
-        h, _ = hermite_triangularize(rows, ZZ)
-        assert h[0][0].value == 1 and h[0][1].is_zero and h[0][2].is_zero
+        # the columns span ZZ, which contains 12*ZZ
+        h = hermite_form(_int_rows([[2, -3, -4]]), ZZ, zz(12))
+        assert _values(h) == [[1]]
 
     def test_2x2_pivots(self):
-        rows = [[zz(4), zz(2)], [ZZ.zero, zz(3)]]
-        h, u = hermite_triangularize(rows, ZZ)
+        h = hermite_form(_int_rows([[4, 2], [0, 3]]), ZZ, zz(12))
         assert h[0][0].value == 2 and h[0][1].is_zero
         assert h[1][1].value == 6
         assert 0 <= h[1][0].value < 6
-        assert abs(_int_det(u)) == 1
 
-    def test_mu_equals_h_and_unimodular(self):
+    def test_matches_sympy_hnf(self):
+        # an independent oracle: sympy's Hermite normal form, whose pivots
+        # run bottom-up, equals this one with row and column order reversed
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
         rng = random.Random(61)
-        for _ in range(25):
-            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
-            rows = [
-                [ZZ.from_int(rng.randint(-9, 9)) for _ in range(ncols)]
-                for _ in range(nrows)
-            ]
-            h, u = hermite_triangularize(rows, ZZ)
-            for r in range(nrows):
-                for c in range(ncols):
-                    total = ZZ.zero
-                    for k in range(ncols):
-                        total = total + rows[r][k] * u[k][c]
-                    assert total == h[r][c]
-            assert abs(_int_det(u)) == 1
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            values = _random_matrix(rng, n, n, 9)
+            det = sympy.Matrix(values).det()
+            if det == 0:
+                continue
+            reversed_rows = [row[::-1] for row in values[::-1]]
+            w = hermite_normal_form(sympy.Matrix(reversed_rows)).tolist()
+            expected = [[int(x) for x in row[::-1]] for row in w[::-1]]
+            h = hermite_form(_int_rows(values), ZZ, zz(abs(int(det))))
+            assert _values(h) == expected, values
 
     def test_deterministic_canonical_form(self):
-        # the nonzero columns of H are canonical for the column lattice,
-        # so shuffling input columns must not change them
+        # the result is canonical for the lattice spanned by the columns and
+        # modulus*R^N, so shuffling the input columns must not change it
         rng = random.Random(67)
-        for _ in range(15):
-            nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
-            rows = [
-                [ZZ.from_int(rng.randint(-6, 6)) for _ in range(ncols)]
-                for _ in range(nrows)
-            ]
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+            values = _random_matrix(rng, nrows, ncols, 6)
+            modulus = zz(rng.randint(1, 30))
             order = list(range(ncols))
             rng.shuffle(order)
-            shuffled = [[row[c] for c in order] for row in rows]
-            h1, _ = hermite_triangularize(rows, ZZ)
-            h2, _ = hermite_triangularize(shuffled, ZZ)
-            nz1 = [
-                [h1[r][c].value for r in range(nrows)]
-                for c in range(ncols)
-                if any(not h1[r][c].is_zero for r in range(nrows))
-            ]
-            nz2 = [
-                [h2[r][c].value for r in range(nrows)]
-                for c in range(ncols)
-                if any(not h2[r][c].is_zero for r in range(nrows))
-            ]
-            assert nz1 == nz2
+            shuffled = [[row[c] for c in order] for row in values]
+            h1 = hermite_form(_int_rows(values), ZZ, modulus)
+            h2 = hermite_form(_int_rows(shuffled), ZZ, modulus)
+            assert _values(h1) == _values(h2)
+
+    def test_skip_is_the_trailing_block(self):
+        # skipping the first k rows keeps the pivot columns of the others,
+        # which the full form has as its lower right block
+        rng = random.Random(73)
+        for _ in range(40):
+            nrows = rng.randint(2, 5)
+            values = _random_matrix(rng, nrows, rng.randint(1, 6), 8)
+            modulus = zz(rng.randint(1, 60))
+            k = rng.randint(0, nrows)
+            full = _values(hermite_form(_int_rows(values), ZZ, modulus))
+            tail = _values(hermite_form(_int_rows(values), ZZ, modulus, skip=k))
+            assert tail == [row[k:] for row in full[k:]]
 
     def test_rational_polynomials(self):
         rows = [[qx("x^2-1"), qx("x+1")]]
-        h, u = hermite_triangularize(rows, QX)
-        assert h[0][0] == qx("x+1") and h[0][1].is_zero
+        for modulus in (qx("x+1"), qx("2*x^2-2")):
+            assert hermite_form(rows, QX, modulus) == [[qx("x+1")]]
 
     def test_unsupported_ring(self):
         x = parse_element("x", ZX)
         with pytest.raises(UnsupportedRingError):
-            hermite_triangularize([[x]], ZX)
+            hermite_form([[x]], ZX, x)
 
-
-def _int_det(matrix):
-    n = len(matrix)
-    rows = [[x.value for x in r] for r in matrix]
-    total = 0
-    if n == 0:
-        return 1
-
-    def expand(rows):
-        if len(rows) == 1:
-            return rows[0][0]
-        out = 0
-        for c in range(len(rows)):
-            minor = [r[:c] + r[c + 1:] for r in rows[1:]]
-            out += (-1) ** c * rows[0][c] * expand(minor)
-        return out
-
-    return expand(rows)
-
-
-class TestKernel:
-    def test_p2_rank_two(self, p2):
-        vectors = kernel_basis(assemble_constraint_matrix(p2))
-        assert len(vectors) == 2
-        for v in vectors:
-            assert (zz(2) * v[0] - zz(3) * v[1] - zz(4) * v[2]).is_zero
-
-    def test_single_vertex_full(self, single_vertex):
-        vectors = kernel_basis(assemble_constraint_matrix(single_vertex))
-        assert [[x.value for x in v] for v in vectors] == [[1]]
+    def test_zero_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            hermite_form([[zz(2)]], ZZ, ZZ.zero)
 
 
 class TestFlowUpBasis:
@@ -248,3 +224,65 @@ class TestRandomInstances:
             assert report.ok, [c.detail for c in report.checks if not c.ok]
             cert = certify_basis(g, basis.matrix())
             assert cert.verdict is Verdict.CERTIFIED
+
+    def test_pathological_rows_finish(self):
+        # the two integer graphs that took 36 s and over 60 s when the
+        # kernel was triangularized with its full unimodular transform
+        for n, density in ((11, 0.3), (12, 0.5)):
+            g = random_instance(InstanceSpec(seed=5, n=n, edge_density=density))
+            start = time.perf_counter()
+            report = verify_flow_up(g, flow_up_basis(g))
+            elapsed = time.perf_counter() - start
+            assert report.ok, [c.detail for c in report.checks if not c.ok]
+            assert elapsed < 2.0, (n, density, elapsed)
+
+    def test_basis_is_reduced(self):
+        # Hermite form: row i entries left of the pivot are reduced modulo
+        # it, pivots are canonical
+        graphs = [
+            random_instance(
+                InstanceSpec(seed=seed, n=2 + seed % 5, edge_density=0.5, label_bound=60)
+            )
+            for seed in range(40)
+        ]
+        graphs += [_random_qx_graph(random.Random(seed)) for seed in range(12)]
+        for g in graphs:
+            basis = flow_up_basis(g)
+            for i, cls in enumerate(basis.classes):
+                pivot = cls.leading_term
+                for left in basis.classes[:i]:
+                    entry = left.spline.components[i]
+                    if g.ring is ZZ:
+                        assert pivot.value > 0 and 0 <= entry.value < pivot.value
+                    else:
+                        assert pivot.value[-1] == 1
+                        assert len(entry.value) < len(pivot.value)
+
+    def test_edge_order_does_not_matter(self):
+        rng = random.Random(79)
+        for seed in range(20):
+            g = random_instance(InstanceSpec(seed=seed, n=5, edge_density=0.5))
+            edges = [
+                (e.v, e.u, e.label) if rng.random() < 0.5 else (e.u, e.v, e.label)
+                for e in g.edges
+            ]
+            rng.shuffle(edges)
+            shuffled = LabeledGraph(ZZ, g.vertex_labels, edges)
+            expected = [cls.spline.components for cls in flow_up_basis(g).classes]
+            got = [cls.spline.components for cls in flow_up_basis(shuffled).classes]
+            assert got == expected
+
+
+def _random_qx_graph(rng):
+    """Connected QQ[x] graph whose labels are products of small linear factors."""
+
+    def label():
+        out = QX.from_int(rng.choice((1, 2, -3)))
+        for _ in range(rng.randint(0, 2)):
+            out = out * qx(f"x+{rng.randint(-2, 2)}")
+        return out
+
+    n = rng.randint(2, 4)
+    edges = [(rng.randrange(v), v, label()) for v in range(1, n)]
+    edges += [(0, n - 1, label())]
+    return LabeledGraph(QX, [label() for _ in range(n)], edges)

@@ -253,6 +253,55 @@ class TestGcdLcm:
                     continue
                 assert is_associate(gcd(a, b) * lcm(a, b), a * b)
 
+    def test_lcm_matches_sympy(self):
+        # an operand equal to one takes a shortcut; both paths must agree
+        # with sympy, and lcm_many with sympy's fold
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(71)
+        for ring, units in (
+            (ZZ, ["1", "-1"]),
+            (QX, ["1", "-1", "3", "1/2"]),
+            (ZXY, ["1", "-1"]),
+        ):
+            gens = sympy.symbols(ring.variables) if ring.variables else ()
+
+            def to_sympy(e):
+                return sympy.sympify(format_element(e).replace("^", "**"))
+
+            def sympy_lcm(x, y):
+                if x == 0 or y == 0:
+                    return sympy.Integer(0)
+                if not ring.variables:
+                    return sympy.ilcm(x, y)
+                domain = "QQ" if ring.rational_coefficients else "ZZ"
+                out = sympy.Poly(x, *gens, domain=domain).lcm(
+                    sympy.Poly(y, *gens, domain=domain)
+                )
+                if ring.rational_coefficients and not out.is_zero:
+                    out = out.monic()
+                return out.as_expr()
+
+            def pick():
+                if rng.random() < 0.4:
+                    return parse_element(rng.choice(units), ring)
+                return _random_element(rng, ring)
+
+            for _ in range(40):
+                elements = [pick() for _ in range(rng.randint(1, 4))]
+                expected = sympy.Integer(1)
+                for e in elements:
+                    expected = sympy_lcm(expected, to_sympy(e))
+                for got in (lcm(elements[0], elements[-1]), lcm_many(elements, ring)):
+                    assert canonical_associate(got) == got
+                pair = sympy_lcm(to_sympy(elements[0]), to_sympy(elements[-1]))
+                for got, want in (
+                    (lcm(elements[0], elements[-1]), pair),
+                    (lcm_many(elements, ring), expected),
+                ):
+                    diff = sympy.expand(to_sympy(got) - want)
+                    total = sympy.expand(to_sympy(got) + want)
+                    assert diff == 0 or (ring is ZXY and total == 0), (elements, got, want)
+
 
 class TestUnitsAssociates:
     def test_units(self):
