@@ -15,7 +15,6 @@ from .pid import (
     assemble_constraint_matrix,
     flow_up_basis,
     hermite_form,
-    minimal_leading_entries,
     verify_flow_up,
 )
 from .rings import (
@@ -90,7 +89,6 @@ __all__ = [
     "is_unit",
     "lcm",
     "lcm_many",
-    "minimal_leading_entries",
     "parse_element",
     "polynomial_ring",
     "qhat",

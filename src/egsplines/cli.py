@@ -1,9 +1,20 @@
 """Command-line front end.
 
 Subcommands: qhat, certify, flowup, express, oracle, examples.  Instances
-and spline sets are UTF-8 JSON files (see README for the schemas); spline
-components are listed v first-to-last and converted to the internal matrix
-convention.
+and spline sets are UTF-8 JSON files; spline components are listed v
+first-to-last and converted to the internal matrix convention.
+
+Instance file:
+  {"ring": {"kind": "integers"} | {"kind": "rationals"}
+           | {"kind": "polynomial", "variables": ["x", ...],
+              "base": "integers" (default) | "rationals"},
+   "vertices": [{"name": "v1", "label": EXPR}, ...],    nonempty, unique names
+   "edges": [{"u": "v1", "v": "v2", "label": EXPR}, ...]}    optional
+Spline-set file (the output of flowup --json is one):
+  {"splines": [[EXPR, ...], ...]}    one component per vertex, vertex order
+EXPR is a string over integers, p/q (rational bases only), the ring's
+variables, + - * ^ (exponent a nonnegative integer) and parentheses;
+parentheses and unary minus signs nest at most 100 levels deep.
 
 Exit codes (stable contract):
   0  success / certified
@@ -33,15 +44,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INCONCLUSIVE = 5
 EXIT_NOT_PID = 6
-
-_VERDICT_NAMES = {
-    Verdict.CERTIFIED: "certified",
-    Verdict.REFUTED_NOT_SPLINES: "refuted_not_splines",
-    Verdict.REFUTED_DEPENDENT: "refuted_dependent",
-    Verdict.REFUTED_BY_COPRIME_CONVERSE: "refuted_by_coprime_converse",
-    Verdict.INCONCLUSIVE: "inconclusive",
-}
-
 
 class CliInputError(Exception):
     def __init__(self, message: str, code: int = EXIT_PARSE):
@@ -80,6 +82,8 @@ def _load_json(path: str):
         raise CliInputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise CliInputError(f"{path}: JSON nested too deeply")
 
 
 def load_instance(path: str) -> LabeledGraph:
@@ -186,7 +190,7 @@ def cmd_certify(args) -> int:
             f"need exactly {g.n} splines to certify, got {len(columns)}"
         )
     cert = splines.certify_basis(g, SplineMatrix(g, columns))
-    name = _VERDICT_NAMES[cert.verdict]
+    name = cert.verdict.name.lower()
     lines = [
         f"verdict: {name}",
         f"determinant: {cert.determinant}",
@@ -224,9 +228,7 @@ def cmd_flowup(args) -> int:
         return EXIT_NOT_PID
     basis = pid.flow_up_basis(g)
     report = pid.verify_flow_up(g, basis)
-    determinant = splines.spline_determinant(basis.matrix())
-    key = splines.qhat(g)
-    unit = rings.associate_unit(determinant, key)
+    determinant, key, unit = report.determinant, report.key, report.unit
     lines = []
     for cls in basis.classes:
         lines.append(
@@ -281,7 +283,7 @@ def cmd_oracle(args) -> int:
     g = load_instance(args.instance)
     if g.ring.kind != "integers":
         raise CliInputError("the oracle runs on integer instances only")
-    formula = pid.minimal_leading_entries(g)
+    formula = splines.qhat_components(g)
     ok = True
     for i in range(g.n):
         expected = formula[i].value
@@ -329,9 +331,7 @@ def cmd_oracle(args) -> int:
             sample_failures += 1
     print(f"20 random combinations reconstructed, {sample_failures} mismatches (seed {rng_seed})")
     ok = ok and sample_failures == 0
-    key = splines.qhat(g)
-    determinant = splines.spline_determinant(matrix)
-    det_ok = rings.is_associate(determinant, key)
+    det_ok = pid.verify_flow_up(g, basis).unit is not None
     print(f"flow-up determinant {'matches' if det_ok else 'DOES NOT match'} qhat up to sign")
     ok = ok and det_ok
     print("oracle: all checks passed" if ok else "oracle: FAILURES detected")
@@ -400,9 +400,9 @@ def cmd_examples(args) -> int:
         basis = pid.flow_up_basis(g)
         terms = [t.value for t in basis.leading_terms()]
         assert terms == [2, 12], f"leading terms {terms}"
-        det = splines.spline_determinant(basis.matrix())
-        assert abs(det.value) == 24, f"determinant {det}"
-        assert pid.verify_flow_up(g, basis).ok
+        report = pid.verify_flow_up(g, basis)
+        assert abs(report.determinant.value) == 24, f"determinant {report.determinant}"
+        assert report.ok
 
     check("t4 key element", t4_key_element)
     check("t4 printed basis certifies with unit -1", t4_basis_certifies)

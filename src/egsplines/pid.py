@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
 from .graph import LabeledGraph
@@ -230,16 +230,6 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     return TriangularBasis(g, classes)
 
 
-def minimal_leading_entries(g: LabeledGraph) -> Tuple[RingElement, ...]:
-    """The key-element component per vertex index.
-
-    Identical to the per-vertex key-element computation; exposed separately
-    because over a PID these values are exactly the minimal flow-up leading
-    terms, which verify_flow_up checks against the synthesized basis.
-    """
-    return splines.qhat_components(g)
-
-
 @dataclass(frozen=True)
 class FlowUpCheck:
     name: str
@@ -250,6 +240,9 @@ class FlowUpCheck:
 @dataclass(frozen=True)
 class FlowUpReport:
     checks: Tuple[FlowUpCheck, ...]
+    determinant: RingElement
+    key: RingElement
+    unit: Optional[RingElement]
 
     @property
     def ok(self) -> bool:
@@ -261,7 +254,9 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
 
     Columns must be splines of triangular shape, the determinant must be a
     unit multiple of the key element, and each leading term must be
-    associate to the corresponding key-element component.
+    associate to the corresponding key-element component (over a PID, the
+    minimal leading term at that index).  The report keeps the determinant,
+    key element and unit it compared; unit is None when they do not match.
     """
     checks: List[FlowUpCheck] = []
     for cls in basis.classes:
@@ -284,7 +279,7 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
             )
         )
     determinant = splines.spline_determinant(basis.matrix())
-    formula = minimal_leading_entries(g)
+    formula = splines.qhat_components(g)
     key = canonical_associate(math.prod(formula, start=g.ring.one))
     unit = rings.associate_unit(determinant, key)
     checks.append(
@@ -303,4 +298,4 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
                 f"leading term {cls.leading_term}, formula {expected}",
             )
         )
-    return FlowUpReport(tuple(checks))
+    return FlowUpReport(tuple(checks), determinant, key, unit)

@@ -740,6 +740,10 @@ def crt(congruences: Sequence[Congruence]):
 
 _TOKEN_OPS = set("+-*^()/")
 
+# Deepest accepted nesting of parentheses and unary minus signs together;
+# deeper input raises ParseError instead of exhausting the Python stack.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -787,6 +791,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = ring
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -858,12 +863,20 @@ class _Parser:
             if self.ring.is_polynomial and tok[1] in self.ring.variables:
                 return self.ring.variable(tok[1])
             raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
-        if tok[0] == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if tok[0] == "-":
-            return -self.factor()
+        if tok[0] in ("(", "-"):
+            self.nesting += 1
+            if self.nesting > _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses and unary minus nest deeper than {_MAX_NESTING}",
+                    tok[2],
+                )
+            if tok[0] == "(":
+                result = self.expr()
+                self.expect(")")
+            else:
+                result = -self.factor()
+            self.nesting -= 1
+            return result
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
     def int_or_rational(self, tok) -> RingElement:
@@ -884,7 +897,11 @@ class _Parser:
 
 
 def parse_element(text: str, ring: RingDescriptor) -> RingElement:
-    """Parse expression text into a canonical element of the given ring."""
+    """Parse expression text into a canonical element of the given ring.
+
+    Parentheses and unary minus signs may nest at most 100 levels deep
+    (counted together); deeper input raises ParseError.
+    """
     return _Parser(text, ring).parse()
 
 

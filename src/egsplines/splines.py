@@ -13,6 +13,7 @@ checks absorb the sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -153,32 +154,32 @@ class SplineMatrix:
             for r in range(n)
         ]
 
-    def replace_column(self, index: int, column: Spline) -> "SplineMatrix":
-        cols = list(self.columns)
-        cols[index] = column
-        return SplineMatrix(self.graph, cols)
-
 
 # ---------------------------------------------------------------------------
 # Key element
 # ---------------------------------------------------------------------------
 
 
-def qhat_component(g: LabeledGraph, i: int) -> RingElement:
-    """Component of the key element at vertex index i (0-based).
+def _key_parts(g: LabeledGraph, i: int) -> Tuple[List[RingElement], List[RingElement]]:
+    """(upper, lower) parts of the key-element component at vertex index i.
 
-    lcm of: the vertex label m_i; gcd(m_j, trail aggregate from j) for each
-    higher index j; the trail aggregate from s for each lower index s.  The
-    aggregates are lookups in the graph's (lcm, gcd) closure table, built
-    once per graph in O(n^3) ring operations (see trail_constraint).
+    Upper: m_i, then gcd(m_j, trail aggregate from j) for each higher index
+    j.  Lower: the trail aggregate from s for each lower index s.  Each
+    aggregate is a lookup in the graph's (lcm, gcd) closure table.
     """
-    g.require_valid()
-    parts = [g.vertex_labels[i]]
+    labels = g.vertex_labels
+    upper = [labels[i]]
     for j in range(i + 1, g.n):
-        parts.append(gcd(g.vertex_labels[j], trail_constraint(g, j, i)))
-    for s in range(i):
-        parts.append(trail_constraint(g, s, i))
-    return lcm_many(parts, g.ring)
+        upper.append(gcd(labels[j], trail_constraint(g, j, i)))
+    return upper, [trail_constraint(g, s, i) for s in range(i)]
+
+
+def qhat_component(g: LabeledGraph, i: int) -> RingElement:
+    """Component of the key element at vertex index i (0-based): the lcm of
+    the upper and lower parts (see _key_parts)."""
+    g.require_valid()
+    upper, lower = _key_parts(g, i)
+    return lcm_many(upper + lower, g.ring)
 
 
 def qhat_components(g: LabeledGraph) -> Tuple[RingElement, ...]:
@@ -187,10 +188,7 @@ def qhat_components(g: LabeledGraph) -> Tuple[RingElement, ...]:
 
 def qhat(g: LabeledGraph) -> RingElement:
     """The key element: product of the per-vertex components, canonical."""
-    result = g.ring.one
-    for c in qhat_components(g):
-        result = result * c
-    return rings.canonical_associate(result)
+    return rings.canonical_associate(math.prod(qhat_components(g), start=g.ring.one))
 
 
 def classical_qg(g: LabeledGraph) -> RingElement:
@@ -202,35 +200,43 @@ def classical_qg(g: LabeledGraph) -> RingElement:
 def h_factor(g: LabeledGraph) -> RingElement:
     """The cofactor H with qhat associate to H * classical_qg.
 
-    Per vertex index i, H's factor is the lcm of m_i with the higher-index
-    gcd corrections, divided by the gcd of that lcm with the lcm of the
-    lower-index trail aggregates.
+    Per vertex index i, H's factor is the lcm of the upper parts divided by
+    its gcd with the lcm of the lower parts (see _key_parts).
     """
     g.require_valid()
     result = g.ring.one
     for i in range(g.n):
-        parts = [g.vertex_labels[i]]
-        for j in range(i + 1, g.n):
-            parts.append(gcd(g.vertex_labels[j], trail_constraint(g, j, i)))
-        numerator = lcm_many(parts, g.ring)
-        lower = lcm_many([trail_constraint(g, s, i) for s in range(i)], g.ring)
-        result = result * exact_div(numerator, gcd(numerator, lower))
+        upper, lower = _key_parts(g, i)
+        numerator = lcm_many(upper, g.ring)
+        result = result * exact_div(numerator, gcd(numerator, lcm_many(lower, g.ring)))
     return rings.canonical_associate(result)
 
 
 # ---------------------------------------------------------------------------
-# Determinants
+# Determinants and Cramer numerators
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_determinant(rows: List[List[RingElement]]) -> RingElement:
-    """Fraction-free elimination; every division is exact by Sylvester's
-    identity, so the result is the exact determinant over the ring."""
+def _bareiss(
+    rows: List[List[RingElement]], rhs: Optional[Sequence[RingElement]] = None
+) -> Tuple[RingElement, Optional[List[RingElement]]]:
+    """(det M, y = adj(M)*f) from one fraction-free elimination of [M | f].
+
+    Each Bareiss step divides exactly by the previous pivot (Sylvester's
+    identity); the first step's divisor is 1 and is skipped.  y_k, the
+    determinant of M with column k replaced by f, comes from
+    back-substitution on the eliminated [U | b]: y_k = (det*b_k -
+    sum_{j>k} U_kj*y_j) / U_kk, exact since y lies in the ring.  y is None
+    without f or when det = 0.
+    """
     n = len(rows)
     ring = rows[0][0].descriptor
-    m = [list(r) for r in rows]
+    if rhs is None:
+        m = [list(r) for r in rows]
+    else:
+        m = [list(r) + [b] for r, b in zip(rows, rhs)]
     sign = 1
-    previous = ring.one
+    previous = None
     for k in range(n - 1):
         if m[k][k].is_zero:
             for i in range(k + 1, n):
@@ -239,26 +245,33 @@ def _bareiss_determinant(rows: List[List[RingElement]]) -> RingElement:
                     sign = -sign
                     break
             else:
-                return ring.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(numerator, previous)
-            m[i][k] = ring.zero
-        previous = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+                return ring.zero, None
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, len(top)):
+                numerator = pivot * row[j] - lead * top[j]
+                row[j] = numerator if previous is None else exact_div(numerator, previous)
+        previous = pivot
+    det = m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+    if rhs is None or det.is_zero:
+        return det, None
+    y: List[RingElement] = [ring.zero] * n
+    # det = sign * U_{n-1,n-1}, so the last numerator needs no division
+    y[n - 1] = m[n - 1][n] if sign > 0 else -m[n - 1][n]
+    for k in range(n - 2, -1, -1):
+        row = m[k]
+        acc = det * row[n]
+        for j in range(k + 1, n):
+            acc = acc - row[j] * y[j]
+        y[k] = exact_div(acc, row[k])
+    return det, y
 
 
 def spline_determinant(ms: SplineMatrix) -> RingElement:
     """Exact determinant under the fixed row convention (v_n top .. v_1 bottom)."""
-    rows = ms.rows()
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return _bareiss_determinant(rows)
+    return _bareiss(ms.rows())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +355,16 @@ def express_in_basis(
 ) -> Tuple[RingElement, ...]:
     """Coefficients c with sum(c_k F_k) = f, or NotInSpanError.
 
-    Cramer's rule: the k-th replaced determinant divided by the matrix
-    determinant.  The output is verified by full reconstruction before it
-    is returned, so an arithmetic fault cannot produce silent garbage.
+    Cramer's rule: the column-replaced determinants divided by the matrix
+    determinant, all from one elimination (see _bareiss).  The output is
+    verified by full reconstruction before it is returned, so an
+    arithmetic fault cannot produce silent garbage.
     """
-    determinant = spline_determinant(ms)
+    determinant, numerators = _bareiss(ms.rows(), f.components[::-1])
     if determinant.is_zero:
         raise ZeroDivisionError("cannot express against a singular matrix")
-    coefficients: List[Optional[RingElement]] = []
-    failed: List[int] = []
-    for k in range(g.n):
-        replaced = spline_determinant(ms.replace_column(k, f))
-        c = try_exact_div(replaced, determinant)
-        coefficients.append(c)
-        if c is None:
-            failed.append(k)
+    coefficients = [try_exact_div(y, determinant) for y in numerators]
+    failed = [k for k, c in enumerate(coefficients) if c is None]
     if failed:
         raise NotInSpanError(failed[0], tuple(failed))
     rebuilt = Spline(g, [g.ring.zero] * g.n)
@@ -373,10 +381,10 @@ def qhat_span_decomposition(
     """Ring elements x with sum(x_k F_k) = qhat * f, no division involved.
 
     Requires the matrix determinant to be associate to the key element; the
-    x_k are the column-replaced determinants, scaled by the inverse of the
-    unit relating determinant and key element.
+    x_k are the column-replaced determinants (see _bareiss), scaled by the
+    inverse of the unit relating determinant and key element.
     """
-    determinant = spline_determinant(ms)
+    determinant, numerators = _bareiss(ms.rows(), f.components[::-1])
     key = qhat(g)
     unit = rings.associate_unit(determinant, key)
     if unit is None:
@@ -384,10 +392,7 @@ def qhat_span_decomposition(
             "determinant is not a unit multiple of the key element"
         )
     unit_inverse = exact_div(g.ring.one, unit)
-    xs = []
-    for k in range(g.n):
-        replaced = spline_determinant(ms.replace_column(k, f))
-        xs.append(unit_inverse * replaced)
+    xs = [unit_inverse * y for y in numerators]
     combined = Spline(g, [g.ring.zero] * g.n)
     for x, col in zip(xs, ms.columns):
         combined = combined + col.scale(x)

@@ -167,7 +167,7 @@ def test_criterion_6_pid_property_suite(suite6_instances):
         determinant = splines.spline_determinant(matrix)
         key = splines.qhat(g)
         assert is_associate(determinant, key)  # (b)
-        formula = pid.minimal_leading_entries(g)
+        formula = splines.qhat_components(g)
         for cls, expected in zip(basis.classes, formula):
             assert is_associate(cls.leading_term, expected)  # (c)
         for index, expected in enumerate(formula):  # (d)

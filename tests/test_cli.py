@@ -107,6 +107,16 @@ class TestFlowup:
         )
         assert code == 0 and "certified" in out2
 
+    @pytest.mark.parametrize(
+        "name, determinant, key",
+        [("p2.json", "-24", "24"), ("c3_integer.json", "-1080", "1080")],
+    )
+    def test_json_determinant_qhat_unit(self, capsys, name, determinant, key):
+        code, out, _ = run(capsys, "flowup", data(name), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["determinant"], doc["qhat"], doc["unit"]) == (determinant, key, "-1")
+
     def test_non_pid_exit_6(self, capsys):
         code, _, err = run(capsys, "flowup", data("t4.json"))
         assert code == 6
@@ -211,6 +221,38 @@ class TestErrors:
         monkeypatch.setenv("EGS_MAX_TRAILS", "1")
         assert run(capsys, "qhat", data("c3_integer.json")) == expected
         assert expected[0] == 0
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "(" * 100 + "2" + ")" * 100,
+            "(" * 101 + "2" + ")" * 101,
+            "(" * 500 + "2" + ")" * 500,
+            "(" * 3000 + "2" + ")" * 3000,
+            "-" * 3000 + "2",
+        ],
+    )
+    def test_deep_label_nesting(self, capsys, tmp_path, label):
+        # past the documented limit of 100 levels: exit 2, no traceback
+        path = tmp_path / "deep.json"
+        path.write_text(
+            json.dumps(
+                {"ring": {"kind": "integers"}, "vertices": [{"name": "v1", "label": label}]}
+            )
+        )
+        code, out, err = run(capsys, "qhat", str(path))
+        if len(label) <= 201:
+            assert (code, out) == (0, "Q(v1) = 2\nQhat = 2\n")
+        else:
+            assert code == 2
+            assert "deeper than 100" in err and "Traceback" not in err
+
+    def test_deep_json_nesting_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"ring": {"kind": "integers"}, "vertices": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, _, err = run(capsys, "qhat", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "qhat", "/nonexistent/instance.json")

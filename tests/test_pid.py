@@ -9,11 +9,16 @@ from egsplines.pid import (
     assemble_constraint_matrix,
     flow_up_basis,
     hermite_form,
-    minimal_leading_entries,
     verify_flow_up,
 )
-from egsplines.rings import ZZ, UnsupportedRingError, parse_element
-from egsplines.splines import Verdict, certify_basis, spline_determinant
+from egsplines.rings import ZZ, UnsupportedRingError, associate_unit, parse_element
+from egsplines.splines import (
+    Verdict,
+    certify_basis,
+    qhat,
+    qhat_components,
+    spline_determinant,
+)
 
 from conftest import QX, ZX, qx, zz
 
@@ -144,7 +149,7 @@ class TestFlowUpBasis:
     def test_c3_leading_terms(self, c3_int):
         basis = flow_up_basis(c3_int)
         terms = [t.value for t in basis.leading_terms()]
-        formula = [f.value for f in minimal_leading_entries(c3_int)]
+        formula = [f.value for f in qhat_components(c3_int)]
         assert terms == formula == [4, 6, 45]
 
     def test_rational_polynomial_instance(self):
@@ -163,7 +168,6 @@ class TestFlowUpBasis:
     def test_rationals_descriptor_degenerates(self):
         # over a field every label is a unit, so the module is everything
         from egsplines.rings import QQ
-        from egsplines.splines import qhat
 
         g = LabeledGraph(
             QQ,
@@ -176,9 +180,9 @@ class TestFlowUpBasis:
         assert [t.value for t in basis.leading_terms()] == [1, 1]
 
     def test_minimal_leading_entries_examples(self, p2, c3_int, single_vertex):
-        assert [f.value for f in minimal_leading_entries(p2)] == [2, 12]
-        assert [f.value for f in minimal_leading_entries(c3_int)] == [4, 6, 45]
-        assert [f.value for f in minimal_leading_entries(single_vertex)] == [5]
+        assert [f.value for f in qhat_components(p2)] == [2, 12]
+        assert [f.value for f in qhat_components(c3_int)] == [4, 6, 45]
+        assert [f.value for f in qhat_components(single_vertex)] == [5]
 
 
 class TestVerifyFlowUp:
@@ -209,6 +213,18 @@ class TestVerifyFlowUp:
         assert not report.ok
         failed = [c.name for c in report.checks if not c.ok]
         assert any("determinant" in name for name in failed)
+        assert (report.determinant, report.key, report.unit) == (zz(-48), zz(24), None)
+
+    def test_report_carries_determinant_key_unit(self):
+        for seed in range(20):
+            g = random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.4, label_bound=30))
+            basis = flow_up_basis(g)
+            report = verify_flow_up(g, basis)
+            determinant = spline_determinant(basis.matrix())
+            assert report.determinant == determinant
+            assert report.key == qhat(g)
+            assert report.unit == associate_unit(determinant, qhat(g))
+            assert report.unit is not None
 
     def test_single_vertex(self, single_vertex):
         assert verify_flow_up(single_vertex, flow_up_basis(single_vertex)).ok

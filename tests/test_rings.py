@@ -110,6 +110,18 @@ class TestParseFormat:
         with pytest.raises(ParseError):
             parse_element("", ZX)
 
+    def test_nesting_limit(self):
+        # 100 levels of parentheses and unary minus, counted together, parse
+        assert parse_element("(" * 100 + "x" + ")" * 100, ZX) == ZX.variable("x")
+        assert parse_element("-" * 100 + "7", ZZ) == zz(7)
+        assert parse_element("(-" * 50 + "7" + ")" * 50, ZZ) == zz(7)
+        # the limit is on depth, not on the number of parentheses
+        assert parse_element("+".join(["(-(1))"] * 150), ZZ) == zz(-150)
+        # one level more is a ParseError, not a RecursionError
+        for text in ("(" * 101 + "x" + ")" * 101, "-" * 101 + "x", "(-" * 51 + "x" + ")" * 51):
+            with pytest.raises(ParseError, match="deeper than 100"):
+                parse_element(text, ZX)
+
     def test_precedence_and_unary_minus(self):
         assert parse_element("2+3*4", ZZ) == zz(14)
         assert parse_element("-2^2", ZZ) == zz(-4)  # '-' factor, factor = 2^2

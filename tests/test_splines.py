@@ -8,6 +8,7 @@ from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import flow_up_basis
 from egsplines.rings import ZZ, is_associate
 from egsplines.splines import (
+    _bareiss,
     CoprimalityError,
     NotInSpanError,
     SpanHypothesisError,
@@ -29,7 +30,7 @@ from egsplines.splines import (
     spline_violations,
 )
 
-from conftest import QXY, ZXY, qxy, zxy, zz
+from conftest import QX, QXY, ZXY, qxy, zxy, zz
 
 
 def make_matrix(g, rows_of_strings, parse):
@@ -247,19 +248,142 @@ class TestDeterminant:
                 for _ in range(n)
             ]
             ms = SplineMatrix(g, cols)
-            assert spline_determinant(ms).value == _cofactor_det(ms.rows())
+            assert spline_determinant(ms) == _cofactor_det(ms.rows())
+
+    def test_matches_sympy(self):
+        # an independent oracle over ZZ[x,y] and QQ[x]: sympy's determinant
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(47)
+        for ring in (ZXY, QX):
+            for _ in range(15):
+                n = rng.randint(1, 4)
+                rows = _random_matrix(rng, ring, n, singular=rng.random() < 0.2)
+                expected = sympy.Matrix(
+                    [[_to_sympy(sympy, e) for e in row] for row in rows]
+                ).det(method="berkowitz")
+                got = _to_sympy(sympy, spline_determinant(_as_spline_matrix(rows)))
+                assert sympy.expand(got - expected) == 0, (rows, got, expected)
+
+
+class TestBareissKernel:
+    """_bareiss against the literal definition: the determinant by Laplace
+    expansion, and each Cramer numerator as the determinant of the matrix
+    with that column replaced by the target."""
+
+    def test_matches_cofactor_definition(self):
+        rng = random.Random(2024)
+        seen = {"singular": 0, "in_span": 0, "not_in_span": 0}
+        for ring in (ZZ, QX, ZXY):
+            for trial in range(40):
+                n = 1 + trial % 5
+                singular = trial % 4 == 3
+                rows = _random_matrix(rng, ring, n, singular=singular)
+                if rng.random() < 0.5:
+                    # a target in the span: M times random coefficients
+                    coefficients = [_random_element(rng, ring) for _ in range(n)]
+                    target = [
+                        sum((a * c for a, c in zip(row, coefficients)), ring.zero)
+                        for row in rows
+                    ]
+                else:
+                    target = [_random_element(rng, ring) for _ in range(n)]
+                det, numerators = _bareiss(rows, target)
+                assert det == _cofactor_det(rows)
+                assert _bareiss(rows)[0] == det
+                if det.is_zero:
+                    seen["singular"] += 1
+                    assert numerators is None
+                    with pytest.raises(ZeroDivisionError):
+                        express_in_basis(*_express_args(rows, target))
+                    continue
+                literal = [
+                    _cofactor_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, target)])
+                    for k in range(n)
+                ]
+                assert numerators == literal
+                failed = tuple(
+                    k for k, y in enumerate(literal) if not rings.divides(det, y)
+                )
+                if failed:
+                    seen["not_in_span"] += 1
+                    with pytest.raises(NotInSpanError) as exc:
+                        express_in_basis(*_express_args(rows, target))
+                    assert exc.value.failed_indices == failed
+                    assert exc.value.index == failed[0]
+                else:
+                    seen["in_span"] += 1
+                    got = express_in_basis(*_express_args(rows, target))
+                    assert list(got) == [rings.exact_div(y, det) for y in literal]
+        assert min(seen.values()) >= 10, seen
+
+    def test_span_decomposition_numerators(self, p2, p2_basis):
+        # qhat * f = sum x_k F_k with x_k = det(M_k) / unit, here unit -1
+        f = Spline(p2, [zz(2), zz(6)])
+        rows = p2_basis.rows()
+        literal = [
+            _cofactor_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, [zz(6), zz(2)])])
+            for k in range(2)
+        ]
+        assert list(qhat_span_decomposition(p2, p2_basis, f)) == [-y for y in literal]
 
 
 def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0].value
-    total = 0
-    for c in range(n):
-        minor = [row[:c] + row[c + 1:] for row in rows[1:]]
-        sign = -1 if c % 2 else 1
-        total += sign * rows[0][c].value * _cofactor_det(minor)
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].descriptor.zero
+    for c, entry in enumerate(rows[0]):
+        term = entry * _cofactor_det([row[:c] + row[c + 1:] for row in rows[1:]])
+        total = total - term if c % 2 else total + term
     return total
+
+
+def _random_element(rng, ring):
+    """A small random element; about a quarter are zero."""
+    if rng.random() < 0.25:
+        return ring.zero
+    if ring is ZZ:
+        return ZZ.from_int(rng.randint(-9, 9))
+    out = ring.zero
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randint(-5, 5)
+        if ring.rational_coefficients:
+            term = rings.parse_element(f"{c}/{rng.randint(1, 4)}", ring)
+        else:
+            term = ring.from_int(c)
+        for v in ring.variables:
+            term = term * ring.variable(v) ** rng.randint(0, 2)
+        out = out + term
+    return out
+
+
+def _random_matrix(rng, ring, n, singular=False):
+    rows = [[_random_element(rng, ring) for _ in range(n)] for _ in range(n)]
+    if singular:
+        # a zero column for n = 1, else the last column a combination of
+        # the first two (or a copy of the first)
+        a, b = _random_element(rng, ring), _random_element(rng, ring)
+        for row in rows:
+            row[-1] = a * row[0] + b * row[1] if n > 1 else ring.zero
+    return rows
+
+
+def _as_spline_matrix(rows):
+    n = len(rows)
+    ring = rows[0][0].descriptor
+    g = LabeledGraph(ring, [ring.one] * n, [(i, i + 1, ring.one) for i in range(n - 1)])
+    columns = [Spline(g, [rows[n - 1 - i][k] for i in range(n)]) for k in range(n)]
+    return SplineMatrix(g, columns)
+
+
+def _express_args(rows, target):
+    """(g, matrix, f) whose express_in_basis call solves rows * c = target."""
+    ms = _as_spline_matrix(rows)
+    return ms.graph, ms, Spline(ms.graph, target[::-1])
+
+
+def _to_sympy(sympy, e):
+    return sympy.sympify(rings.format_element(e).replace("^", "**"))
 
 
 class TestCertify:
