@@ -47,8 +47,8 @@ from .splines import (
     express_in_basis,
     h_factor,
     is_spline,
+    key_element,
     qhat,
-    qhat_component,
     qhat_components,
     qhat_span_decomposition,
     spline_determinant,
@@ -87,12 +87,12 @@ __all__ = [
     "is_associate",
     "is_spline",
     "is_unit",
+    "key_element",
     "lcm",
     "lcm_many",
     "parse_element",
     "polynomial_ring",
     "qhat",
-    "qhat_component",
     "qhat_components",
     "qhat_span_decomposition",
     "spline_determinant",

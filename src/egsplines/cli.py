@@ -29,6 +29,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Sequence
@@ -65,7 +66,9 @@ def _ring_from_json(doc) -> RingDescriptor:
             base = doc.get("base", "integers")
             if not isinstance(variables, list) or not variables:
                 raise CliInputError("polynomial ring needs a nonempty 'variables' list")
-            base_ring = {"integers": rings.ZZ, "rationals": rings.QQ}.get(base)
+            if not all(isinstance(name, str) for name in variables):
+                raise CliInputError("polynomial variables must be strings")
+            base_ring = {"integers": rings.ZZ, "rationals": rings.QQ}.get(str(base))
             if base_ring is None:
                 raise CliInputError(f"unknown base {base!r}")
             return rings.polynomial_ring(*variables, base=base_ring)
@@ -95,6 +98,8 @@ def load_instance(path: str) -> LabeledGraph:
     edges = doc.get("edges", [])
     if not isinstance(vertices, list) or not vertices:
         raise CliInputError(f"{path}: 'vertices' must be a nonempty list")
+    if not isinstance(edges, list):
+        raise CliInputError(f"{path}: 'edges' must be a list")
     names: List[str] = []
     labels: List[RingElement] = []
     for entry in vertices:
@@ -110,7 +115,7 @@ def load_instance(path: str) -> LabeledGraph:
         if not isinstance(entry, dict) or not {"u", "v", "label"} <= set(entry):
             raise CliInputError(f"{path}: each edge needs 'u', 'v' and 'label'")
         for endpoint in (entry["u"], entry["v"]):
-            if endpoint not in index:
+            if not isinstance(endpoint, str) or endpoint not in index:
                 raise CliInputError(f"{path}: edge endpoint {endpoint!r} is not a declared vertex")
         built.append(
             (index[entry["u"]], index[entry["v"]], _parse_expr(entry["label"], ring, path))
@@ -135,7 +140,7 @@ def _parse_expr(text, ring: RingDescriptor, path: str) -> RingElement:
 
 def load_spline_set(path: str, g: LabeledGraph) -> List[Spline]:
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "splines" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("splines"), list):
         raise CliInputError(f"{path}: expected an object with a 'splines' list")
     out = []
     for row in doc["splines"]:
@@ -164,20 +169,15 @@ def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
 
 def cmd_qhat(args) -> int:
     g = load_instance(args.instance)
-    components = splines.qhat_components(g)
-    key = splines.qhat(g)
-    lines = [
-        f"Q({g.vertex_name(i)}) = {components[i]}" for i in range(g.n)
-    ]
-    lines.append(f"Qhat = {key}")
-    doc = {"components": [str(c) for c in components], "qhat": str(key)}
+    key = splines.key_element(g)
+    lines = [f"Q({g.vertex_name(i)}) = {c}" for i, c in enumerate(key.components)]
+    lines.append(f"Qhat = {key.qhat}")
+    doc = {"components": [str(c) for c in key.components], "qhat": str(key.qhat)}
     if args.classical:
-        qg = splines.classical_qg(g)
-        h = splines.h_factor(g)
-        lines.append(f"Q_G = {qg}")
-        lines.append(f"H = {h}")
-        doc["classical_qg"] = str(qg)
-        doc["h_factor"] = str(h)
+        lines.append(f"Q_G = {key.classical_qg}")
+        lines.append(f"H = {key.h_factor}")
+        doc["classical_qg"] = str(key.classical_qg)
+        doc["h_factor"] = str(key.h_factor)
     _emit(doc, args.json, lines)
     return EXIT_OK
 
@@ -303,7 +303,7 @@ def cmd_oracle(args) -> int:
     matrix = basis.matrix()
     enum_bound = args.enum_bound
     if enum_bound is None:
-        enum_bound = 2 * max(label.value for label in g.vertex_labels)
+        enum_bound = 2 * max(abs(label.value) for label in g.vertex_labels)
     small = oracle.enumerate_small_splines(g, enum_bound)
     failures = 0
     for s in small:
@@ -422,7 +422,9 @@ def cmd_examples(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_REFUTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The egs parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="egs",
         description="Exact toolkit for extending generalized spline modules "

@@ -2,7 +2,8 @@
 
 A labeled graph carries one nonzero ring element per vertex and per edge,
 plus a fixed vertex ordering that the flow-up and key-element computations
-refer to.  Graphs are immutable once built; validation results are cached.
+refer to.  Graphs are immutable and never relabeled; the validation result,
+the aggregate table and the key-element record are cached on each graph.
 
 The key element is built from one pairwise aggregate: the lcm over s-t
 trails of the gcd of each trail's edge labels.  Divisibility classes of a
@@ -72,9 +73,8 @@ class LabeledGraph:
             names = tuple(f"v{i + 1}" for i in range(len(self.vertex_labels)))
         self.names = tuple(names)
         self._violations: Optional[Tuple[str, ...]] = None
-        # one-slot holder for the aggregate table, shared with relabeled
-        # copies because the table depends on the edges only
-        self._aggregates: list = []
+        self._table: Optional[List[List[RingElement]]] = None
+        self._key = None  # the record of splines.key_element
         adjacency: List[List[int]] = [[] for _ in self.vertex_labels]
         for idx, e in enumerate(self.edges):
             if 0 <= e.u < len(adjacency) and 0 <= e.v < len(adjacency):
@@ -89,11 +89,6 @@ class LabeledGraph:
 
     def vertex_name(self, i: int) -> str:
         return self.names[i]
-
-    def with_vertex_labels(self, labels: Sequence[RingElement]) -> "LabeledGraph":
-        relabeled = LabeledGraph(self.ring, labels, self.edges, self.names)
-        relabeled._aggregates = self._aggregates
-        return relabeled
 
     def validate(self) -> List[str]:
         """Return all invariant violations (empty list when valid)."""
@@ -160,8 +155,8 @@ def _aggregate_table(g: LabeledGraph) -> List[List[RingElement]]:
     gcd, or one that already divides the entry) skip the lcm.  The
     diagonal is never read.
     """
-    if g._aggregates:
-        return g._aggregates[0]
+    if g._table is not None:
+        return g._table
     n = g.n
     one = g.ring.one
     table = [[one] * n for _ in range(n)]
@@ -184,7 +179,7 @@ def _aggregate_table(g: LabeledGraph) -> List[List[RingElement]]:
                 candidate = gcd(through, onward)
                 if candidate != one and not divides(candidate, row_i[j]):
                     row_i[j] = table[j][i] = lcm(row_i[j], candidate)
-    g._aggregates.append(table)
+    g._table = table
     return table
 
 

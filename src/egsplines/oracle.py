@@ -80,8 +80,9 @@ def _require_integers(g: LabeledGraph) -> None:
 
 
 def _int_labels(g: LabeledGraph):
-    m = [label.value for label in g.vertex_labels]
-    edges = [(e.u, e.v, e.label.value) for e in g.edges]
+    """Vertex and edge labels as positive ints: m*ZZ = (-m)*ZZ."""
+    m = [abs(label.value) for label in g.vertex_labels]
+    edges = [(e.u, e.v, abs(e.label.value)) for e in g.edges]
     return m, edges
 
 

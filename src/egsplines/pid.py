@@ -13,7 +13,6 @@ and determinant are cross-checked against the key-element formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -279,17 +278,16 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
             )
         )
     determinant = splines.spline_determinant(basis.matrix())
-    formula = splines.qhat_components(g)
-    key = canonical_associate(math.prod(formula, start=g.ring.one))
-    unit = rings.associate_unit(determinant, key)
+    key = splines.key_element(g)
+    unit = rings.associate_unit(determinant, key.qhat)
     checks.append(
         FlowUpCheck(
             "determinant is a unit multiple of the key element",
             unit is not None,
-            f"det = {determinant}, key element = {key}",
+            f"det = {determinant}, key element = {key.qhat}",
         )
     )
-    for cls, expected in zip(basis.classes, formula):
+    for cls, expected in zip(basis.classes, key.components):
         ok = rings.is_associate(cls.leading_term, expected)
         checks.append(
             FlowUpCheck(
@@ -298,4 +296,4 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
                 f"leading term {cls.leading_term}, formula {expected}",
             )
         )
-    return FlowUpReport(tuple(checks), determinant, key, unit)
+    return FlowUpReport(tuple(checks), determinant, key.qhat, unit)

@@ -13,14 +13,13 @@ checks absorb the sign.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings
 from .graph import LabeledGraph, trail_constraint
-from .rings import RingElement, exact_div, gcd, is_unit, lcm_many, try_exact_div
+from .rings import RingElement, canonical_associate, exact_div, gcd, is_unit, lcm, try_exact_div
 
 
 class SplineError(Exception):
@@ -160,56 +159,62 @@ class SplineMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _key_parts(g: LabeledGraph, i: int) -> Tuple[List[RingElement], List[RingElement]]:
-    """(upper, lower) parts of the key-element component at vertex index i.
+@dataclass(frozen=True)
+class KeyElement:
+    """Key-element components, Qhat, Q_G and H of one graph, all canonical."""
 
-    Upper: m_i, then gcd(m_j, trail aggregate from j) for each higher index
-    j.  Lower: the trail aggregate from s for each lower index s.  Each
-    aggregate is a lookup in the graph's (lcm, gcd) closure table.
+    components: Tuple[RingElement, ...]
+    qhat: RingElement
+    classical_qg: RingElement
+    h_factor: RingElement
+
+
+def key_element(g: LabeledGraph) -> KeyElement:
+    """The key-element record, from one pass over the vertices, memoised on g.
+
+    Per vertex index i, with T the trail aggregate: U_i is the lcm of m_i
+    and gcd(m_j, T(j, i)) for the higher indices j, and L_i the lcm of
+    T(s, i) for the lower indices s.  Component i is lcm(U_i, L_i) and Qhat
+    their product; Q_G is the product of the L_i (all-ones labels make every
+    U_i = 1) and H the product of U_i / gcd(U_i, L_i).
     """
-    labels = g.vertex_labels
-    upper = [labels[i]]
-    for j in range(i + 1, g.n):
-        upper.append(gcd(labels[j], trail_constraint(g, j, i)))
-    return upper, [trail_constraint(g, s, i) for s in range(i)]
-
-
-def qhat_component(g: LabeledGraph, i: int) -> RingElement:
-    """Component of the key element at vertex index i (0-based): the lcm of
-    the upper and lower parts (see _key_parts)."""
+    if g._key is not None:
+        return g._key
     g.require_valid()
-    upper, lower = _key_parts(g, i)
-    return lcm_many(upper + lower, g.ring)
+    labels = g.vertex_labels
+    one = g.ring.one
+    components = []
+    key = qg = h = one
+    for i in range(g.n):
+        upper = labels[i]
+        for j in range(i + 1, g.n):
+            upper = lcm(upper, gcd(labels[j], trail_constraint(g, j, i)))
+        lower = one
+        for s in range(i):
+            lower = lcm(lower, trail_constraint(g, s, i))
+        component = lcm(upper, lower)
+        components.append(component)
+        key = key * component
+        qg = qg * lower
+        h = h * exact_div(upper, gcd(upper, lower))
+    g._key = KeyElement(tuple(components), *map(canonical_associate, (key, qg, h)))
+    return g._key
 
 
 def qhat_components(g: LabeledGraph) -> Tuple[RingElement, ...]:
-    return tuple(qhat_component(g, i) for i in range(g.n))
+    return key_element(g).components
 
 
 def qhat(g: LabeledGraph) -> RingElement:
-    """The key element: product of the per-vertex components, canonical."""
-    return rings.canonical_associate(math.prod(qhat_components(g), start=g.ring.one))
+    return key_element(g).qhat
 
 
 def classical_qg(g: LabeledGraph) -> RingElement:
-    """Key element of the graph with every vertex label replaced by 1."""
-    ones = [g.ring.one] * g.n
-    return qhat(g.with_vertex_labels(ones))
+    return key_element(g).classical_qg
 
 
 def h_factor(g: LabeledGraph) -> RingElement:
-    """The cofactor H with qhat associate to H * classical_qg.
-
-    Per vertex index i, H's factor is the lcm of the upper parts divided by
-    its gcd with the lcm of the lower parts (see _key_parts).
-    """
-    g.require_valid()
-    result = g.ring.one
-    for i in range(g.n):
-        upper, lower = _key_parts(g, i)
-        numerator = lcm_many(upper, g.ring)
-        result = result * exact_div(numerator, gcd(numerator, lcm_many(lower, g.ring)))
-    return rings.canonical_associate(result)
+    return key_element(g).h_factor
 
 
 # ---------------------------------------------------------------------------

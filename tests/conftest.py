@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from egsplines.graph import LabeledGraph
@@ -64,3 +66,22 @@ def p2():
 @pytest.fixture
 def single_vertex():
     return LabeledGraph(ZZ, [zz(5)], [])
+
+
+def random_graph(ring, pool, seed, n):
+    """Connected graph whose labels are products of 1-3 pool elements.
+
+    A random spanning tree plus random extra pairs, repeats allowed, so
+    parallel edges occur; shared pool factors make gcds nontrivial.
+    """
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 2))]
+
+    def label():
+        out = ring.one
+        for f in rng.choices(pool, k=rng.randint(1, 3)):
+            out = out * f
+        return out
+
+    return LabeledGraph(ring, [label() for _ in range(n)], [(u, v, label()) for u, v in pairs])

@@ -162,6 +162,26 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", data("t4.json"))
         assert code == 2
 
+    def test_negative_labels(self, capsys, tmp_path):
+        two = {
+            "ring": {"kind": "integers"},
+            "vertices": [{"name": "a", "label": "-1"}, {"name": "b", "label": "-4"}],
+            "edges": [{"u": "a", "v": "b", "label": "-2"}],
+        }
+        with open(data("c3_integer.json"), encoding="utf-8") as handle:
+            c3 = json.load(handle)
+        for entry in c3["vertices"] + c3["edges"]:
+            entry["label"] = "-" + entry["label"]
+        for doc, line in [
+            (two, "enumerated 45 splines with components bounded by 8;"),
+            (c3, "enumerated 63 splines with components bounded by 18;"),
+        ]:
+            path = tmp_path / "negative.json"
+            path.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "oracle", str(path))
+            assert code == 0, out
+            assert "DISAGREE" not in out and line in out
+
 
 class TestExamples:
     def test_all_pass(self, capsys):
@@ -260,14 +280,31 @@ class TestErrors:
 
     def test_unknown_edge_endpoint(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "ring": {"kind": "integers"},
-                    "vertices": [{"name": "v1", "label": "2"}],
-                    "edges": [{"u": "v1", "v": "vX", "label": "3"}],
-                }
+        for u, v in [("v1", "vX"), (["a"], "v1")]:
+            bad.write_text(
+                json.dumps(
+                    {
+                        "ring": {"kind": "integers"},
+                        "vertices": [{"name": "v1", "label": "2"}],
+                        "edges": [{"u": u, "v": v, "label": "3"}],
+                    }
+                )
             )
-        )
-        code, _, _ = run(capsys, "qhat", str(bad))
+            code, _, err = run(capsys, "qhat", str(bad))
+            assert code == 2
+            assert "is not a declared vertex" in err
+
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            {"kind": "polynomial", "variables": [1]},
+            {"kind": "polynomial", "variables": [["x"]]},
+            {"kind": "polynomial", "variables": ["x"], "base": ["integers"]},
+        ],
+    )
+    def test_malformed_ring_exit_2(self, capsys, tmp_path, ring):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ring": ring, "vertices": [{"name": "v1", "label": "2"}]}))
+        code, _, err = run(capsys, "qhat", str(bad))
         assert code == 2
+        assert err.startswith("error: ")

@@ -6,7 +6,7 @@ from egsplines.graph import LabeledGraph, trail_constraint
 from egsplines.oracle import InstanceSpec, random_instance, trails_between
 from egsplines.rings import ZZ, gcd_many, lcm_many
 
-from conftest import QX, ZXY, qx, zxy, zz
+from conftest import QX, ZXY, qx, random_graph, zxy, zz
 
 
 class TestValidate:
@@ -141,8 +141,8 @@ class TestTrailConstraint:
         qx_pool = [qx("x"), qx("x+1"), qx("2*x-1"), qx("x^2+1"), qx("3")]
         zxy_pool = [zxy("x"), zxy("y"), zxy("x+y"), zxy("2"), zxy("x*y+1")]
         for seed in range(12):
-            graphs.append(_random_graph(QX, qx_pool, seed, 2 + seed % 5))
-            graphs.append(_random_graph(ZXY, zxy_pool, seed, 2 + seed % 5))
+            graphs.append(random_graph(QX, qx_pool, seed, 2 + seed % 5))
+            graphs.append(random_graph(ZXY, zxy_pool, seed, 2 + seed % 5))
         graphs = [g for g in graphs if len(g.edges) <= 9]
         assert sum(_has_parallel_edges(g) for g in graphs) >= 5
         for g in graphs:
@@ -168,25 +168,6 @@ class TestTrailConstraint:
     def test_same_endpoint_rejected(self, c3_int):
         with pytest.raises(ValueError):
             trail_constraint(c3_int, 1, 1)
-
-
-def _random_graph(ring, pool, seed, n):
-    """Connected graph whose labels are products of 1-3 pool elements.
-
-    A random spanning tree plus random extra pairs, repeats allowed, so
-    parallel edges occur; shared pool factors make gcds nontrivial.
-    """
-    rng = random.Random(seed)
-    pairs = [(rng.randrange(v), v) for v in range(1, n)]
-    pairs += [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 2))]
-
-    def label():
-        out = ring.one
-        for f in rng.choices(pool, k=rng.randint(1, 3)):
-            out = out * f
-        return out
-
-    return LabeledGraph(ring, [label() for _ in range(n)], [(u, v, label()) for u, v in pairs])
 
 
 def _has_parallel_edges(g):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from egsplines.graph import LabeledGraph
 from egsplines.oracle import (
     InstanceSpec,
     brute_minimal_leading_entry,
@@ -86,6 +87,30 @@ class TestEnumerateSmallSplines:
     def test_all_enumerated_are_splines(self, c3_int):
         for s in enumerate_small_splines(c3_int, 20):
             assert is_spline(c3_int, s.components)
+
+
+def _negated(g):
+    return LabeledGraph(
+        g.ring, [-m for m in g.vertex_labels], [(e.u, e.v, -e.label) for e in g.edges]
+    )
+
+
+class TestNegativeLabels:
+    # m*ZZ = (-m)*ZZ, so negating every label changes no answer
+    def test_two_vertex(self):
+        pos = LabeledGraph(ZZ, [zz(1), zz(4)], [(0, 1, zz(2))])
+        neg = _negated(pos)
+        assert [brute_minimal_leading_entry(neg, i, 16) for i in range(2)] == [2, 4]
+        splines = [s.components for s in enumerate_small_splines(neg, 8)]
+        assert len(splines) == 45
+        assert splines == [s.components for s in enumerate_small_splines(pos, 8)]
+
+    def test_c3(self, c3_int):
+        neg = _negated(c3_int)
+        assert [brute_minimal_leading_entry(neg, i, 180) for i in range(3)] == [4, 6, 45]
+        assert [s.components for s in enumerate_small_splines(neg, 18)] == [
+            s.components for s in enumerate_small_splines(c3_int, 18)
+        ]
 
 
 class TestRandomInstance:

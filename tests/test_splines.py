@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 
-from egsplines import rings
+from egsplines import graph, rings, splines
 from egsplines.graph import LabeledGraph
-from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.pid import flow_up_basis
-from egsplines.rings import ZZ, is_associate
+from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.pid import flow_up_basis, verify_flow_up
+from egsplines.rings import ZZ, exact_div, gcd, gcd_many, is_associate, lcm_many
 from egsplines.splines import (
     _bareiss,
     CoprimalityError,
@@ -21,16 +22,16 @@ from egsplines.splines import (
     express_in_basis,
     h_factor,
     is_spline,
+    key_element,
     labels_pairwise_coprime,
     qhat,
-    qhat_component,
     qhat_components,
     qhat_span_decomposition,
     spline_determinant,
     spline_violations,
 )
 
-from conftest import QX, QXY, ZXY, qxy, zxy, zz
+from conftest import QX, QXY, ZXY, qx, qxy, random_graph, zxy, zz
 
 
 def make_matrix(g, rows_of_strings, parse):
@@ -123,7 +124,7 @@ class TestKeyElement:
         assert qhat(c3_int).value == 1080
 
     def test_single_vertex(self, single_vertex):
-        assert qhat_component(single_vertex, 0) == zz(5)
+        assert qhat_components(single_vertex) == (zz(5),)
         assert qhat(single_vertex) == zz(5)
 
     def test_p2(self, p2):
@@ -149,7 +150,7 @@ class TestKeyElement:
         assert is_associate(h_factor(c3_int) * classical_qg(c3_int), qhat(c3_int))
 
     def test_all_unit_vertex_labels_make_h_a_unit(self, c3_int):
-        g = c3_int.with_vertex_labels([ZZ.one] * 3)
+        g = LabeledGraph(ZZ, [ZZ.one] * 3, c3_int.edges)
         assert rings.is_unit(h_factor(g))
 
     def test_h_factor_identity_random(self):
@@ -183,6 +184,64 @@ class TestKeyElement:
         for i in range(c3_int.n):
             for s in range(i):
                 assert divides(trail_constraint(c3_int, s, i), qhat(c3_int))
+
+    def test_matches_literal_trail_definition(self):
+        # U_i, L_i from literal trail enumeration; Q_G also against the key
+        # element of an all-ones graph built directly
+        graphs = [
+            random_instance(InstanceSpec(seed=seed, n=1 + seed % 5, edge_density=0.4, label_bound=30))
+            for seed in range(30)
+        ]
+        qx_pool = [qx("x"), qx("x+1"), qx("2*x-1"), qx("x^2+1"), qx("3")]
+        zxy_pool = [zxy("x"), zxy("y"), zxy("x+y"), zxy("-2"), zxy("x*y+1")]
+        for seed in range(10):
+            graphs.append(random_graph(QX, qx_pool, seed, 2 + seed % 4))
+            graphs.append(random_graph(ZXY, zxy_pool, seed, 2 + seed % 4))
+        graphs = [g for g in graphs if len(g.edges) <= 8]
+        assert len(graphs) >= 40
+        for g in graphs:
+            ring, m = g.ring, g.vertex_labels
+
+            def literal(s, i):
+                return lcm_many(
+                    [gcd_many(t.edge_labels(g), ring) for t in trails_between(g, s, i)], ring
+                )
+
+            uppers = [
+                lcm_many([m[i]] + [gcd(m[j], literal(j, i)) for j in range(i + 1, g.n)], ring)
+                for i in range(g.n)
+            ]
+            lowers = [lcm_many([literal(s, i) for s in range(i)], ring) for i in range(g.n)]
+            record = key_element(g)
+            components = tuple(lcm_many([u, l], ring) for u, l in zip(uppers, lowers))
+            assert record.components == components, g
+            assert record.qhat == rings.canonical_associate(math.prod(components, start=ring.one))
+            assert record.classical_qg == rings.canonical_associate(math.prod(lowers, start=ring.one))
+            ones = LabeledGraph(ring, [ring.one] * g.n, g.edges)
+            assert record.classical_qg == qhat(ones)
+            h = [exact_div(u, gcd(u, l)) for u, l in zip(uppers, lowers)]
+            assert record.h_factor == rings.canonical_associate(math.prod(h, start=ring.one))
+            assert (qhat_components(g), qhat(g), classical_qg(g), h_factor(g)) == (
+                record.components, record.qhat, record.classical_qg, record.h_factor
+            )
+
+    def test_one_fold_per_graph(self, monkeypatch):
+        # after the first read, every key-element consumer reuses the record
+        for seed in range(5):
+            g = random_instance(InstanceSpec(seed=seed, n=5, edge_density=0.5, label_bound=30))
+            components = qhat_components(g)
+
+            def no_lookup(*args):
+                raise AssertionError("trail_constraint called after the fold")
+
+            monkeypatch.setattr(graph, "trail_constraint", no_lookup)
+            monkeypatch.setattr(splines, "trail_constraint", no_lookup)
+            assert qhat_components(g) is components
+            assert is_associate(h_factor(g) * classical_qg(g), qhat(g))
+            basis = flow_up_basis(g)
+            assert verify_flow_up(g, basis).ok
+            assert certify_basis(g, basis.matrix()).is_certified
+            monkeypatch.undo()
 
     def test_reordering_invariance_over_pids(self):
         rng = random.Random(41)
