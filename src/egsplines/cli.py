@@ -13,8 +13,11 @@ Instance file:
 Spline-set file (the output of flowup --json is one):
   {"splines": [[EXPR, ...], ...]}    one component per vertex, vertex order
 EXPR is a string over integers, p/q (rational bases only), the ring's
-variables, + - * ^ (exponent a nonnegative integer) and parentheses;
-parentheses and unary minus signs nest at most 100 levels deep.
+variables, + - * ^ (exponent a nonnegative integer) and parentheses.
+Limits: parentheses and unary minus signs nest at most 100 levels deep;
+an integer literal has at most 100,000 digits; a power a^k has at most
+2^20 bits, estimated before it is computed as k times the coefficient bits
+of a times the number of monomials a^k can have.  Past a limit: exit 2.
 
 Exit codes (stable contract):
   0  success / certified
@@ -218,14 +221,6 @@ def cmd_certify(args) -> int:
 
 def cmd_flowup(args) -> int:
     g = load_instance(args.instance)
-    if not g.ring.is_pid:
-        print(
-            f"error: flow-up synthesis needs a PID ring (ZZ, QQ or QQ[x]); "
-            f"{g.ring} is only a GCD domain, where a free spline module can "
-            f"lack a flow-up basis entirely",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_PID
     basis = pid.flow_up_basis(g)
     report = pid.verify_flow_up(g, basis)
     determinant, key, unit = report.determinant, report.key, report.unit
@@ -290,13 +285,13 @@ def cmd_oracle(args) -> int:
         bound = args.bound if args.bound is not None else 4 * expected
         got = oracle.brute_minimal_leading_entry(g, i, bound)
         if got is None:
-            print(f"index {i + 1}: formula {expected}, brute search bound {bound} not reached")
+            print(f"index {i + 1}: formula {formula[i]}, brute search bound {bound} not reached")
             ok = ok and bound < expected
         else:
             match = got == expected
             ok = ok and match
             print(
-                f"index {i + 1}: formula {expected}, brute minimum {got} "
+                f"index {i + 1}: formula {formula[i]}, brute minimum {got} "
                 f"{'(agree)' if match else '(DISAGREE)'}"
             )
     basis = pid.flow_up_basis(g)

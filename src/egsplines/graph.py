@@ -104,7 +104,7 @@ class LabeledGraph:
             v.append("vertex names are not unique")
         for i, label in enumerate(self.vertex_labels):
             name = self.names[i] if i < len(self.names) else f"v{i + 1}"
-            if label.descriptor != self.ring:
+            if label.descriptor is not self.ring:
                 v.append(f"vertex {name}: label ring mismatch")
             elif label.is_zero:
                 v.append(f"vertex {name}: zero label")
@@ -115,7 +115,7 @@ class LabeledGraph:
                 continue
             if e.u == e.v:
                 v.append(f"{where}: self-loop at {self.names[e.u]}")
-            if e.label.descriptor != self.ring:
+            if e.label.descriptor is not self.ring:
                 v.append(f"{where}: label ring mismatch")
             elif e.label.is_zero:
                 v.append(f"{where}: zero label")

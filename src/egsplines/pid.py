@@ -211,9 +211,9 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     g.require_valid()
     if not g.ring.is_pid:
         raise UnsupportedRingError(
-            f"flow-up synthesis requires a PID descriptor, got {g.ring}; "
-            f"over general GCD domains a free spline module may have no "
-            f"flow-up basis at all"
+            f"flow-up synthesis requires a PID descriptor (ZZ, QQ or QQ[x]), "
+            f"got {g.ring}; over general GCD domains a free spline module "
+            f"may have no flow-up basis at all"
         )
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
     h = hermite_form(

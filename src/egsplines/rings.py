@@ -5,7 +5,9 @@ variables with integer or rational coefficients.  Polynomials are stored
 recursively: an element of R[v1,...,vk] is a polynomial in vk whose
 coefficients live in R[v1,...,v_{k-1}].  All values are canonical (no trailing
 zero coefficients, rationals in lowest terms) and immutable, so equality is
-structural and every operation is a pure function.
+structural and every operation is a pure function.  There is one
+RingDescriptor object per ring: constructing a ring again returns the same
+object, and rings are compared with ``is``.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class IncompatibleCongruencesError(RingError):
         self.j = j
 
 
+_DIGITS = set("0123456789")
 _IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_REST = _IDENT_FIRST | set("0123456789_")
+_IDENT_REST = _IDENT_FIRST | _DIGITS | {"_"}
 
 
 def _is_identifier(name: str) -> bool:
@@ -64,85 +67,79 @@ def _is_identifier(name: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class RingDescriptor:
-    """Identifies one of the supported rings.
+    """Identifies one of the supported rings; there is one object per ring.
 
     kind is "integers", "rationals" or "polynomial"; polynomial descriptors
-    additionally carry the ordered variable names and the base kind.
+    additionally carry the ordered variable names and the base kind, and
+    depth is the number of variables (0 for scalar rings).  Constructing a
+    ring that already exists returns its object, so rings are compared
+    with ``is``.  Every attribute is fixed at construction.
     """
 
-    kind: str
-    variables: tuple = ()
-    base: str = ""
+    __slots__ = (
+        "kind", "variables", "base", "depth", "rational_coefficients",
+        "is_polynomial", "is_pid", "zero", "one",
+    )
 
-    def __post_init__(self):
-        if self.kind in ("integers", "rationals"):
-            if self.variables or self.base:
-                raise ValueError(f"{self.kind} descriptor takes no variables")
-        elif self.kind == "polynomial":
-            if not self.variables:
+    def __new__(cls, kind: str, variables: Sequence[str] = (), base: str = ""):
+        key = (kind, tuple(variables), base)
+        ring = _RINGS.get(key)
+        if ring is not None:
+            return ring
+        kind, variables, base = key
+        if kind in ("integers", "rationals"):
+            if variables or base:
+                raise ValueError(f"{kind} descriptor takes no variables")
+        elif kind == "polynomial":
+            if not variables:
                 raise ValueError("polynomial descriptor needs at least one variable")
-            if len(set(self.variables)) != len(self.variables):
+            if len(set(variables)) != len(variables):
                 raise ValueError("variable names must be distinct")
-            for name in self.variables:
+            for name in variables:
                 if not _is_identifier(name):
                     raise ValueError(f"invalid variable name {name!r}")
-            if self.base not in ("integers", "rationals"):
+            if base not in ("integers", "rationals"):
                 raise ValueError("polynomial base must be integers or rationals")
         else:
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise ValueError(f"unknown ring kind {kind!r}")
+        ring = object.__new__(cls)
+        depth = len(variables)
+        rational = "rationals" in (kind, base)
+        # Integers, rationals and QQ[x] are PIDs; Z[x] and every multivariate
+        # ring are GCD domains but not PIDs.
+        facts = {
+            "kind": kind,
+            "variables": variables,
+            "base": base,
+            "depth": depth,
+            "rational_coefficients": rational,
+            "is_polynomial": kind == "polynomial",
+            "is_pid": depth == 0 or (rational and depth == 1),
+            "zero": RingElement(ring, _zero_value(depth)),
+            "one": RingElement(ring, _const_value(Fraction(1) if rational else 1, depth)),
+        }
+        for name, value in facts.items():
+            object.__setattr__(ring, name, value)
+        return _RINGS.setdefault(key, ring)
 
-    # ---- structure ----
+    def __setattr__(self, name, value):
+        raise AttributeError("RingDescriptor is immutable")
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind == "polynomial"
-
-    @property
-    def rational_coefficients(self) -> bool:
-        return self.kind == "rationals" or self.base == "rationals"
-
-    @property
-    def depth(self) -> int:
-        """Number of polynomial variables (0 for scalar rings)."""
-        return len(self.variables)
+    def __reduce__(self):
+        return RingDescriptor, (self.kind, self.variables, self.base)
 
     def coefficient_ring(self) -> "RingDescriptor":
         """Ring of coefficients when the last variable is peeled off."""
         if not self.is_polynomial:
             raise UnsupportedRingError(f"{self} has no coefficient ring")
-        if len(self.variables) == 1:
+        if self.depth == 1:
             return RingDescriptor(self.base)
         return RingDescriptor("polynomial", self.variables[:-1], self.base)
 
-    @property
-    def is_pid(self) -> bool:
-        """True for the descriptors known to be principal ideal domains.
-
-        Integers, rationals, and univariate polynomials over the rationals.
-        Z[x] and every multivariate ring are GCD domains but not PIDs.
-        """
-        if self.kind in ("integers", "rationals"):
-            return True
-        return self.base == "rationals" and len(self.variables) == 1
-
-    # ---- element construction ----
-
-    def _wrap(self, value) -> "RingElement":
-        return RingElement(self, value)
-
-    @property
-    def zero(self) -> "RingElement":
-        return self._wrap(_zero_value(self.depth))
-
-    @property
-    def one(self) -> "RingElement":
-        return self.from_int(1)
-
     def from_int(self, k: int) -> "RingElement":
         c = Fraction(k) if self.rational_coefficients else int(k)
-        return self._wrap(_const_value(c, self.depth))
+        return RingElement(self, _const_value(c, self.depth))
 
     def variable(self, name: str) -> "RingElement":
         if name not in self.variables:
@@ -153,10 +150,7 @@ class RingDescriptor:
         value = (_zero_value(pos), _const_value(one, pos))
         for _ in range(pos + 1, self.depth):
             value = (value,)
-        return self._wrap(value)
-
-    def parse(self, text: str) -> "RingElement":
-        return parse_element(text, self)
+        return RingElement(self, value)
 
     def __str__(self) -> str:
         if self.kind == "integers":
@@ -166,16 +160,11 @@ class RingDescriptor:
         base = "ZZ" if self.base == "integers" else "QQ"
         return f"{base}[{','.join(self.variables)}]"
 
-
-ZZ = RingDescriptor("integers")
-QQ = RingDescriptor("rationals")
-
-
-def polynomial_ring(*variables: str, base: RingDescriptor = ZZ) -> RingDescriptor:
-    """Polynomial ring in the given variables over ZZ or QQ."""
-    if base.kind not in ("integers", "rationals"):
-        raise ValueError("base must be ZZ or QQ")
-    return RingDescriptor("polynomial", tuple(variables), base.kind)
+    def __repr__(self) -> str:
+        return (
+            f"RingDescriptor(kind={self.kind!r}, variables={self.variables!r}, "
+            f"base={self.base!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +246,14 @@ def _vscale(a, c, depth: int):
 
 
 def _vpow(a, k: int, depth: int, rational: bool):
+    """a**k by repeated squaring."""
     result = _const_value(Fraction(1) if rational else 1, depth)
-    for _ in range(k):
-        result = _vmul(result, a, depth)
+    while k:
+        if k & 1:
+            result = _vmul(result, a, depth)
+        k >>= 1
+        if k:
+            a = _vmul(a, a, depth)
     return result
 
 
@@ -437,12 +431,11 @@ class RingElement:
     Immutable; arithmetic requires both operands to share one descriptor.
     """
 
-    __slots__ = ("descriptor", "value", "_hash")
+    __slots__ = ("descriptor", "value")
 
     def __init__(self, descriptor: RingDescriptor, value):
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -450,7 +443,7 @@ class RingElement:
     def _check(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
             raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor:
             raise DescriptorMismatchError(
                 f"cannot mix elements of {self.descriptor} and {other.descriptor}"
             )
@@ -465,14 +458,10 @@ class RingElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.descriptor == other.descriptor and self.value == other.value
+        return self.descriptor is other.descriptor and self.value == other.value
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.descriptor, self.value))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.value)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
@@ -506,6 +495,20 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"<{format_element(self)} in {self.descriptor}>"
+
+
+# (kind, variables, base) -> the one descriptor of that ring
+_RINGS: dict = {}
+
+ZZ = RingDescriptor("integers")
+QQ = RingDescriptor("rationals")
+
+
+def polynomial_ring(*variables: str, base: RingDescriptor = ZZ) -> RingDescriptor:
+    """Polynomial ring in the given variables over ZZ or QQ."""
+    if base.kind not in ("integers", "rationals"):
+        raise ValueError("base must be ZZ or QQ")
+    return RingDescriptor("polynomial", tuple(variables), base.kind)
 
 
 @dataclass(frozen=True)
@@ -572,7 +575,7 @@ def lcm(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
     if a.is_zero or b.is_zero:
         return a.descriptor.zero
-    one = _const_value(1, a.descriptor.depth)
+    one = a.descriptor.one.value
     if a.value == one:
         return canonical_associate(b)
     if b.value == one:
@@ -665,11 +668,11 @@ def euclidean_divmod(a: RingElement, b: RingElement):
     if ring.kind == "integers":
         m = abs(b.value)
         r = a.value % m
-        return ring._wrap((a.value - r) // b.value), ring._wrap(r)
+        return RingElement(ring, (a.value - r) // b.value), RingElement(ring, r)
     if ring.kind == "rationals":
-        return ring._wrap(Fraction(a.value) / b.value), ring.zero
+        return RingElement(ring, Fraction(a.value) / b.value), ring.zero
     q, r = _vdivmod_field(a.value, b.value)
-    return ring._wrap(q), ring._wrap(r)
+    return RingElement(ring, q), RingElement(ring, r)
 
 
 def euclidean_xgcd(a: RingElement, b: RingElement):
@@ -705,7 +708,7 @@ def crt(congruences: Sequence[Congruence]):
     ring = congruences[0].residue.descriptor
     _require_euclidean(ring, "crt")
     for c in congruences:
-        if c.residue.descriptor != ring:
+        if c.residue.descriptor is not ring:
             raise DescriptorMismatchError("congruences must share one ring")
 
     # pairwise solvability criterion; reported pairs refer to input positions
@@ -743,6 +746,54 @@ _TOKEN_OPS = set("+-*^()/")
 # Deepest accepted nesting of parentheses and unary minus signs together;
 # deeper input raises ParseError instead of exhausting the Python stack.
 _MAX_NESTING = 100
+# Longest accepted integer literal, in decimal digits.
+_MAX_LITERAL_DIGITS = 100_000
+# Largest accepted power, in bits as estimated by _power_bits before the
+# power is computed; a larger one raises ParseError.
+_MAX_POWER_BITS = 1 << 20
+# Decimal conversions go through pieces of at most this many digits, below
+# the interpreter's default limit of 4300 on int <-> str conversion.
+_DIGIT_CHUNK = 4000
+
+
+def _int_from_digits(digits: str) -> int:
+    """The int written by a string of ASCII decimal digits of any length."""
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    low = len(digits) // 2
+    return _int_from_digits(digits[:-low]) * 10**low + _int_from_digits(digits[-low:])
+
+
+def _int_to_digits(n: int) -> str:
+    """Decimal text of an int of any size."""
+    if n.bit_length() <= _DIGIT_CHUNK * 3:  # fewer than _DIGIT_CHUNK digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_digits(-n)
+    low = n.bit_length() * 3 // 20  # about half the digits
+    high, rest = divmod(n, 10**low)
+    return _int_to_digits(high) + _int_to_digits(rest).zfill(low)
+
+
+def _scalar_bits(c) -> int:
+    if isinstance(c, Fraction):
+        return c.numerator.bit_length() + c.denominator.bit_length() - 1
+    return c.bit_length()
+
+
+def _power_bits(a, k: int, depth: int) -> int:
+    """Estimated bits of a**k: the number of monomials it can have times k
+    times the summed coefficient bits of a, which bounds the bits of each
+    of its coefficients (numerators and denominators together, up to a
+    factor of 2)."""
+    terms = list(_vterms(a, depth))
+    bits = k * sum(_scalar_bits(c) for _, c in terms)
+    if not bits or bits > _MAX_POWER_BITS:
+        return bits
+    dense = 1
+    for v in range(depth):
+        dense *= k * max(exps[v] for exps, _ in terms) + 1
+    return bits * min(dense, math.comb(k + len(terms) - 1, len(terms) - 1))
 
 
 def _tokenize(text: str):
@@ -758,9 +809,9 @@ def _tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -832,8 +883,12 @@ class _Parser:
     def factor(self) -> RingElement:
         base = self.base()
         if self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()
             exponent = self.exponent()
+            if _power_bits(base.value, exponent, self.ring.depth) > _MAX_POWER_BITS:
+                raise ParseError(
+                    f"power larger than {_MAX_POWER_BITS} bits", caret[2]
+                )
             base = base ** exponent
         return base
 
@@ -849,11 +904,17 @@ class _Parser:
             self.expect(")")
             if negative:
                 raise ParseError("negative exponent", num[2])
-            return int(num[1])
+            return self.integer(num)
         if tok[0] == "-":
             raise ParseError("negative exponent", tok[2])
-        num = self.expect("int")
-        return int(num[1])
+        return self.integer(self.expect("int"))
+
+    def integer(self, tok) -> int:
+        if len(tok[1]) > _MAX_LITERAL_DIGITS:
+            raise ParseError(
+                f"integer literal longer than {_MAX_LITERAL_DIGITS} digits", tok[2]
+            )
+        return _int_from_digits(tok[1])
 
     def base(self) -> RingElement:
         tok = self.advance()
@@ -880,6 +941,7 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
     def int_or_rational(self, tok) -> RingElement:
+        numerator = self.integer(tok)
         if self.peek()[0] == "/":
             slash = self.advance()
             if not self.ring.rational_coefficients:
@@ -887,26 +949,32 @@ class _Parser:
                     "rational literal in an integer-based ring", slash[2]
                 )
             denom = self.expect("int")
-            if int(denom[1]) == 0:
+            denominator = self.integer(denom)
+            if denominator == 0:
                 raise ParseError("zero denominator", denom[2])
-            frac = Fraction(int(tok[1]), int(denom[1]))
+            frac = Fraction(numerator, denominator)
             return RingElement(
                 self.ring, _const_value(frac, self.ring.depth)
             )
-        return self.ring.from_int(int(tok[1]))
+        return self.ring.from_int(numerator)
 
 
 def parse_element(text: str, ring: RingDescriptor) -> RingElement:
     """Parse expression text into a canonical element of the given ring.
 
     Parentheses and unary minus signs may nest at most 100 levels deep
-    (counted together); deeper input raises ParseError.
+    (counted together), an integer literal may have at most 100,000 digits,
+    and a power a^k may have at most 2^20 bits, estimated before it is
+    computed as k times the coefficient bits of a times the number of
+    monomials a^k can have.  Input past a limit raises ParseError.
     """
     return _Parser(text, ring).parse()
 
 
 def _format_scalar(c) -> str:
-    return str(c)
+    if isinstance(c, Fraction) and c.denominator != 1:
+        return f"{_int_to_digits(c.numerator)}/{_int_to_digits(c.denominator)}"
+    return _int_to_digits(int(c))
 
 
 def format_element(a: RingElement) -> str:

@@ -66,7 +66,7 @@ class Spline:
                 f"expected {graph.n} components, got {len(components)}"
             )
         for c in components:
-            if c.descriptor != graph.ring:
+            if c.descriptor is not graph.ring:
                 raise rings.DescriptorMismatchError(
                     "spline components must live in the graph's ring"
                 )

@@ -123,6 +123,63 @@ class TestFlowup:
         assert "PID" in err
 
 
+class TestLongIntegers:
+    """Integers past the interpreter's 4300-digit int <-> str limit."""
+
+    def write(self, tmp_path, labels, edges=()):
+        path = tmp_path / "long.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ring": {"kind": "integers"},
+                    "vertices": [{"name": f"v{i + 1}", "label": t} for i, t in enumerate(labels)],
+                    "edges": [{"u": u, "v": v, "label": t} for u, v, t in edges],
+                }
+            )
+        )
+        return str(path)
+
+    def test_5000_digit_label(self, capsys, tmp_path):
+        label = "3" * 5000
+        code, out, err = run(capsys, "qhat", self.write(tmp_path, [label]))
+        assert (code, err) == (0, "")
+        assert out == f"Q(v1) = {label}\nQhat = {label}\n"
+
+    def test_qhat_flowup_certify_round_trip(self, capsys, tmp_path):
+        path = self.write(tmp_path, ["2^9000", "3^9000"], [("v1", "v2", "5")])
+        qhat = 5 * 6**9000
+        code, out, err = run(capsys, "qhat", path)
+        assert (code, err) == (0, "")
+        # compared as ints, since str(qhat) itself is past the limit
+        last = out.splitlines()[-1]
+        assert last.startswith("Qhat = ") and decimal_int(last[7:]) == qhat
+        code, out, err = run(capsys, "flowup", path, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verified"] is True and decimal_int(doc["qhat"]) == qhat
+        basis_file = tmp_path / "basis.json"
+        basis_file.write_text(out)
+        code, out, err = run(capsys, "certify", path, "--splines", str(basis_file))
+        assert (code, err) == (0, "")
+        assert out.startswith("verdict: certified\n")
+
+    def test_oracle_prints_long_component(self, capsys, tmp_path):
+        path = self.write(tmp_path, ["2^15000", "3"], [("v1", "v2", "5")])
+        code, out, err = run(capsys, "oracle", path, "--bound", "10", "--enum-bound", "2")
+        assert (code, err) == (0, "")
+        first = out.splitlines()[0]
+        assert first.startswith("index 1: formula ")
+        assert decimal_int(first.split()[3].rstrip(",")) == 2**15000
+
+
+def decimal_int(text):
+    """int of a decimal string of any length, without str -> int conversion limits."""
+    value = 0
+    for digit in text:
+        value = value * 10 + "0123456789".index(digit)
+    return value
+
+
 class TestExpress:
     def test_not_in_span(self, capsys):
         code, out, _ = run(

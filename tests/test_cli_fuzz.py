@@ -1,12 +1,14 @@
 """Fuzz the CLI: arbitrary JSON in every schema field of the input files.
 
 Every outcome must be a code from the exit-code table, never an exception.
-Labels come from a fixed list, so no large power is ever parsed.
+Labels come from a fixed list; the powers past the parser's size limit are
+explicit examples, each of which must exit 2 at once.
 """
 
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -92,6 +94,25 @@ commands = st.sampled_from(
         ["oracle", "--bound", "50", "--enum-bound", "6"],
     ]
 )
+
+
+# Powers past the parser's limit of 2^20 bits, one of them nested.
+HUGE_POWERS = ["2^50000000", "(2^5000)^5000"]
+
+
+@pytest.mark.parametrize("label", HUGE_POWERS)
+def test_huge_power_exits_2_at_once(tmp_path, label):
+    path = tmp_path / "instance.json"
+    path.write_text(
+        json.dumps({"ring": {"kind": "integers"}, "vertices": [{"name": "v1", "label": label}]})
+    )
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["qhat", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.getvalue()) == (cli.EXIT_PARSE, "")
+    assert "power larger than 1048576 bits" in err.getvalue()
 
 
 @settings(

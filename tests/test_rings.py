@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -64,6 +67,35 @@ class TestDescriptor:
         with pytest.raises(UnsupportedRingError):
             ZZ.coefficient_ring()
 
+    def test_one_object_per_ring(self):
+        assert RingDescriptor("integers") is ZZ
+        assert polynomial_ring("x", "y") is RingDescriptor("polynomial", ["x", "y"], "integers")
+        assert polynomial_ring("x", "y").coefficient_ring() is polynomial_ring("x")
+        assert polynomial_ring("x", base=QQ).coefficient_ring() is QQ
+        assert copy.deepcopy(ZXY) is ZXY
+        assert pickle.loads(pickle.dumps(QXY)) is QXY
+
+    def test_attributes_cannot_be_assigned(self):
+        names = RingDescriptor.__slots__ + ("extra",)
+        for ring in (ZZ, QQ, ZX, QXY):
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(ring, name, None)
+
+    def test_facts_fixed_at_construction(self):
+        assert not dataclasses.is_dataclass(RingDescriptor)
+        assert not any(isinstance(v, property) for v in vars(RingDescriptor).values())
+        assert (ZZ.depth, QQ.depth, QX.depth, ZXY.depth) == (0, 0, 1, 2)
+        assert QQ.rational_coefficients and QXY.rational_coefficients
+        assert not ZZ.rational_coefficients and not ZXY.rational_coefficients
+        assert ZXY.zero == parse_element("0", ZXY) and ZXY.one == parse_element("1", ZXY)
+        assert QX.one.value == (Fraction(1),)
+        assert ZZ.one is ZZ.one
+
+    def test_mixing_rings_raises(self):
+        with pytest.raises(DescriptorMismatchError):
+            ZZ.one + QQ.one
+
 
 class TestParseFormat:
     def test_literal_polynomial(self):
@@ -121,6 +153,37 @@ class TestParseFormat:
         for text in ("(" * 101 + "x" + ")" * 101, "-" * 101 + "x", "(-" * 51 + "x" + ")" * 51):
             with pytest.raises(ParseError, match="deeper than 100"):
                 parse_element(text, ZX)
+
+    def test_literal_digit_limit(self):
+        # past the interpreter's 4300-digit int <-> str limit, in both directions
+        text = "7" * 5000
+        assert str(parse_element(text, ZZ)) == text
+        assert str(parse_element(f"-{text}/3", QQ)) == f"-{text}/3"
+        assert parse_element("9" * 100_000 + "+1", ZZ) == zz(10**100_000)
+        for literal in ("1" * 100_001, "x^" + "1" * 100_001, "1/" + "1" * 100_001):
+            with pytest.raises(ParseError, match="longer than 100000 digits"):
+                parse_element(literal, QX)
+
+    def test_power_limit(self):
+        assert parse_element("2^500000", ZZ) == zz(2) ** 500_000
+        assert parse_element("x^100000", ZX).value[-1] == 1
+        assert parse_element("0^99999999999", ZZ) == ZZ.zero
+        # a power whose estimate passes 2^20 bits is refused before it is computed
+        for text in ("2^50000000", "(2^5000)^5000", "2^600000", "(x+1)^1000", "(x+y+1)^200"):
+            with pytest.raises(ParseError, match="power larger than 1048576 bits"):
+                parse_element(text, polynomial_ring("x", "y"))
+
+    def test_power_by_squaring(self):
+        assert zxy("x+y") ** 13 == zxy("x+y") ** 6 * zxy("x+y") ** 7
+        assert parse_element("(x+y)^13", ZXY).value[7][6] == 1716  # x^6*y^7
+        assert qx("1/2*x-1") ** 10 == qx("(1/2*x-1)^5") * qx("(1/2*x-1)^5")
+        assert zz(3) ** 1000 == ZZ.from_int(3**1000)
+
+    def test_only_ascii_digits(self):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_element("2\u00b2", ZZ)
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_element("\u0663+1", ZZ)
 
     def test_precedence_and_unary_minus(self):
         assert parse_element("2+3*4", ZZ) == zz(14)

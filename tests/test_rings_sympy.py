@@ -1,0 +1,185 @@
+"""Property tests of the ring layer against sympy.
+
+gcd, exact division and the parse/format round trip over ZZ, QQ[x] and
+ZZ[x,y], with sympy as a second implementation that shares no code with
+egsplines.rings.  The operands of each check are built in separately
+constructed but equal descriptors, so the checks also exercise rings being
+one object each: mixing the two constructions must never raise.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st
+
+from egsplines import rings
+from egsplines.rings import (
+    RingDescriptor,
+    exact_div,
+    format_element,
+    gcd,
+    parse_element,
+    polynomial_ring,
+    try_exact_div,
+)
+
+X, Y = sympy.symbols("x y")
+
+# name -> (two separately constructed descriptors, sympy generators, sympy domain)
+RINGS = {
+    "ZZ": ((RingDescriptor("integers"), rings.ZZ), (), sympy.ZZ),
+    "QQ[x]": (
+        (
+            RingDescriptor("polynomial", ["x"], "rationals"),
+            polynomial_ring("x", "y", base=rings.QQ).coefficient_ring(),
+        ),
+        (X,),
+        sympy.QQ,
+    ),
+    "ZZ[x,y]": (
+        (RingDescriptor("polynomial", ("x", "y"), "integers"), polynomial_ring("x", "y")),
+        (X, Y),
+        sympy.ZZ,
+    ),
+}
+
+nonzero = st.integers(-20, 20).filter(bool)
+TERMS = {
+    "ZZ": st.dictionaries(st.just(()), st.integers(-10**30, 10**30).filter(bool), max_size=1),
+    "QQ[x]": st.dictionaries(
+        st.tuples(st.integers(0, 5)), st.builds(Fraction, nonzero, st.integers(1, 6)), max_size=5
+    ),
+    "ZZ[x,y]": st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero, max_size=5),
+}
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def pair(name):
+    """(ring name, terms of a, terms of b): two elements of one ring."""
+    return st.tuples(st.just(name), TERMS[name], TERMS[name])
+
+
+pairs = st.sampled_from(sorted(RINGS)).flatmap(pair)
+
+
+def text(terms, ring):
+    """Expression text of {exponents: coefficient}, written out independently."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps, c in terms.items():
+        c = Fraction(c)
+        scalar = f"({c.numerator}/{c.denominator})" if ring.rational_coefficients else f"({c.numerator})"
+        parts.append("*".join([scalar] + [f"{v}^{e}" for v, e in zip(ring.variables, exps)]))
+    return "+".join(parts)
+
+
+def to_sympy(name, terms):
+    _, gens, domain = RINGS[name]
+    if not gens:
+        return domain(terms.get((), 0))
+    return sympy.Poly.from_dict(dict(terms) or {(0,) * len(gens): 0}, *gens, domain=domain)
+
+
+def terms_of(element):
+    """{exponents: coefficient} of an element, read from its nested-tuple value."""
+
+    def walk(value, depth):
+        if depth == 0:
+            return {(): value} if value else {}
+        out = {}
+        for i, c in enumerate(value):
+            for exps, s in walk(c, depth - 1).items():
+                out[exps + (i,)] = s
+        return out
+
+    return walk(element.value, element.descriptor.depth)
+
+
+def sympy_terms(p):
+    if isinstance(p, sympy.Poly):
+        return {exps: Fraction(int(c.p), int(c.q)) for exps, c in p.terms() if c}
+    return {(): int(p)} if p else {}
+
+
+def build(name, terms_a, terms_b):
+    (first, second), _, _ = RINGS[name]
+    return parse_element(text(terms_a, first), first), parse_element(text(terms_b, second), second)
+
+
+@PROPERTY
+@given(case=pairs)
+def test_gcd_matches_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    got = terms_of(gcd(a, b))
+    expected = sympy.gcd(to_sympy(name, terms_a), to_sympy(name, terms_b))
+    if name == "QQ[x]":
+        expected = expected.monic() if not expected.is_zero else expected
+        assert got == sympy_terms(expected)
+    else:
+        # sympy and egsplines normalise the sign by different term orders
+        options = (sympy_terms(expected), sympy_terms(-expected))
+        assert got in options
+
+
+@PROPERTY
+@given(case=pairs)
+def test_exact_division_of_a_product(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    if b.is_zero:
+        return
+    product = to_sympy(name, terms_a) * to_sympy(name, terms_b)
+    ring = RINGS[name][0][1]
+    c = parse_element(text(sympy_terms(product), ring), ring)
+    assert exact_div(c, b) == a
+    assert terms_of(exact_div(c, b)) == terms_a
+
+
+@PROPERTY
+@given(case=pairs)
+@example(case=("ZZ[x,y]", {(1, 0): 1}, {(1, 0): 2}))  # x / 2x: divisible over QQ only
+@example(case=("QQ[x]", {(2,): Fraction(1)}, {(1,): Fraction(1), (0,): Fraction(1)}))
+@example(case=("ZZ", {(): 7}, {(): 3}))
+def test_exact_division_agrees_with_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    if b.is_zero:
+        return
+    pa, pb = to_sympy(name, terms_a), to_sympy(name, terms_b)
+    if name == "ZZ":
+        divisible, quotient = pa % pb == 0, sympy_terms(pa // pb)
+    else:
+        q, r = sympy.div(pa.set_domain(sympy.QQ), pb.set_domain(sympy.QQ))
+        quotient = sympy_terms(q)
+        divisible = r.is_zero and (
+            name == "QQ[x]" or all(c.denominator == 1 for c in quotient.values())
+        )
+    got = try_exact_div(a, b)
+    assert (got is not None) == divisible
+    if divisible:
+        assert terms_of(got) == quotient
+    else:
+        with pytest.raises(rings.NotDivisibleError):
+            exact_div(a, b)
+
+
+@PROPERTY
+@given(case=pairs)
+def test_parse_format_round_trip(case):
+    name, terms_a, _ = case
+    (first, second), gens, _ = RINGS[name]
+    a = parse_element(text(terms_a, first), first)
+    written = format_element(a)
+    assert parse_element(written, second) == a
+    # sympy reads the printed text as the same polynomial
+    if gens:
+        read = sympy.Poly(sympy.sympify(written.replace("^", "**")), *gens, domain=RINGS[name][2])
+        assert sympy_terms(read) == terms_a
+    else:
+        assert int(written) == terms_a.get((), 0)
