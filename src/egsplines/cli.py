@@ -58,26 +58,16 @@ class CliInputError(Exception):
 def _ring_from_json(doc) -> RingDescriptor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliInputError("ring must be an object with a 'kind' field")
-    kind = doc["kind"]
+    variables, base = (), ""
+    if doc["kind"] == "polynomial":
+        variables = doc.get("variables")
+        base = doc.get("base", "integers")
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise CliInputError("polynomial ring needs a 'variables' list of strings")
     try:
-        if kind == "integers":
-            return rings.ZZ
-        if kind == "rationals":
-            return rings.QQ
-        if kind == "polynomial":
-            variables = doc.get("variables")
-            base = doc.get("base", "integers")
-            if not isinstance(variables, list) or not variables:
-                raise CliInputError("polynomial ring needs a nonempty 'variables' list")
-            if not all(isinstance(name, str) for name in variables):
-                raise CliInputError("polynomial variables must be strings")
-            base_ring = {"integers": rings.ZZ, "rationals": rings.QQ}.get(str(base))
-            if base_ring is None:
-                raise CliInputError(f"unknown base {base!r}")
-            return rings.polynomial_ring(*variables, base=base_ring)
-    except ValueError as exc:
+        return RingDescriptor(doc["kind"], variables, base)
+    except (TypeError, ValueError) as exc:
         raise CliInputError(f"bad ring: {exc}")
-    raise CliInputError(f"unknown ring kind {kind!r}")
 
 
 def _load_json(path: str):
@@ -88,6 +78,8 @@ def _load_json(path: str):
         raise CliInputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path} is not UTF-8 text: {exc}")
     except RecursionError:
         raise CliInputError(f"{path}: JSON nested too deeply")
 

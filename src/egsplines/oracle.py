@@ -116,7 +116,7 @@ def _bfs_order(g: LabeledGraph, fixed) -> List[int]:
     return order
 
 
-def _exists_mod_prime_power(g, m, edges, fixed, order, p: int, a: int) -> bool:
+def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
     """Existence of the flow-up assignment modulo p^a, by residue search.
 
     All moduli are powers of p, so a vertex's merged constraint is simply
@@ -194,7 +194,7 @@ def _flow_up_exists(g: LabeledGraph, index: int, t: int) -> bool:
             prime_exponents[p] = max(prime_exponents.get(p, 0), e)
     for p, a in sorted(prime_exponents.items()):
         reduced = {v: value % p**a for v, value in fixed.items()}
-        if not _exists_mod_prime_power(g, m, edges, reduced, order, p, a):
+        if not _exists_mod_prime_power(m, edges, reduced, order, p, a):
             return False
     return True
 

@@ -64,14 +64,6 @@ def assemble_constraint_matrix(g: LabeledGraph) -> List[List[RingElement]]:
 # ---------------------------------------------------------------------------
 
 
-def _size(x: RingElement) -> int:
-    """Euclidean size: |x| over ZZ, degree + 1 over QQ[x], 0 over QQ."""
-    v = x.value
-    if type(v) is tuple:
-        return len(v)
-    return abs(v) if x.descriptor.kind == "integers" else 0
-
-
 def hermite_form(
     rows: Sequence[Sequence[RingElement]],
     ring: RingDescriptor,
@@ -102,12 +94,13 @@ def hermite_form(
     if modulus.is_zero:
         raise ValueError("the modulus must be nonzero")
     modulus = canonical_associate(modulus)
-    bound = _size(modulus)
+    size = ring.size
+    bound = size(modulus.value)
     nrows = len(rows)
     zero, one = ring.zero, ring.one
 
     def reduced(x: RingElement) -> RingElement:
-        return euclidean_divmod(x, modulus)[1] if _size(x) >= bound else x
+        return euclidean_divmod(x, modulus)[1] if size(x.value) >= bound else x
 
     ncols = len(rows[0]) if nrows else 0
     work = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]

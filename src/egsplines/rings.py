@@ -1,21 +1,30 @@
 """Exact arithmetic over the supported GCD domains.
 
 Supported rings: the integers, the rationals, and polynomial rings in named
-variables with integer or rational coefficients.  Polynomials are stored
-recursively: an element of R[v1,...,vk] is a polynomial in vk whose
-coefficients live in R[v1,...,v_{k-1}].  All values are canonical (no trailing
-zero coefficients, rationals in lowest terms) and immutable, so equality is
-structural and every operation is a pure function.  There is one
-RingDescriptor object per ring: constructing a ring again returns the same
-object, and rings are compared with ``is``.
+variables with integer or rational coefficients.  A RingElement pairs its
+ring's descriptor with a raw value:
+
+- an int over ZZ, a Fraction over QQ (zero may be the int 0);
+- over R[v1,...,vk], the tuple of coefficients of a polynomial in vk, lowest
+  degree first, each a value of R[v1,...,v_{k-1}] (of R when k = 1), with
+  no trailing zero; the zero polynomial is ().
+
+All values are canonical (no trailing zero coefficients, rationals in lowest
+terms) and immutable, so equality is structural and every operation is a
+pure function.  There is one RingDescriptor object per ring: constructing a
+ring again returns the same object, and rings are compared with ``is``.
+Each ring's operations on raw values are fixed when it is constructed, as
+attributes of its descriptor built from those of its coefficient ring, so
+no operation decides at call time which ring it is working in.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class RingError(Exception):
@@ -68,18 +77,35 @@ def _is_identifier(name: str) -> bool:
 
 
 class RingDescriptor:
-    """Identifies one of the supported rings; there is one object per ring.
+    """Identifies one of the supported rings and carries its arithmetic.
 
     kind is "integers", "rationals" or "polynomial"; polynomial descriptors
     additionally carry the ordered variable names and the base kind, and
     depth is the number of variables (0 for scalar rings).  Constructing a
     ring that already exists returns its object, so rings are compared
-    with ``is``.  Every attribute is fixed at construction.
+    with ``is``.  Every attribute is fixed at construction, the ring's
+    operations on raw values included:
+
+    - add, sub, mul, neg, gcd and canon (the canonical associate);
+    - divide, the exact quotient, or None when there is none;
+    - terms, the list of (exponents in variable order, scalar coefficient)
+      pairs of the nonzero terms;
+    - primitive, the split (content, primitive part) of a polynomial, whose
+      content is a value of the coefficient ring (None on ZZ and QQ);
+    - divmod, the quotient and canonical remainder, and size, the Euclidean
+      size, on the Euclidean rings ZZ, QQ and QQ[x] (None elsewhere).
+
+    ZZ and QQ use Python's own int and Fraction arithmetic.  A polynomial
+    ring binds one set of univariate routines to the operations of its
+    coefficient ring, ``coefficients``, so ZZ[x,y]'s mul runs ZZ[x]'s mul on
+    its coefficients, and that runs int multiplication.
     """
 
     __slots__ = (
         "kind", "variables", "base", "depth", "rational_coefficients",
-        "is_polynomial", "is_pid", "zero", "one",
+        "is_polynomial", "is_pid", "zero", "one", "coefficients",
+        "add", "sub", "mul", "neg", "divide", "gcd", "canon", "terms",
+        "primitive", "divmod", "size",
     )
 
     def __new__(cls, kind: str, variables: Sequence[str] = (), base: str = ""):
@@ -106,8 +132,17 @@ class RingDescriptor:
         ring = object.__new__(cls)
         depth = len(variables)
         rational = "rationals" in (kind, base)
-        # Integers, rationals and QQ[x] are PIDs; Z[x] and every multivariate
-        # ring are GCD domains but not PIDs.
+        coefficients = None
+        if depth > 1:
+            coefficients = _RINGS.get((kind, variables[:-1], base))
+            if coefficients is None:
+                # build the missing coefficient rings bottom-up, so that
+                # construction never recurses more than one level deep
+                for k in range(1, depth):
+                    coefficients = RingDescriptor(kind, variables[:k], base)
+        elif depth:
+            coefficients = RingDescriptor(base)
+        table = _polynomial_operations(coefficients) if depth else _SCALAR_OPERATIONS[kind]
         facts = {
             "kind": kind,
             "variables": variables,
@@ -115,9 +150,13 @@ class RingDescriptor:
             "depth": depth,
             "rational_coefficients": rational,
             "is_polynomial": kind == "polynomial",
-            "is_pid": depth == 0 or (rational and depth == 1),
+            # ZZ, QQ and QQ[x] are Euclidean; ZZ[x] and multivariate rings
+            # are GCD domains but not PIDs
+            "is_pid": table["divmod"] is not None,
             "zero": RingElement(ring, _zero_value(depth)),
             "one": RingElement(ring, _const_value(Fraction(1) if rational else 1, depth)),
+            "coefficients": coefficients,
+            **table,
         }
         for name, value in facts.items():
             object.__setattr__(ring, name, value)
@@ -131,11 +170,9 @@ class RingDescriptor:
 
     def coefficient_ring(self) -> "RingDescriptor":
         """Ring of coefficients when the last variable is peeled off."""
-        if not self.is_polynomial:
+        if self.coefficients is None:
             raise UnsupportedRingError(f"{self} has no coefficient ring")
-        if self.depth == 1:
-            return RingDescriptor(self.base)
-        return RingDescriptor("polynomial", self.variables[:-1], self.base)
+        return self.coefficients
 
     def from_int(self, k: int) -> "RingElement":
         c = Fraction(k) if self.rational_coefficients else int(k)
@@ -168,9 +205,7 @@ class RingDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Raw polynomial values: nested tuples, outermost level = last variable.
-# Depth 0 values are int (ZZ base) or Fraction (QQ base); zero may be int 0
-# in either case (int/Fraction compare and hash equal, so canonicity holds).
+# Operations on raw values, one table per ring.
 # ---------------------------------------------------------------------------
 
 
@@ -194,230 +229,200 @@ def _strip(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-def _vadd(a, b, depth: int):
-    if depth == 0:
-        return a + b
-    if not a:
-        return b
-    if not b:
-        return a
-    la, lb = len(a), len(b)
-    out = []
-    for i in range(max(la, lb)):
-        x = a[i] if i < la else _zero_value(depth - 1)
-        y = b[i] if i < lb else _zero_value(depth - 1)
-        out.append(_vadd(x, y, depth - 1))
-    return _strip(out)
+def _graded_lex(term):
+    exps = term[0]
+    return sum(exps), exps
 
 
-def _vneg(a, depth: int):
-    if depth == 0:
-        return -a
-    return tuple(_vneg(c, depth - 1) for c in a)
+def _scalar_terms(a):
+    return [((), a)] if a else []
 
 
-def _vsub(a, b, depth: int):
-    return _vadd(a, _vneg(b, depth), depth)
+def _zz_divide(a, b):
+    q, r = divmod(a, b)
+    return q if r == 0 else None
 
 
-def _vmul(a, b, depth: int):
-    if depth == 0:
-        return a * b
-    if not a or not b:
-        return ()
-    out = [_zero_value(depth - 1)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if not y:
+def _zz_divmod(a, b):
+    r = a % abs(b)
+    return (a - r) // b, r
+
+
+_SCALAR_COMMON = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "neg": operator.neg, "terms": _scalar_terms, "primitive": None,
+}
+_SCALAR_OPERATIONS = {
+    "integers": dict(
+        _SCALAR_COMMON, divide=_zz_divide, gcd=math.gcd, canon=abs,
+        divmod=_zz_divmod, size=abs,
+    ),
+    "rationals": dict(
+        _SCALAR_COMMON,
+        divide=lambda a, b: Fraction(a) / b,
+        gcd=lambda a, b: Fraction(1) if a or b else 0,
+        canon=lambda a: Fraction(1) if a else a,
+        divmod=lambda a, b: (Fraction(a) / b, 0),
+        size=lambda a: 0,
+    ),
+}
+
+
+def _polynomial_operations(c: RingDescriptor) -> dict:
+    """Operations on univariate polynomials with coefficients in c.
+
+    A value is the tuple of its coefficients, lowest degree first, each a
+    value of c, with no trailing zero.  Over a field c (QQ) the ring is
+    Euclidean: the content is the leading coefficient, and gcds run the
+    Euclidean algorithm.  Over ZZ and polynomial rings c, gcds run a
+    primitive pseudo-remainder sequence.  The canonical associate is
+    graded-lex monic over a rational base, with a positive graded-lex
+    leading coefficient over an integer one.
+    """
+    cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
+    cdivide, cgcd, cterms = c.divide, c.gcd, c.terms
+    czero = c.zero.value
+    field = c is QQ
+
+    def add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(cadd, a, b))
+        out += a[len(b):]
+        return _strip(out)
+
+    def sub(a, b):
+        out = list(map(csub, a, b))
+        if len(a) >= len(b):
+            out += a[len(b):]
+        else:
+            out += map(cneg, b[len(a):])
+        return _strip(out)
+
+    def neg(a):
+        return tuple(map(cneg, a))
+
+    def mul(a, b):
+        if not a or not b:
+            return ()
+        out = [czero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            out[i + j] = _vadd(out[i + j], _vmul(x, y, depth - 1), depth - 1)
-    return _strip(out)
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = cadd(out[i + j], cmul(x, y))
+        return _strip(out)
 
+    def scale(a, s):
+        """a times the nonzero coefficient s."""
+        return _strip([cmul(x, s) for x in a])
 
-def _vscale(a, c, depth: int):
-    """Multiply a depth-level value by a coefficient c one level down."""
-    if not c:
-        return _zero_value(depth)
-    if depth == 0:
-        return a * c
-    return _strip([_vmul(x, c, depth - 1) for x in a])
+    def long_division(a, b):
+        """(q, r) with a = q*b + r and deg r < deg b, dividing each leading
+        coefficient exactly in c; None when one of them does not divide."""
+        db = len(b) - 1
+        lead = b[db]
+        rem = list(a)
+        quo = [czero] * max(len(a) - db, 0)
+        for k in range(len(a) - 1 - db, -1, -1):
+            top = rem[k + db]
+            if not top:
+                continue
+            q = cdivide(top, lead)
+            if q is None:
+                return None
+            quo[k] = q
+            for j, y in enumerate(b):
+                if y:
+                    rem[k + j] = csub(rem[k + j], cmul(q, y))
+        return _strip(quo), _strip(rem[:db])
 
+    def divide(a, b):
+        qr = long_division(a, b)
+        return qr[0] if qr is not None and not qr[1] else None
 
-def _vpow(a, k: int, depth: int, rational: bool):
-    """a**k by repeated squaring."""
-    result = _const_value(Fraction(1) if rational else 1, depth)
-    while k:
-        if k & 1:
-            result = _vmul(result, a, depth)
-        k >>= 1
-        if k:
-            a = _vmul(a, a, depth)
-    return result
+    def terms(a):
+        out = []
+        for i, x in enumerate(a):
+            for exps, s in cterms(x):
+                out.append((exps + (i,), s))
+        return out
 
+    if c.rational_coefficients:
 
-def _vexact_div(a, b, depth: int, rational: bool):
-    """Quotient a/b when it exists in the ring, else None.  b must be nonzero."""
-    if depth == 0:
-        if rational:
-            return Fraction(a) / b
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-    if not a:
-        return ()
-    da, db = len(a) - 1, len(b) - 1
-    if da < db:
-        return None
-    rem = list(a)
-    quo = [_zero_value(depth - 1)] * (da - db + 1)
-    lead = b[db]
-    for k in range(da - db, -1, -1):
-        top = rem[k + db]
-        if not top:
-            continue
-        c = _vexact_div(top, lead, depth - 1, rational)
-        if c is None:
-            return None
-        quo[k] = c
-        for j in range(db + 1):
-            if b[j]:
-                rem[k + j] = _vsub(rem[k + j], _vmul(c, b[j], depth - 1), depth - 1)
-    if any(rem[j] for j in range(db)):
-        return None
-    return _strip(quo)
+        def canon(a):
+            """Monic in graded-lex order."""
+            if not a:
+                return a
+            lead = max(terms(a), key=_graded_lex)[1]
+            if lead == 1:
+                return a
+            return scale(a, _const_value(Fraction(1, 1) / lead, c.depth))
 
-
-def _vterms(a, depth: int) -> Iterator:
-    """Yield (exponent_tuple_in_variable_order, scalar_coefficient)."""
-    if depth == 0:
-        if a:
-            yield ((), a)
-        return
-    for i, c in enumerate(a):
-        for exps, s in _vterms(c, depth - 1):
-            yield (exps + (i,), s)
-
-
-def _lead_scalar(a, depth: int):
-    """Scalar coefficient of the graded-lex leading term (0 for zero)."""
-    if depth == 0:
-        return a
-    best = None
-    best_key = None
-    for exps, s in _vterms(a, depth):
-        key = (sum(exps), exps)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = s
-    return best if best is not None else 0
-
-
-def _vcanon(a, depth: int, rational: bool):
-    """Canonical associate: graded-lex-monic over QQ, positive lead over ZZ."""
-    if not a and depth > 0:
-        return a
-    if depth == 0:
-        if not a:
-            return a
-        return Fraction(1) if rational else abs(a)
-    lead = _lead_scalar(a, depth)
-    if rational:
-        if lead == 1:
-            return a
-        inv = _const_value(Fraction(1, 1) / lead, depth - 1)
-        return _strip([_vmul(c, inv, depth - 1) for c in a])
-    if lead < 0:
-        return _vneg(a, depth)
-    return a
-
-
-def _vcontent(a, depth: int, rational: bool):
-    """Content: canonical gcd of the coefficients one level down.
-
-    Over a rational scalar base the canonical choice is the coefficient of
-    the highest power, which makes the primitive part monic in the top
-    variable.
-    """
-    if depth == 1 and rational:
-        return a[-1] if a else 0
-    g = _zero_value(depth - 1)
-    for c in a:
-        g = _vgcd(g, c, depth - 1, rational)
-    return g
-
-
-def _vprimitive(a, depth: int, rational: bool):
-    """(content, primitive) with a = content * primitive."""
-    if not a:
-        return _zero_value(depth - 1), a
-    cont = _vcontent(a, depth, rational)
-    prim = _strip([_vexact_div(c, cont, depth - 1, rational) for c in a])
-    return cont, prim
-
-
-def _vprem(a, b, depth: int):
-    """Pseudo-remainder of a by b in the top variable (up to lc(b) powers).
-
-    Returns r with r = u*a mod b for some power u of lc(b) and deg r < deg b.
-    Only used inside the PRS loop, where the cofactor is irrelevant because
-    the primitive part is taken immediately afterwards.
-    """
-    db = len(b) - 1
-    lead_b = b[-1]
-    rem = a
-    while rem and len(rem) - 1 >= db:
-        dr = len(rem) - 1
-        lead_r = rem[-1]
-        shifted = (_zero_value(depth - 1),) * (dr - db) + b
-        rem = _vsub(_vscale(rem, lead_b, depth), _vscale(shifted, lead_r, depth), depth)
-    return rem
-
-
-def _vgcd(a, b, depth: int, rational: bool):
-    if depth == 0:
-        if rational:
-            return Fraction(1) if (a or b) else 0
-        return math.gcd(a, b)
-    if not a:
-        return _vcanon(b, depth, rational)
-    if not b:
-        return _vcanon(a, depth, rational)
-    ca, pa = _vprimitive(a, depth, rational)
-    cb, pb = _vprimitive(b, depth, rational)
-    c = _vgcd(ca, cb, depth - 1, rational)
-    if depth == 1 and rational:
-        # Euclidean algorithm over the field base
-        f, g = pa, pb
-        while g:
-            f, g = g, _vdivmod_field(f, g)[1]
-        h = f
     else:
-        # primitive pseudo-remainder sequence in the top variable
-        f, g = pa, pb
+
+        def canon(a):
+            """Positive graded-lex leading coefficient."""
+            if a and max(terms(a), key=_graded_lex)[1] < 0:
+                return neg(a)
+            return a
+
+    if field:
+
+        def content(a):
+            return a[-1]
+
+        def remainder(f, g):
+            return long_division(f, g)[1]
+
+    else:
+
+        def content(a):
+            g = czero
+            for x in a:
+                g = cgcd(g, x)
+            return g
+
+        def remainder(f, g):
+            return primitive(pseudo_remainder(f, g))[1]
+
+    def primitive(a):
+        if not a:
+            return czero, a
+        cont = content(a)
+        return cont, _strip([cdivide(x, cont) for x in a])
+
+    def pseudo_remainder(a, b):
+        """r = u*a mod b with deg r < deg b, for some power u of lc(b).
+
+        Only used inside the PRS loop, where the cofactor is irrelevant
+        because the primitive part is taken immediately afterwards.
+        """
+        db = len(b) - 1
+        lead_b = b[-1]
+        rem = a
+        while rem and len(rem) - 1 >= db:
+            shifted = (czero,) * (len(rem) - 1 - db) + b
+            rem = sub(scale(rem, lead_b), scale(shifted, rem[-1]))
+        return rem
+
+    def gcd(a, b):
+        if not a:
+            return canon(b)
+        if not b:
+            return canon(a)
+        ca, f = primitive(a)
+        cb, g = primitive(b)
         while g:
-            r = _vprem(f, g, depth)
-            f, g = g, _vprimitive(r, depth, rational)[1]
-        h = f
-    return _vcanon(_vscale(h, c, depth), depth, rational)
+            f, g = g, remainder(f, g)
+        return canon(scale(f, cgcd(ca, cb)))
 
-
-def _vdivmod_field(a, b):
-    """Univariate division with remainder over Fraction coefficients."""
-    db = len(b) - 1
-    lead = b[-1]
-    rem = list(a)
-    quo = [0] * max(len(a) - db, 0)
-    while len(rem) - 1 >= db and rem:
-        dr = len(rem) - 1
-        c = rem[-1] / lead
-        quo[dr - db] = c
-        for j in range(db + 1):
-            rem[dr - db + j] -= c * b[j]
-        del rem[-1]
-        while rem and not rem[-1]:
-            del rem[-1]
-    return _strip(quo), tuple(rem)
+    return {
+        "add": add, "sub": sub, "mul": mul, "neg": neg, "divide": divide,
+        "gcd": gcd, "canon": canon, "terms": terms, "primitive": primitive,
+        "divmod": long_division if field else None, "size": len if field else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +444,9 @@ class RingElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
+
+    def __reduce__(self):
+        return RingElement, (self.descriptor, self.value)
 
     def _check(self, other: "RingElement") -> None:
         if not isinstance(other, RingElement):
@@ -465,30 +473,35 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(
-            self.descriptor, _vadd(self.value, other.value, self.descriptor.depth)
-        )
+        d = self.descriptor
+        return RingElement(d, d.add(self.value, other.value))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(
-            self.descriptor, _vsub(self.value, other.value, self.descriptor.depth)
-        )
+        d = self.descriptor
+        return RingElement(d, d.sub(self.value, other.value))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(
-            self.descriptor, _vmul(self.value, other.value, self.descriptor.depth)
-        )
+        d = self.descriptor
+        return RingElement(d, d.mul(self.value, other.value))
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.descriptor, _vneg(self.value, self.descriptor.depth))
+        d = self.descriptor
+        return RingElement(d, d.neg(self.value))
 
     def __pow__(self, k: int) -> "RingElement":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         d = self.descriptor
-        return RingElement(d, _vpow(self.value, k, d.depth, d.rational_coefficients))
+        a, result = self.value, d.one.value
+        while k:  # repeated squaring
+            if k & 1:
+                result = d.mul(result, a)
+            k >>= 1
+            if k:
+                a = d.mul(a, a)
+        return RingElement(d, result)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -535,7 +548,7 @@ def try_exact_div(a: RingElement, b: RingElement) -> Optional[RingElement]:
     if b.is_zero:
         raise ZeroDivisionError("exact division by zero")
     d = a.descriptor
-    q = _vexact_div(a.value, b.value, d.depth, d.rational_coefficients)
+    q = d.divide(a.value, b.value)
     return None if q is None else RingElement(d, q)
 
 
@@ -562,13 +575,13 @@ def canonical_associate(a: RingElement) -> RingElement:
     coefficient over ZZ bases; graded-lex-monic over QQ bases.
     """
     d = a.descriptor
-    return RingElement(d, _vcanon(a.value, d.depth, d.rational_coefficients))
+    return RingElement(d, d.canon(a.value))
 
 
 def gcd(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
     d = a.descriptor
-    return RingElement(d, _vgcd(a.value, b.value, d.depth, d.rational_coefficients))
+    return RingElement(d, d.gcd(a.value, b.value))
 
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
@@ -638,11 +651,10 @@ def content_and_primitive(p: RingElement):
     scalar base ring for univariate input).  Content of 0 is 0.
     """
     d = p.descriptor
-    if not d.is_polynomial:
+    if d.primitive is None:
         raise UnsupportedRingError("content requires a polynomial ring")
-    coeff_ring = d.coefficient_ring()
-    cont, prim = _vprimitive(p.value, d.depth, d.rational_coefficients)
-    return RingElement(coeff_ring, cont), RingElement(d, prim)
+    cont, prim = d.primitive(p.value)
+    return RingElement(d.coefficients, cont), RingElement(d, prim)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +677,7 @@ def euclidean_divmod(a: RingElement, b: RingElement):
     _require_euclidean(ring, "division with remainder")
     if b.is_zero:
         raise ZeroDivisionError("division by zero")
-    if ring.kind == "integers":
-        m = abs(b.value)
-        r = a.value % m
-        return RingElement(ring, (a.value - r) // b.value), RingElement(ring, r)
-    if ring.kind == "rationals":
-        return RingElement(ring, Fraction(a.value) / b.value), ring.zero
-    q, r = _vdivmod_field(a.value, b.value)
+    q, r = ring.divmod(a.value, b.value)
     return RingElement(ring, q), RingElement(ring, r)
 
 
@@ -781,17 +787,17 @@ def _scalar_bits(c) -> int:
     return c.bit_length()
 
 
-def _power_bits(a, k: int, depth: int) -> int:
+def _power_bits(a, k: int, ring: RingDescriptor) -> int:
     """Estimated bits of a**k: the number of monomials it can have times k
     times the summed coefficient bits of a, which bounds the bits of each
     of its coefficients (numerators and denominators together, up to a
     factor of 2)."""
-    terms = list(_vterms(a, depth))
+    terms = ring.terms(a)
     bits = k * sum(_scalar_bits(c) for _, c in terms)
     if not bits or bits > _MAX_POWER_BITS:
         return bits
     dense = 1
-    for v in range(depth):
+    for v in range(ring.depth):
         dense *= k * max(exps[v] for exps, _ in terms) + 1
     return bits * min(dense, math.comb(k + len(terms) - 1, len(terms) - 1))
 
@@ -885,7 +891,7 @@ class _Parser:
         if self.peek()[0] == "^":
             caret = self.advance()
             exponent = self.exponent()
-            if _power_bits(base.value, exponent, self.ring.depth) > _MAX_POWER_BITS:
+            if _power_bits(base.value, exponent, self.ring) > _MAX_POWER_BITS:
                 raise ParseError(
                     f"power larger than {_MAX_POWER_BITS} bits", caret[2]
                 )
@@ -983,13 +989,7 @@ def format_element(a: RingElement) -> str:
     Terms appear in descending graded-lex order on the variable list.
     """
     d = a.descriptor
-    if not d.is_polynomial:
-        return _format_scalar(a.value)
-    terms = sorted(
-        _vterms(a.value, d.depth),
-        key=lambda t: (sum(t[0]), t[0]),
-        reverse=True,
-    )
+    terms = sorted(d.terms(a.value), key=_graded_lex, reverse=True)
     if not terms:
         return "0"
     parts = []

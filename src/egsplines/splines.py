@@ -315,10 +315,6 @@ def coprime_label_violation(g: LabeledGraph) -> Optional[Tuple[str, str]]:
     return None
 
 
-def labels_pairwise_coprime(g: LabeledGraph) -> bool:
-    return coprime_label_violation(g) is None
-
-
 def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     """Determinant criterion for basis certification.
 
@@ -345,7 +341,7 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     unit = rings.associate_unit(determinant, key)
     if unit is not None:
         return BasisCertificate(Verdict.CERTIFIED, determinant, key, unit=unit)
-    if labels_pairwise_coprime(g) or g.ring.is_pid:
+    if coprime_label_violation(g) is None or g.ring.is_pid:
         return BasisCertificate(Verdict.REFUTED_BY_COPRIME_CONVERSE, determinant, key)
     return BasisCertificate(Verdict.INCONCLUSIVE, determinant, key)
 

@@ -357,6 +357,10 @@ class TestErrors:
             {"kind": "polynomial", "variables": [1]},
             {"kind": "polynomial", "variables": [["x"]]},
             {"kind": "polynomial", "variables": ["x"], "base": ["integers"]},
+            {"kind": ["polynomial"]},
+            {"kind": "polynomial", "variables": ["x", "x"]},
+            {"kind": "polynomial", "variables": ["2x"]},
+            {"kind": "polynomial", "variables": ["x"], "base": "reals"},
         ],
     )
     def test_malformed_ring_exit_2(self, capsys, tmp_path, ring):
@@ -365,3 +369,19 @@ class TestErrors:
         code, _, err = run(capsys, "qhat", str(bad))
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_scalar_ring_ignores_variables(self, capsys, tmp_path):
+        path = tmp_path / "zz.json"
+        ring = {"kind": "integers", "variables": ["x"]}
+        path.write_text(json.dumps({"ring": ring, "vertices": [{"name": "v1", "label": "6"}]}))
+        assert run(capsys, "qhat", str(path)) == (0, "Q(v1) = 6\nQhat = 6\n", "")
+
+    def test_non_utf8_files_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "qhat", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "UTF-8" in err
+        code, out, err = run(capsys, "certify", data("p2.json"), "--splines", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "UTF-8" in err

@@ -10,7 +10,7 @@ from egsplines.oracle import (
     random_instance,
 )
 from egsplines.rings import ZZ, gcd
-from egsplines.splines import is_spline, labels_pairwise_coprime
+from egsplines.splines import coprime_label_violation, is_spline
 
 from conftest import zz
 
@@ -132,7 +132,7 @@ class TestRandomInstance:
         for seed in range(20):
             g = random_instance(InstanceSpec(seed=seed, n=5, edge_density=0.6, coprime=True))
             assert g.validate() == []
-            assert labels_pairwise_coprime(g)
+            assert coprime_label_violation(g) is None
             labels = [x.value for x in g.vertex_labels] + [e.label.value for e in g.edges]
             for a, b in itertools.combinations(labels, 2):
                 assert gcd(zz(a), zz(b)) == ZZ.one

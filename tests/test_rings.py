@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -92,9 +94,56 @@ class TestDescriptor:
         assert QX.one.value == (Fraction(1),)
         assert ZZ.one is ZZ.one
 
+    def test_operations_fixed_at_construction(self):
+        assert (ZZ.add, ZZ.mul, ZZ.gcd, QQ.mul) == (operator.add, operator.mul, math.gcd, operator.mul)
+        assert ZXY.coefficients is ZX and ZX.coefficients is ZZ and ZZ.coefficients is None
+        for ring in (ZZ, QQ, QX):
+            assert ring.is_pid and callable(ring.divmod) and callable(ring.size)
+        for ring in (ZX, ZXY, QXY):
+            assert not ring.is_pid and ring.divmod is None and ring.size is None
+        assert ZZ.primitive is None and QX.primitive(qx("2*x+4").value) == (2, (2, 1))
+        assert ZXY.mul(zxy("x+y").value, zxy("x-y").value) == zxy("x^2-y^2").value
+
     def test_mixing_rings_raises(self):
         with pytest.raises(DescriptorMismatchError):
             ZZ.one + QQ.one
+
+
+class TestCopyPickle:
+    @pytest.mark.parametrize(
+        "element",
+        [zz(-7), parse_element("-3/4", QQ), qx("1/3*x^2-2"), zxy("x^2*y-3*y+1"), ZXY.zero],
+        ids=str,
+    )
+    def test_element_round_trip(self, element):
+        for copied in (
+            copy.copy(element),
+            copy.deepcopy(element),
+            pickle.loads(pickle.dumps(element)),
+        ):
+            assert copied == element and hash(copied) == hash(element)
+            assert copied.descriptor is element.descriptor
+
+    def test_deep_copied_graph(self, t4):
+        from egsplines.splines import key_element
+
+        key = key_element(t4)
+        g = copy.deepcopy(t4)
+        assert g is not t4 and g.ring is t4.ring
+        assert (g.vertex_labels, g.edges, g.names) == (t4.vertex_labels, t4.edges, t4.names)
+        assert key_element(g) == key
+
+    def test_pickled_flow_up_basis(self, c3_int):
+        from egsplines.pid import flow_up_basis
+
+        basis = flow_up_basis(c3_int)
+        copied = pickle.loads(pickle.dumps(basis))
+        assert copied.leading_terms() == basis.leading_terms()
+        for ours, theirs in zip(copied.classes, basis.classes):
+            assert ours.index == theirs.index
+            assert ours.spline.components == theirs.spline.components
+            assert ours.spline.graph is copied.graph
+        assert copied.graph.vertex_labels == c3_int.vertex_labels
 
 
 class TestParseFormat:

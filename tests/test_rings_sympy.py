@@ -1,7 +1,9 @@
 """Property tests of the ring layer against sympy.
 
-gcd, exact division and the parse/format round trip over ZZ, QQ[x] and
-ZZ[x,y], with sympy as a second implementation that shares no code with
+Ring arithmetic, the canonical associate, gcd, exact division and the
+parse/format round trip over ZZ, QQ[x], ZZ[x,y] and QQ[x,y], and division
+with remainder and the extended gcd over the Euclidean rings ZZ and QQ[x],
+with sympy as a second implementation that shares no code with
 egsplines.rings.  The operands of each check are built in separately
 constructed but equal descriptors, so the checks also exercise rings being
 one object each: mixing the two constructions must never raise.
@@ -19,6 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from egsplines import rings
 from egsplines.rings import (
     RingDescriptor,
+    canonical_associate,
+    euclidean_divmod,
+    euclidean_xgcd,
     exact_div,
     format_element,
     gcd,
@@ -45,6 +50,11 @@ RINGS = {
         (X, Y),
         sympy.ZZ,
     ),
+    "QQ[x,y]": (
+        (RingDescriptor("polynomial", ("x", "y"), "rationals"), polynomial_ring("x", "y", base=rings.QQ)),
+        (X, Y),
+        sympy.QQ,
+    ),
 }
 
 nonzero = st.integers(-20, 20).filter(bool)
@@ -54,6 +64,11 @@ TERMS = {
         st.tuples(st.integers(0, 5)), st.builds(Fraction, nonzero, st.integers(1, 6)), max_size=5
     ),
     "ZZ[x,y]": st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), nonzero, max_size=5),
+    "QQ[x,y]": st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.builds(Fraction, nonzero, st.integers(1, 6)),
+        max_size=4,
+    ),
 }
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -64,6 +79,7 @@ def pair(name):
 
 
 pairs = st.sampled_from(sorted(RINGS)).flatmap(pair)
+euclidean_pairs = st.sampled_from(["QQ[x]", "ZZ"]).flatmap(pair)
 
 
 def text(terms, ring):
@@ -106,6 +122,15 @@ def sympy_terms(p):
     return {(): int(p)} if p else {}
 
 
+def graded_lex_normal(p):
+    """p divided by the unit that egsplines normalises away: its graded-lex
+    leading coefficient over QQ, that coefficient's sign over ZZ."""
+    if p.is_zero:
+        return p
+    lead = p.LC(order="grlex")
+    return p.quo_ground(lead) if p.get_domain() == sympy.QQ else p * sympy.sign(lead)
+
+
 def build(name, terms_a, terms_b):
     (first, second), _, _ = RINGS[name]
     return parse_element(text(terms_a, first), first), parse_element(text(terms_b, second), second)
@@ -121,6 +146,8 @@ def test_gcd_matches_sympy(case):
     if name == "QQ[x]":
         expected = expected.monic() if not expected.is_zero else expected
         assert got == sympy_terms(expected)
+    elif name == "QQ[x,y]":
+        assert got == sympy_terms(graded_lex_normal(expected))
     else:
         # sympy and egsplines normalise the sign by different term orders
         options = (sympy_terms(expected), sympy_terms(-expected))
@@ -158,7 +185,7 @@ def test_exact_division_agrees_with_sympy(case):
         q, r = sympy.div(pa.set_domain(sympy.QQ), pb.set_domain(sympy.QQ))
         quotient = sympy_terms(q)
         divisible = r.is_zero and (
-            name == "QQ[x]" or all(c.denominator == 1 for c in quotient.values())
+            RINGS[name][2] == sympy.QQ or all(c.denominator == 1 for c in quotient.values())
         )
     got = try_exact_div(a, b)
     assert (got is not None) == divisible
@@ -183,3 +210,62 @@ def test_parse_format_round_trip(case):
         assert sympy_terms(read) == terms_a
     else:
         assert int(written) == terms_a.get((), 0)
+
+
+@PROPERTY
+@given(case=pairs)
+def test_arithmetic_matches_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    pa, pb = to_sympy(name, terms_a), to_sympy(name, terms_b)
+    assert terms_of(a + b) == sympy_terms(pa + pb)
+    assert terms_of(a - b) == sympy_terms(pa - pb)
+    assert terms_of(a * b) == sympy_terms(pa * pb)
+
+
+@PROPERTY
+@given(case=pairs)
+def test_canonical_associate_matches_sympy(case):
+    name, terms_a, _ = case
+    a, _ = build(name, terms_a, {})
+    pa = to_sympy(name, terms_a)
+    expected = abs(pa) if name == "ZZ" else graded_lex_normal(pa)
+    assert terms_of(canonical_associate(a)) == sympy_terms(expected)
+
+
+@PROPERTY
+@given(case=euclidean_pairs)
+@example(case=("ZZ", {(): -7}, {(): 3}))
+@example(case=("ZZ", {(): 7}, {(): -3}))
+@example(case=("ZZ", {(): -7}, {(): -3}))
+def test_euclidean_divmod_matches_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    if b.is_zero:
+        return
+    q, r = euclidean_divmod(a, b)
+    pa, pb = to_sympy(name, terms_a), to_sympy(name, terms_b)
+    if name == "ZZ":
+        # the remainder lies in [0, |b|), whatever the signs
+        sa, sb = sympy.Integer(int(pa)), sympy.Integer(int(pb))
+        expected_r = sympy.Mod(sa, abs(sb))
+        expected_q = (sa - expected_r) / sb
+        assert (terms_of(q), terms_of(r)) == (sympy_terms(expected_q), sympy_terms(expected_r))
+    else:
+        expected_q, expected_r = sympy.div(pa, pb)
+        assert (terms_of(q), terms_of(r)) == (sympy_terms(expected_q), sympy_terms(expected_r))
+
+
+@PROPERTY
+@given(case=euclidean_pairs)
+def test_euclidean_xgcd_matches_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    g, s, t = euclidean_xgcd(a, b)
+    pa, pb = to_sympy(name, terms_a), to_sympy(name, terms_b)
+    ps, pt = to_sympy(name, terms_of(s)), to_sympy(name, terms_of(t))
+    # Bezout identity, and g is the canonical gcd
+    assert sympy_terms(ps * pa + pt * pb) == terms_of(g)
+    expected = sympy.gcd(pa, pb)
+    expected = abs(expected) if name == "ZZ" else graded_lex_normal(expected)
+    assert terms_of(g) == sympy_terms(expected)

@@ -18,12 +18,12 @@ from egsplines.splines import (
     Verdict,
     certify_basis,
     classical_qg,
+    coprime_label_violation,
     coprime_witness_matrices,
     express_in_basis,
     h_factor,
     is_spline,
     key_element,
-    labels_pairwise_coprime,
     qhat,
     qhat_components,
     qhat_span_decomposition,
@@ -490,7 +490,7 @@ class TestCertify:
         assert cert.verdict is Verdict.REFUTED_BY_COPRIME_CONVERSE
 
     def test_inconclusive_needs_non_pid_non_coprime(self, t4, t4_set_a):
-        assert not labels_pairwise_coprime(t4)
+        assert coprime_label_violation(t4) is not None
         assert not t4.ring.is_pid
 
 
