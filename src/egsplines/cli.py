@@ -14,10 +14,11 @@ Spline-set file (the output of flowup --json is one):
   {"splines": [[EXPR, ...], ...]}    one component per vertex, vertex order
 EXPR is a string over integers, p/q (rational bases only), the ring's
 variables, + - * ^ (exponent a nonnegative integer) and parentheses.
-Limits: parentheses and unary minus signs nest at most 100 levels deep;
-an integer literal has at most 100,000 digits; a power a^k has at most
-2^20 bits, estimated before it is computed as k times the coefficient bits
-of a times the number of monomials a^k can have.  Past a limit: exit 2.
+Limits: a polynomial ring has at most 90 variables; parentheses and unary
+minus signs nest at most 100 levels deep; an integer literal has at most
+100,000 digits; a power a^k has at most 2^20 bits, estimated before it is
+computed as k times the coefficient bits of a times the number of
+monomials a^k can have.  Past a limit: exit 2.
 
 Exit codes (stable contract):
   0  success / certified

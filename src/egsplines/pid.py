@@ -7,8 +7,10 @@ Hermite pass over L therefore yields the spline module in Hermite form,
 which is a flow-up basis: the pivot columns of the edge rows are dropped as
 they are formed, and the vertex rows' pivot columns are the basis.  L
 contains D*R^(|E|+|V|) for D the lcm of all labels, so every entry is kept
-reduced modulo D and no unimodular transform is tracked.  The leading terms
-and determinant are cross-checked against the key-element formula.
+reduced modulo D and no unimodular transform is tracked.  The pass runs on
+raw values through the ring's own operations (add, mul, divmod, xgcd, ...),
+wrapping RingElements only at entry and exit.  The leading terms and
+determinant are cross-checked against the key-element formula.
 """
 
 from __future__ import annotations
@@ -18,16 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
 from .graph import LabeledGraph
-from .rings import (
-    RingDescriptor,
-    RingElement,
-    UnsupportedRingError,
-    canonical_associate,
-    euclidean_divmod,
-    euclidean_xgcd,
-    exact_div,
-    lcm_many,
-)
+from .rings import RingDescriptor, RingElement, UnsupportedRingError, lcm_many
 from .splines import Spline, SplineMatrix
 
 
@@ -86,44 +79,51 @@ def hermite_form(
     it; an entry is reduced only once its size reaches the modulus's.
     Column operations touch only rows at or below the current row, since
     the rows above are zero in the columns still being worked on.
+
+    The entries and the modulus are unwrapped once, each checked to lie in
+    ring (DescriptorMismatchError otherwise); the pass runs on raw values
+    through ring's operations and wraps only the result.
     """
     if not ring.is_pid:
         raise UnsupportedRingError(
             f"hermite form needs a Euclidean ring, got {ring}"
         )
-    if modulus.is_zero:
+    (modulus,) = ring.values([modulus])
+    if not modulus:
         raise ValueError("the modulus must be nonzero")
-    modulus = canonical_associate(modulus)
-    size = ring.size
-    bound = size(modulus.value)
-    nrows = len(rows)
-    zero, one = ring.zero, ring.one
+    values = [ring.values(row) for row in rows]
+    add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
+    divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
+    zero, one = ring.zero.value, ring.one.value
+    modulus = ring.canon(modulus)
+    bound = size(modulus)
+    nrows = len(values)
 
-    def reduced(x: RingElement) -> RingElement:
-        return euclidean_divmod(x, modulus)[1] if size(x.value) >= bound else x
+    def reduced(x):
+        return divmod_(x, modulus)[1] if size(x) >= bound else x
 
-    ncols = len(rows[0]) if nrows else 0
-    work = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
-    kept: List[List[RingElement]] = []
+    ncols = len(values[0]) if nrows else 0
+    work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
+    kept: List[list] = []
     for i in range(nrows):
         below = range(i + 1, nrows)
         pivot = None
         rest = []
         for col in work:
-            if col[i].is_zero:
+            if not col[i]:
                 rest.append(col)
             elif pivot is None:
                 pivot = col
             else:
                 # (pivot, col) <- (s*pivot + t*col, a*col - b*pivot), det 1
-                d, s, t = euclidean_xgcd(pivot[i], col[i])
-                a = exact_div(pivot[i], d)
-                b = exact_div(col[i], d)
+                d, s, t = xgcd(pivot[i], col[i])
+                a = divide(pivot[i], d)
+                b = divide(col[i], d)
                 for r in below:
                     x, y = pivot[r], col[r]
                     if x or y:
-                        pivot[r] = reduced(s * x + t * y)
-                        col[r] = reduced(a * y - b * x)
+                        pivot[r] = reduced(add(mul(s, x), mul(t, y)))
+                        col[r] = reduced(sub(mul(a, y), mul(b, x)))
                 pivot[i] = d
                 col[i] = zero
                 if any(col[r] for r in below):
@@ -137,14 +137,14 @@ def hermite_form(
             pivot = [zero] * nrows
             d, s = modulus, one
         else:
-            d, s, _ = euclidean_xgcd(pivot[i], modulus)
+            d, s, _ = xgcd(pivot[i], modulus)
             if d != one:
-                cofactor = exact_div(modulus, d)
+                cofactor = divide(modulus, d)
                 extra = [zero] * nrows
                 for r in below:
                     x = pivot[r]
                     if x:
-                        extra[r] = cofactor * euclidean_divmod(-x, d)[1]
+                        extra[r] = mul(cofactor, divmod_(neg(x), d)[1])
                 if any(extra[r] for r in below):
                     rest.append(extra)
         work = rest
@@ -153,18 +153,18 @@ def hermite_form(
         if s != one:
             for r in below:
                 if pivot[r]:
-                    pivot[r] = reduced(s * pivot[r])
+                    pivot[r] = reduced(mul(s, pivot[r]))
         pivot[i] = d
         for col in kept:
-            if col[i].is_zero:
+            if not col[i]:
                 continue
-            q, col[i] = euclidean_divmod(col[i], d)
-            if not q.is_zero:
+            q, col[i] = divmod_(col[i], d)
+            if q:
                 for r in below:
                     if pivot[r]:
-                        col[r] = reduced(col[r] - q * pivot[r])
+                        col[r] = reduced(sub(col[r], mul(q, pivot[r])))
         kept.append(pivot)
-    return [[col[r] for col in kept] for r in range(skip, nrows)]
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, nrows)]
 
 
 # ---------------------------------------------------------------------------

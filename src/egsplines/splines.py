@@ -19,7 +19,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import rings
 from .graph import LabeledGraph, trail_constraint
-from .rings import RingElement, canonical_associate, exact_div, gcd, is_unit, lcm, try_exact_div
+from .rings import (
+    NotDivisibleError,
+    RingElement,
+    canonical_associate,
+    exact_div,
+    gcd,
+    is_unit,
+    lcm,
+    try_exact_div,
+)
 
 
 class SplineError(Exception):
@@ -233,19 +242,35 @@ def _bareiss(
     back-substitution on the eliminated [U | b]: y_k = (det*b_k -
     sum_{j>k} U_kj*y_j) / U_kk, exact since y lies in the ring.  y is None
     without f or when det = 0.
+
+    The entries of M and f are unwrapped once, each checked to lie in the
+    ring of M's first entry (DescriptorMismatchError otherwise); the
+    elimination runs on raw values through that ring's operations and wraps
+    only det and y.  A failed exact division raises NotDivisibleError.
     """
     n = len(rows)
     ring = rows[0][0].descriptor
-    if rhs is None:
-        m = [list(r) for r in rows]
-    else:
-        m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    m = [ring.values(row) for row in rows]
+    if rhs is not None:
+        for row, b in zip(m, ring.values(rhs)):
+            row.append(b)
+    sub, mul, neg, divide = ring.sub, ring.mul, ring.neg, ring.divide
+
+    def quotient(a, b):
+        q = divide(a, b)
+        if q is None:
+            raise NotDivisibleError(
+                f"{RingElement(ring, a)} is not divisible by "
+                f"{RingElement(ring, b)} in {ring}"
+            )
+        return q
+
     sign = 1
     previous = None
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
@@ -256,22 +281,22 @@ def _bareiss(
         for row in m[k + 1:]:
             lead = row[k]
             for j in range(k + 1, len(top)):
-                numerator = pivot * row[j] - lead * top[j]
-                row[j] = numerator if previous is None else exact_div(numerator, previous)
+                numerator = sub(mul(pivot, row[j]), mul(lead, top[j]))
+                row[j] = numerator if previous is None else quotient(numerator, previous)
         previous = pivot
-    det = m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-    if rhs is None or det.is_zero:
-        return det, None
-    y: List[RingElement] = [ring.zero] * n
+    det = m[n - 1][n - 1] if sign > 0 else neg(m[n - 1][n - 1])
+    if rhs is None or not det:
+        return RingElement(ring, det), None
+    y: list = [None] * n
     # det = sign * U_{n-1,n-1}, so the last numerator needs no division
-    y[n - 1] = m[n - 1][n] if sign > 0 else -m[n - 1][n]
+    y[n - 1] = m[n - 1][n] if sign > 0 else neg(m[n - 1][n])
     for k in range(n - 2, -1, -1):
         row = m[k]
-        acc = det * row[n]
+        acc = mul(det, row[n])
         for j in range(k + 1, n):
-            acc = acc - row[j] * y[j]
-        y[k] = exact_div(acc, row[k])
-    return det, y
+            acc = sub(acc, mul(row[j], y[j]))
+        y[k] = quotient(acc, row[k])
+    return RingElement(ring, det), [RingElement(ring, v) for v in y]
 
 
 def spline_determinant(ms: SplineMatrix) -> RingElement:

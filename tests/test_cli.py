@@ -370,6 +370,24 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_too_many_variables_exit_2(self, capsys, tmp_path):
+        # past the variable limit the ring is refused before any label is
+        # parsed, where a RecursionError traceback used to end the run
+        ring = {"kind": "polynomial", "variables": [f"x{i}" for i in range(1200)]}
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ring": ring,
+                    "vertices": [{"name": "a", "label": "2"}, {"name": "b", "label": "x0"}],
+                    "edges": [{"u": "a", "v": "b", "label": "3"}],
+                }
+            )
+        )
+        code, out, err = run(capsys, "qhat", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad ring: ") and "variables" in err
+
     def test_scalar_ring_ignores_variables(self, capsys, tmp_path):
         path = tmp_path / "zz.json"
         ring = {"kind": "integers", "variables": ["x"]}

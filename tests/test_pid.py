@@ -11,7 +11,16 @@ from egsplines.pid import (
     hermite_form,
     verify_flow_up,
 )
-from egsplines.rings import ZZ, UnsupportedRingError, associate_unit, parse_element
+from egsplines import rings
+from egsplines.rings import (
+    QQ,
+    ZZ,
+    DescriptorMismatchError,
+    RingElement,
+    UnsupportedRingError,
+    associate_unit,
+    parse_element,
+)
 from egsplines.splines import (
     Verdict,
     certify_basis,
@@ -131,6 +140,113 @@ class TestHermite:
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
             hermite_form([[zz(2)]], ZZ, ZZ.zero)
+
+    def test_foreign_entries_rejected(self):
+        # each foreign entry sits where the pass never multiplies it: a zero
+        # in a row whose column is set aside, or the modulus itself
+        cases = [
+            ([[zz(2), QQ.zero], [zz(0), zz(3)]], zz(6)),
+            ([[zz(2), ZX.zero], [zz(0), zz(3)]], zz(6)),
+            ([[zz(2), zz(0)], [zz(0), QQ.one]], zz(6)),
+            ([[zz(2)]], QQ.from_int(6)),
+        ]
+        for rows, modulus in cases:
+            with pytest.raises(DescriptorMismatchError):
+                hermite_form(rows, ZZ, modulus)
+        with pytest.raises(TypeError):
+            hermite_form([[zz(2), 0]], ZZ, zz(6))
+
+    def test_wraps_only_at_entry_and_exit(self, monkeypatch):
+        # the pass runs on raw values: elements are built for the result
+        # only, not per arithmetic step
+        rng = random.Random(79)
+        rows = _int_rows(_random_matrix(rng, 6, 8, 40))
+        modulus = zz(720)
+        built = []
+        original = RingElement.__init__
+
+        def counting(self, descriptor, value):
+            built.append(value)
+            original(self, descriptor, value)
+
+        monkeypatch.setattr(RingElement, "__init__", counting)
+        h = hermite_form(rows, ZZ, modulus)
+        entries_out = sum(len(row) for row in h)
+        assert len(built) <= 6 * 8 + 1 + entries_out + 4
+
+
+def _random_qx(rng, degree=2):
+    """A random QQ[x] element of degree at most degree; about a fifth are 0."""
+    if rng.random() < 0.2:
+        return QX.zero
+    x = QX.variable("x")
+    out = QX.zero
+    for k in range(rng.randint(0, degree) + 1):
+        c = parse_element(f"{rng.randint(-4, 4)}/{rng.randint(1, 3)}", QX)
+        out = out + c * x**k
+    return out
+
+
+def _random_qx_modulus(rng):
+    out = QX.zero
+    while out.is_zero:
+        out = _random_qx(rng, degree=3)
+    return out
+
+
+class TestHermiteRationalPolynomials:
+    """The ZZ properties of TestHermite, on seeded QQ[x] matrices."""
+
+    def test_column_shuffle_invariance(self):
+        rng = random.Random(83)
+        for _ in range(25):
+            nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
+            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
+            modulus = _random_qx_modulus(rng)
+            order = list(range(ncols))
+            rng.shuffle(order)
+            shuffled = [[row[c] for c in order] for row in rows]
+            assert hermite_form(rows, QX, modulus) == hermite_form(shuffled, QX, modulus)
+
+    def test_skip_is_the_trailing_block(self):
+        rng = random.Random(89)
+        for _ in range(25):
+            nrows = rng.randint(2, 4)
+            ncols = rng.randint(1, 4)
+            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
+            modulus = _random_qx_modulus(rng)
+            k = rng.randint(0, nrows)
+            full = hermite_form(rows, QX, modulus)
+            tail = hermite_form(rows, QX, modulus, skip=k)
+            assert tail == [row[k:] for row in full[k:]]
+
+    def test_pivots_multiply_to_sympy_determinant(self):
+        # a nonsingular M spans a lattice containing det(M)*R^N, so with that
+        # modulus the pivots multiply to det(M) up to a unit
+        sympy = pytest.importorskip("sympy")
+        sx = sympy.Symbol("x")
+        x = QX.variable("x")
+        rng = random.Random(97)
+        checked = 0
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            rows = [[_random_qx(rng, degree=1) for _ in range(n)] for _ in range(n)]
+            det = sympy.Matrix(
+                [[sympy.sympify(str(e).replace("^", "**")) for e in row] for row in rows]
+            ).det()
+            if sympy.expand(det) == 0:
+                continue
+            modulus = QX.zero
+            for k, c in enumerate(reversed(sympy.Poly(det, sx).all_coeffs())):
+                c = sympy.Rational(c)
+                modulus = modulus + parse_element(f"{c.p}/{c.q}", QX) * x**k
+            h = hermite_form(rows, QX, modulus)
+            product = QX.one
+            for i in range(n):
+                product = product * h[i][i]
+            assert rings.is_associate(product, modulus), (rows, det)
+            checked += 1
+        assert checked >= 20
 
 
 class TestFlowUpBasis:

@@ -99,10 +99,22 @@ class TestDescriptor:
         assert ZXY.coefficients is ZX and ZX.coefficients is ZZ and ZZ.coefficients is None
         for ring in (ZZ, QQ, QX):
             assert ring.is_pid and callable(ring.divmod) and callable(ring.size)
+            assert callable(ring.xgcd)
         for ring in (ZX, ZXY, QXY):
             assert not ring.is_pid and ring.divmod is None and ring.size is None
+            assert ring.xgcd is None
+        g, s, t = ZZ.xgcd(30, -18)
+        assert g == 6 and 30 * s - 18 * t == 6
         assert ZZ.primitive is None and QX.primitive(qx("2*x+4").value) == (2, (2, 1))
         assert ZXY.mul(zxy("x+y").value, zxy("x-y").value) == zxy("x^2-y^2").value
+
+    def test_variable_limit(self):
+        names = [f"x{i}" for i in range(rings._MAX_VARIABLES + 1)]
+        assert polynomial_ring(*names[:-1]).depth == rings._MAX_VARIABLES
+        with pytest.raises(ValueError):
+            polynomial_ring(*names)
+        with pytest.raises(ValueError):
+            RingDescriptor("polynomial", names, "rationals")
 
     def test_mixing_rings_raises(self):
         with pytest.raises(DescriptorMismatchError):

@@ -375,6 +375,35 @@ class TestBareissKernel:
                     assert list(got) == [rings.exact_div(y, det) for y in literal]
         assert min(seen.values()) >= 10, seen
 
+    def test_foreign_entries_rejected(self):
+        # each foreign entry sits where the elimination never multiplies it:
+        # the right-hand side of a 1x1 system, or past a zero column
+        with pytest.raises(rings.DescriptorMismatchError):
+            _bareiss([[zz(2)]], [rings.QQ.zero])
+        with pytest.raises(rings.DescriptorMismatchError):
+            _bareiss([[ZZ.zero, rings.QQ.zero], [ZZ.zero, zz(1)]])
+        with pytest.raises(rings.DescriptorMismatchError):
+            _bareiss([[ZZ.zero, ZZ.zero], [ZZ.zero, QX.one]], [zz(1), zz(2)])
+
+    def test_wraps_only_at_entry_and_exit(self, monkeypatch):
+        # the elimination runs on raw values: elements are built for det and
+        # the numerators only, not per arithmetic step
+        rng = random.Random(101)
+        n = 6
+        rows = [[ZZ.from_int(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
+        target = [ZZ.from_int(rng.randint(-50, 50)) for _ in range(n)]
+        built = []
+        original = rings.RingElement.__init__
+
+        def counting(self, descriptor, value):
+            built.append(value)
+            original(self, descriptor, value)
+
+        monkeypatch.setattr(rings.RingElement, "__init__", counting)
+        det, numerators = _bareiss(rows, target)
+        assert not det.is_zero
+        assert len(built) <= n * n + n + 1 + len(numerators) + 4
+
     def test_span_decomposition_numerators(self, p2, p2_basis):
         # qhat * f = sum x_k F_k with x_k = det(M_k) / unit, here unit -1
         f = Spline(p2, [zz(2), zz(6)])
