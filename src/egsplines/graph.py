@@ -9,7 +9,9 @@ The key element is built from one pairwise aggregate: the lcm over s-t
 trails of the gcd of each trail's edge labels.  Divisibility classes of a
 GCD domain form a distributive lattice, so the aggregate for every pair at
 once is the algebraic-path closure over the semiring (lcm, gcd), computed
-by Floyd-Warshall in O(n^3) ring operations, once per graph.
+by Floyd-Warshall in O(n^3) ring operations, once per graph.  The closure
+runs on raw values through the ring's own operations (see RingDescriptor)
+and keeps its table raw; trail_constraint wraps the entry it looks up.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .rings import RingDescriptor, RingElement, divides, gcd, lcm
+from .rings import RingDescriptor, RingElement
 
 
 class GraphError(Exception):
@@ -73,7 +75,7 @@ class LabeledGraph:
             names = tuple(f"v{i + 1}" for i in range(len(self.vertex_labels)))
         self.names = tuple(names)
         self._violations: Optional[Tuple[str, ...]] = None
-        self._table: Optional[List[List[RingElement]]] = None
+        self._table: Optional[list] = None  # raw values, see _aggregate_table
         self._key = None  # the record of splines.key_element
         adjacency: List[List[int]] = [[] for _ in self.vertex_labels]
         for idx, e in enumerate(self.edges):
@@ -146,25 +148,28 @@ class LabeledGraph:
         return f"<LabeledGraph {self.n} vertices, {len(self.edges)} edges over {self.ring}>"
 
 
-def _aggregate_table(g: LabeledGraph) -> List[List[RingElement]]:
-    """The trail aggregate of every vertex pair, as a symmetric n x n table.
+def _aggregate_table(g: LabeledGraph) -> list:
+    """The trail aggregate of every vertex pair, as a symmetric n x n table
+    of raw values of g.ring.
 
-    Floyd-Warshall over (lcm, gcd).  Entries start at 1, the lcm identity,
-    which also absorbs under gcd; each edge seeds its pair with the lcm of
-    the parallel labels.  Relaxations that cannot change an entry (a unit
-    gcd, or one that already divides the entry) skip the lcm.  The
+    Floyd-Warshall over (lcm, gcd), on raw values through the ring's lcm,
+    gcd and divide.  Entries start at 1, the lcm identity, which also
+    absorbs under gcd; each edge seeds its pair with the lcm of the
+    parallel labels, unwrapped once (a label of another ring raises
+    DescriptorMismatchError).  Relaxations that cannot change an entry (a
+    unit gcd, or one that already divides the entry) skip the lcm.  The
     diagonal is never read.
     """
     if g._table is not None:
         return g._table
     n = g.n
-    one = g.ring.one
+    ring = g.ring
+    lcm, gcd, divide = ring.lcm, ring.gcd, ring.divide
+    one = ring.one.value
     table = [[one] * n for _ in range(n)]
-    for u in range(n):
-        for idx in g.adjacency[u]:
-            v = g.edges[idx].other(u)
-            if v > u:
-                table[u][v] = table[v][u] = lcm(table[u][v], g.edges[idx].label)
+    edges = [e for e in g.edges if e.u != e.v and 0 <= e.u < n and 0 <= e.v < n]
+    for e, label in zip(edges, ring.values(e.label for e in edges)):
+        table[e.u][e.v] = table[e.v][e.u] = lcm(table[e.u][e.v], label)
     for k in range(n):
         row_k = table[k]
         for i in range(n):
@@ -177,7 +182,10 @@ def _aggregate_table(g: LabeledGraph) -> List[List[RingElement]]:
                 if j == k or onward == one:
                     continue
                 candidate = gcd(through, onward)
-                if candidate != one and not divides(candidate, row_i[j]):
+                if candidate == one:
+                    continue
+                # 0 divides only 0, and lcm(entry, 0) = 0
+                if not candidate or divide(row_i[j], candidate) is None:
                     row_i[j] = table[j][i] = lcm(row_i[j], candidate)
     g._table = table
     return table
@@ -193,4 +201,4 @@ def trail_constraint(g: LabeledGraph, source: int, target: int) -> RingElement:
     """
     if source == target:
         raise ValueError("trail endpoints must differ")
-    return _aggregate_table(g)[source][target]
+    return RingElement(g.ring, _aggregate_table(g)[source][target])

@@ -94,6 +94,7 @@ class RingDescriptor:
     operations on raw values included:
 
     - add, sub, mul, neg, gcd and canon (the canonical associate);
+    - lcm, the canonical least common multiple (0 when an operand is 0);
     - divide, the exact quotient, or None when there is none;
     - terms, the list of (exponents in variable order, scalar coefficient)
       pairs of the nonzero terms;
@@ -116,7 +117,7 @@ class RingDescriptor:
     __slots__ = (
         "kind", "variables", "base", "depth", "rational_coefficients",
         "is_polynomial", "is_pid", "zero", "one", "coefficients",
-        "add", "sub", "mul", "neg", "divide", "gcd", "canon", "terms",
+        "add", "sub", "mul", "neg", "divide", "gcd", "lcm", "canon", "terms",
         "primitive", "divmod", "size", "xgcd",
     )
 
@@ -174,6 +175,7 @@ class RingDescriptor:
             "zero": RingElement(ring, zero),
             "one": RingElement(ring, one),
             "coefficients": coefficients,
+            "lcm": _least_common_multiple(table, zero, one),
             "xgcd": _extended_gcd(table, zero, one) if table["divmod"] else None,
             **table,
         }
@@ -298,6 +300,24 @@ _SCALAR_OPERATIONS = {
         size=lambda a: 0,
     ),
 }
+
+
+def _least_common_multiple(table: dict, zero, one):
+    """The lcm of the ring with these operations and constants: canonical,
+    0 when an operand is 0, and the other operand's canonical associate
+    when one operand is 1."""
+    gcd, divide, mul, canon = table["gcd"], table["divide"], table["mul"], table["canon"]
+
+    def lcm(a, b):
+        if not a or not b:
+            return zero
+        if a == one:
+            return canon(b)
+        if b == one:
+            return canon(a)
+        return canon(mul(divide(a, gcd(a, b)), b))
+
+    return lcm
 
 
 def _extended_gcd(table: dict, zero, one):
@@ -641,14 +661,20 @@ def gcd(a: RingElement, b: RingElement) -> RingElement:
 
 def lcm(a: RingElement, b: RingElement) -> RingElement:
     a._check(b)
-    if a.is_zero or b.is_zero:
-        return a.descriptor.zero
-    one = a.descriptor.one.value
-    if a.value == one:
-        return canonical_associate(b)
-    if b.value == one:
-        return canonical_associate(a)
-    return canonical_associate(exact_div(a * b, gcd(a, b)))
+    d = a.descriptor
+    return RingElement(d, d.lcm(a.value, b.value))
+
+
+def _fold(operation: str, elements: list) -> RingElement:
+    """The canonical fold of one of a ring's raw operations over a nonempty
+    list of elements of the first element's ring."""
+    d = elements[0].descriptor
+    values = d.values(elements)
+    op = getattr(d, operation)
+    out = values[0]
+    for v in values[1:]:
+        out = op(out, v)
+    return RingElement(d, d.canon(out))
 
 
 def gcd_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> RingElement:
@@ -658,10 +684,7 @@ def gcd_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> Ri
         if ring is None:
             raise ValueError("gcd of an empty sequence needs an explicit ring")
         return ring.zero
-    out = elements[0]
-    for e in elements[1:]:
-        out = gcd(out, e)
-    return canonical_associate(out)
+    return _fold("gcd", elements)
 
 
 def lcm_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> RingElement:
@@ -671,10 +694,7 @@ def lcm_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> Ri
         if ring is None:
             raise ValueError("lcm of an empty sequence needs an explicit ring")
         return ring.one
-    out = elements[0]
-    for e in elements[1:]:
-        out = lcm(out, e)
-    return canonical_associate(out)
+    return _fold("lcm", elements)
 
 
 def is_unit(a: RingElement) -> bool:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from . import rings
-from .graph import LabeledGraph, trail_constraint
+from . import graph, rings
+from .graph import LabeledGraph
 from .rings import (
     NotDivisibleError,
     RingElement,
@@ -26,7 +26,6 @@ from .rings import (
     exact_div,
     gcd,
     is_unit,
-    lcm,
     try_exact_div,
 )
 
@@ -116,17 +115,29 @@ class Spline:
 
 
 def spline_violations(g: LabeledGraph, components: Sequence[RingElement]) -> List[str]:
-    """All membership conditions the candidate fails (empty = spline)."""
+    """All membership conditions the candidate fails (empty = spline).
+
+    Runs on raw values through the ring's sub and divide; the components
+    and labels are unwrapped once, each checked to lie in g's ring.
+    """
+    ring = g.ring
+    values = ring.values(components)
+    labels = ring.values(g.vertex_labels)
+    edge_labels = ring.values(e.label for e in g.edges)
+    sub, divide = ring.sub, ring.divide
+
+    def divides(a, b):  # with 0 | b only for b = 0
+        return divide(b, a) is not None if a else not b
+
     out: List[str] = []
-    for i, f in enumerate(components):
-        if not rings.divides(g.vertex_labels[i], f):
+    for i, f in enumerate(values):
+        if not divides(labels[i], f):
             out.append(
                 f"vertex {g.vertex_name(i)}: component is not a multiple "
                 f"of {g.vertex_labels[i]}"
             )
     for idx, e in enumerate(g.edges):
-        diff = components[e.u] - components[e.v]
-        if not rings.divides(e.label, diff):
+        if not divides(edge_labels[idx], sub(values[e.u], values[e.v])):
             out.append(
                 f"edge {idx + 1} ({g.vertex_name(e.u)},{g.vertex_name(e.v)}): "
                 f"difference is not a multiple of {e.label}"
@@ -186,27 +197,40 @@ def key_element(g: LabeledGraph) -> KeyElement:
     T(s, i) for the lower indices s.  Component i is lcm(U_i, L_i) and Qhat
     their product; Q_G is the product of the L_i (all-ones labels make every
     U_i = 1) and H the product of U_i / gcd(U_i, L_i).
+
+    The fold runs on raw values through the ring's operations, reading the
+    raw aggregate table, and wraps only the components and the results.
     """
     if g._key is not None:
         return g._key
     g.require_valid()
-    labels = g.vertex_labels
-    one = g.ring.one
+    ring = g.ring
+    lcm, gcd, mul, divide = ring.lcm, ring.gcd, ring.mul, ring.divide
+    labels = ring.values(g.vertex_labels)
+    table = graph._aggregate_table(g)
+    one = ring.one.value
     components = []
-    key = qg = h = one
+    key = ring.one
+    qg = h = one
     for i in range(g.n):
+        row = table[i]  # the table is symmetric: row[j] = T(j, i)
         upper = labels[i]
         for j in range(i + 1, g.n):
-            upper = lcm(upper, gcd(labels[j], trail_constraint(g, j, i)))
+            upper = lcm(upper, gcd(labels[j], row[j]))
         lower = one
         for s in range(i):
-            lower = lcm(lower, trail_constraint(g, s, i))
-        component = lcm(upper, lower)
+            lower = lcm(lower, row[s])
+        component = RingElement(ring, lcm(upper, lower))
         components.append(component)
         key = key * component
-        qg = qg * lower
-        h = h * exact_div(upper, gcd(upper, lower))
-    g._key = KeyElement(tuple(components), *map(canonical_associate, (key, qg, h)))
+        qg = mul(qg, lower)
+        h = mul(h, divide(upper, gcd(upper, lower)))
+    g._key = KeyElement(
+        tuple(components),
+        canonical_associate(key),
+        RingElement(ring, ring.canon(qg)),
+        RingElement(ring, ring.canon(h)),
+    )
     return g._key
 
 

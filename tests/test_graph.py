@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from egsplines.graph import LabeledGraph, trail_constraint
+from egsplines.graph import LabeledGraph, _aggregate_table, trail_constraint
 from egsplines.oracle import InstanceSpec, random_instance, trails_between
-from egsplines.rings import ZZ, gcd_many, lcm_many
+from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingElement, gcd_many, lcm_many
 
 from conftest import QX, ZXY, qx, random_graph, zxy, zz
 
@@ -138,8 +138,10 @@ class TestTrailConstraint:
             random_instance(InstanceSpec(seed=seed, n=2 + seed % 5, edge_density=0.4, label_bound=30))
             for seed in range(40)
         ]
-        qx_pool = [qx("x"), qx("x+1"), qx("2*x-1"), qx("x^2+1"), qx("3")]
-        zxy_pool = [zxy("x"), zxy("y"), zxy("x+y"), zxy("2"), zxy("x*y+1")]
+        # one label per pool with a rational or negative leading
+        # coefficient, so the closure's canonical associates do work
+        qx_pool = [qx("x"), qx("x+1"), qx("2*x-1"), qx("x^2+1"), qx("3"), qx("-1/2*x+3")]
+        zxy_pool = [zxy("x"), zxy("y"), zxy("x+y"), zxy("2"), zxy("x*y+1"), zxy("-3*x+y")]
         for seed in range(12):
             graphs.append(random_graph(QX, qx_pool, seed, 2 + seed % 5))
             graphs.append(random_graph(ZXY, zxy_pool, seed, 2 + seed % 5))
@@ -168,6 +170,32 @@ class TestTrailConstraint:
     def test_same_endpoint_rejected(self, c3_int):
         with pytest.raises(ValueError):
             trail_constraint(c3_int, 1, 1)
+
+    def test_foreign_label_rejected(self):
+        g = LabeledGraph(ZZ, [zz(2), zz(3)], [(0, 1, QQ.from_int(2))])
+        with pytest.raises(DescriptorMismatchError):
+            trail_constraint(g, 0, 1)
+
+    def test_zero_label_unvalidated(self):
+        # a zero edge label seeds its pair with 0, and 0 divides only 0
+        g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(0)), (1, 2, zz(6)), (0, 2, zz(4))])
+        values = [trail_constraint(g, s, t).value for s in range(3) for t in range(3) if s != t]
+        assert values == [0, 12, 0, 12, 12, 12]
+
+    def test_table_is_built_once_without_wrapping(self, monkeypatch):
+        # the closure runs on raw values: building the table wraps nothing
+        g = random_instance(InstanceSpec(seed=4, n=10, edge_density=0.5, label_bound=30))
+        built = []
+        original = RingElement.__init__
+
+        def counting(self, descriptor, value):
+            built.append(value)
+            original(self, descriptor, value)
+
+        monkeypatch.setattr(RingElement, "__init__", counting)
+        table = _aggregate_table(g)
+        assert built == []
+        assert _aggregate_table(g) is table
 
 
 def _has_parallel_edges(g):

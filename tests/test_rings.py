@@ -105,6 +105,11 @@ class TestDescriptor:
             assert ring.xgcd is None
         g, s, t = ZZ.xgcd(30, -18)
         assert g == 6 and 30 * s - 18 * t == 6
+        # lcm on raw values: canonical, 0 absorbs, 1 returns the other operand's associate
+        assert (ZZ.lcm(-4, 6), ZZ.lcm(0, 5), ZZ.lcm(1, -7)) == (12, 0, 7)
+        assert QQ.lcm(Fraction(-2, 3), Fraction(5)) == 1
+        assert QX.lcm(QX.one.value, qx("-2*x+1").value) == qx("x-1/2").value
+        assert ZXY.lcm(zxy("-x*y").value, zxy("2*y^2").value) == zxy("2*x*y^2").value
         assert ZZ.primitive is None and QX.primitive(qx("2*x+4").value) == (2, (2, 1))
         assert ZXY.mul(zxy("x+y").value, zxy("x-y").value) == zxy("x^2-y^2").value
 
@@ -358,6 +363,15 @@ class TestGcdLcm:
         assert gcd(qx("2*x+2"), qx("4*x+4")) == qx("x+1")
         assert lcm(zz(-4), zz(6)) == zz(12)
         assert canonical_associate(qxy("2*x*y+4")) == qxy("x*y+2")
+
+    def test_aggregates_mixed_rings_raise(self):
+        # each element's ring is checked once, before the fold
+        with pytest.raises(DescriptorMismatchError):
+            lcm_many([zz(2), QQ.one])
+        with pytest.raises(DescriptorMismatchError):
+            gcd_many([zz(2), zz(4), ZX.one])
+        with pytest.raises(TypeError):
+            lcm_many([zz(2), 3])
 
     def test_aggregates(self):
         assert gcd_many([], ZZ) == ZZ.zero

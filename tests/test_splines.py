@@ -96,6 +96,23 @@ class TestIsSpline:
         violations = spline_violations(p2, [zz(2), zz(3)])
         assert any("edge 1" in v for v in violations)
 
+    def test_zero_labels_divide_only_zero(self):
+        # an unvalidated graph: 0 | b only for b = 0, for vertices and edges
+        g = LabeledGraph(ZZ, [ZZ.zero, zz(3)], [(0, 1, ZZ.zero)])
+        assert spline_violations(g, [ZZ.zero, ZZ.zero]) == []
+        assert spline_violations(g, [zz(3), zz(3)]) == [
+            "vertex v1: component is not a multiple of 0"
+        ]
+        assert spline_violations(g, [ZZ.zero, zz(3)]) == [
+            "edge 1 (v1,v2): difference is not a multiple of 0"
+        ]
+
+    def test_foreign_components_rejected(self, p2):
+        with pytest.raises(rings.DescriptorMismatchError):
+            spline_violations(p2, [zz(2), rings.QQ.from_int(6)])
+        with pytest.raises(TypeError):
+            spline_violations(p2, [zz(2), 6])
+
     def test_target_is_spline(self, t4, t4_target):
         assert is_spline(t4, t4_target.components)
 
@@ -152,6 +169,32 @@ class TestKeyElement:
     def test_all_unit_vertex_labels_make_h_a_unit(self, c3_int):
         g = LabeledGraph(ZZ, [ZZ.one] * 3, c3_int.edges)
         assert rings.is_unit(h_factor(g))
+
+    def test_rational_components_are_one(self):
+        # every nonzero rational is a unit, so the fold's raw comparisons
+        # with 1 meet Fraction(1)
+        q = rings.QQ.from_int
+        g = LabeledGraph(rings.QQ, [q(2), q(-3), q(5)], [(0, 1, q(7)), (1, 2, q(6)), (0, 2, q(4))])
+        record = key_element(g)
+        assert record.components == (rings.QQ.one,) * 3
+        assert (record.qhat, record.classical_qg, record.h_factor) == (rings.QQ.one,) * 3
+
+    def test_wraps_only_components_and_results(self, monkeypatch):
+        # the fold and the closure run on raw values: elements are built
+        # for the n components, the n partial products of Qhat and the
+        # three results, not per arithmetic step
+        n = 10
+        g = random_instance(InstanceSpec(seed=7, n=n, edge_density=0.5, label_bound=30))
+        built = []
+        original = rings.RingElement.__init__
+
+        def counting(self, descriptor, value):
+            built.append(value)
+            original(self, descriptor, value)
+
+        monkeypatch.setattr(rings.RingElement, "__init__", counting)
+        key_element(g)
+        assert len(built) <= 2 * n + 4
 
     def test_h_factor_identity_random(self):
         for seed in range(25):
@@ -232,10 +275,12 @@ class TestKeyElement:
             components = qhat_components(g)
 
             def no_lookup(*args):
-                raise AssertionError("trail_constraint called after the fold")
+                raise AssertionError("aggregate table read after the fold")
 
+            # the fold reads the table through graph._aggregate_table, which
+            # no consumer may call again, cached or not
+            monkeypatch.setattr(graph, "_aggregate_table", no_lookup)
             monkeypatch.setattr(graph, "trail_constraint", no_lookup)
-            monkeypatch.setattr(splines, "trail_constraint", no_lookup)
             assert qhat_components(g) is components
             assert is_associate(h_factor(g) * classical_qg(g), qhat(g))
             basis = flow_up_basis(g)
