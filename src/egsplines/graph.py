@@ -76,6 +76,7 @@ class LabeledGraph:
         self.names = tuple(names)
         self._violations: Optional[Tuple[str, ...]] = None
         self._table: Optional[list] = None  # raw values, see _aggregate_table
+        self._labels: Optional[tuple] = None  # raw values, see _raw_labels
         self._key = None  # the record of splines.key_element
         adjacency: List[List[int]] = [[] for _ in self.vertex_labels]
         for idx, e in enumerate(self.edges):
@@ -146,6 +147,16 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return f"<LabeledGraph {self.n} vertices, {len(self.edges)} edges over {self.ring}>"
+
+
+def _raw_labels(g: LabeledGraph) -> tuple:
+    """(vertex labels, edge labels) of g as lists of raw values of g.ring,
+    unwrapped once per graph; a label of another ring raises
+    DescriptorMismatchError."""
+    if g._labels is None:
+        ring = g.ring
+        g._labels = (ring.values(g.vertex_labels), ring.values(e.label for e in g.edges))
+    return g._labels
 
 
 def _aggregate_table(g: LabeledGraph) -> list:

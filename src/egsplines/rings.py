@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import kronecker
+from .kronecker import strip as _strip
+
 
 class RingError(Exception):
     """Base class for ring-layer errors."""
@@ -111,7 +114,15 @@ class RingDescriptor:
     ZZ and QQ use Python's own int and Fraction arithmetic.  A polynomial
     ring binds one set of univariate routines to the operations of its
     coefficient ring, ``coefficients``, so ZZ[x,y]'s mul runs ZZ[x]'s mul on
-    its coefficients, and that runs int multiplication.
+    its coefficients, and that runs int multiplication.  Products with
+    enough term pairs to pay a fixed cost of about 20 us instead pack both
+    operands into integers by Kronecker substitution and make one bignum
+    product (see the kronecker module).  That is exact, since every slot is
+    wider than the largest possible product coefficient, and it is skipped
+    when the dense box of exponents has more slots than the operands have
+    term pairs.  On multivariate ZZ-base rings, divide tries a large
+    dividend on packed coefficients first and keeps the quotient only after
+    multiplying it back.
     """
 
     __slots__ = (
@@ -256,13 +267,6 @@ def _const_value(c, depth: int):
     return v
 
 
-def _strip(coeffs: list) -> tuple:
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
 def _graded_lex(term):
     exps = term[0]
     return sum(exps), exps
@@ -353,11 +357,26 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     primitive pseudo-remainder sequence.  The canonical associate is
     graded-lex monic over a rational base, with a positive graded-lex
     leading coefficient over an integer one.
+
+    mul packs both operands into integers and makes one bignum product
+    (kronecker.product) when they have enough term pairs for its fixed
+    cost to pay and their box of exponents has no more slots than they
+    have term pairs; otherwise it runs the schoolbook product, whose
+    coefficient products go through c's mul and so dispatch again one
+    level down.  On multivariate ZZ-base rings, divide first tries a large
+    dividend on packed coefficients (kronecker.quotient).  Both are exact:
+    product's slots are wide enough for any product coefficient, and
+    quotient's result is checked by multiplying back.
     """
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
     cdivide, cgcd, cterms = c.divide, c.gcd, c.terms
     czero = c.zero.value
     field = c is QQ
+    depth = c.depth + 1
+    rational = c.rational_coefficients
+    min_pairs = kronecker.min_pairs(depth, rational)
+    dense = kronecker.slot_counter(depth)
+    packed_division = depth > 1 and not rational
 
     def add(a, b):
         if len(a) < len(b):
@@ -380,6 +399,14 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     def mul(a, b):
         if not a or not b:
             return ()
+        # a product with a single coefficient in the outer variable is a
+        # scaling, whose coefficient products dispatch on their own
+        if len(a) > 1 and len(b) > 1:
+            most = dense(a) * dense(b)
+            if most >= min_pairs:
+                product = kronecker.product(a, b, depth, rational, most)
+                if product is not None:
+                    return product
         out = [czero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
@@ -414,6 +441,10 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return _strip(quo), _strip(rem[:db])
 
     def divide(a, b):
+        if packed_division and dense(a) >= kronecker.MIN_DIVIDEND:
+            q = kronecker.quotient(a, b, depth - 1, mul)
+            if q is not None:
+                return q
         qr = long_division(a, b)
         return qr[0] if qr is not None and not qr[1] else None
 

@@ -118,12 +118,12 @@ def spline_violations(g: LabeledGraph, components: Sequence[RingElement]) -> Lis
     """All membership conditions the candidate fails (empty = spline).
 
     Runs on raw values through the ring's sub and divide; the components
-    and labels are unwrapped once, each checked to lie in g's ring.
+    are unwrapped, and the labels read unwrapped once per graph
+    (graph._raw_labels), each checked to lie in g's ring.
     """
     ring = g.ring
     values = ring.values(components)
-    labels = ring.values(g.vertex_labels)
-    edge_labels = ring.values(e.label for e in g.edges)
+    labels, edge_labels = graph._raw_labels(g)
     sub, divide = ring.sub, ring.divide
 
     def divides(a, b):  # with 0 | b only for b = 0
@@ -206,7 +206,7 @@ def key_element(g: LabeledGraph) -> KeyElement:
     g.require_valid()
     ring = g.ring
     lcm, gcd, mul, divide = ring.lcm, ring.gcd, ring.mul, ring.divide
-    labels = ring.values(g.vertex_labels)
+    labels = graph._raw_labels(g)[0]
     table = graph._aggregate_table(g)
     one = ring.one.value
     components = []
@@ -400,6 +400,22 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _combination(
+    g: LabeledGraph, ms: SplineMatrix, coefficients: Sequence[RingElement]
+) -> list:
+    """The components of sum(c_k F_k) as raw values of g's ring, computed
+    through its mul and add."""
+    if ms.graph is not g:
+        raise ValueError("splines live on different graphs")
+    ring = g.ring
+    add, mul = ring.add, ring.mul
+    out = [ring.zero.value] * g.n
+    for c, col in zip(ring.values(coefficients), ms.columns):
+        for v, x in enumerate(ring.values(col.components)):
+            out[v] = add(out[v], mul(c, x))
+    return out
+
+
 def express_in_basis(
     g: LabeledGraph, ms: SplineMatrix, f: Spline
 ) -> Tuple[RingElement, ...]:
@@ -407,8 +423,8 @@ def express_in_basis(
 
     Cramer's rule: the column-replaced determinants divided by the matrix
     determinant, all from one elimination (see _bareiss).  The output is
-    verified by full reconstruction before it is returned, so an
-    arithmetic fault cannot produce silent garbage.
+    verified by full reconstruction on raw values before it is returned,
+    so an arithmetic fault cannot produce silent garbage.
     """
     determinant, numerators = _bareiss(ms.rows(), f.components[::-1])
     if determinant.is_zero:
@@ -417,10 +433,7 @@ def express_in_basis(
     failed = [k for k, c in enumerate(coefficients) if c is None]
     if failed:
         raise NotInSpanError(failed[0], tuple(failed))
-    rebuilt = Spline(g, [g.ring.zero] * g.n)
-    for c, col in zip(coefficients, ms.columns):
-        rebuilt = rebuilt + col.scale(c)
-    if rebuilt != f:
+    if _combination(g, ms, coefficients) != g.ring.values(f.components) or f.graph is not g:
         raise SplineError("internal error: Cramer reconstruction mismatch")
     return tuple(coefficients)
 
@@ -443,10 +456,9 @@ def qhat_span_decomposition(
         )
     unit_inverse = exact_div(g.ring.one, unit)
     xs = [unit_inverse * y for y in numerators]
-    combined = Spline(g, [g.ring.zero] * g.n)
-    for x, col in zip(xs, ms.columns):
-        combined = combined + col.scale(x)
-    if combined != f.scale(key):
+    mul, k = g.ring.mul, key.value
+    scaled = [mul(k, x) for x in g.ring.values(f.components)]
+    if _combination(g, ms, xs) != scaled or f.graph is not g:
         raise SplineError("internal error: span decomposition mismatch")
     return tuple(xs)
 

@@ -4,11 +4,12 @@ import math
 import operator
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from egsplines import rings
+from egsplines import kronecker, rings
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -342,6 +343,122 @@ class TestExactDiv:
         # same quotient exists over QQ coefficients but not over ZZ
         assert try_exact_div(parse_element("2*x+2", ZX), parse_element("4", ZX)) is None
         assert try_exact_div(qx("2*x+2"), qx("4")) == qx("1/2*x+1/2")
+
+
+ZXYZ = polynomial_ring("x", "y", "z")
+
+
+def _random_value(rng, ring, degree, density):
+    """A raw value of ring with up to degree + 1 coefficients per level, a
+    fraction density of them nonzero: small and negative, or past 2^64, and
+    over QQ with mixed denominators."""
+
+    def build(depth):
+        if depth == 0:
+            if rng.random() > density:
+                return 0
+            c = rng.choice([rng.randint(-9, 9), rng.randint(-(2**70), 2**70), -(2**64) - 1]) or 1
+            return Fraction(c, rng.choice([1, 2, 3, 10**20])) if ring.rational_coefficients else c
+        return kronecker.strip([build(depth - 1) for _ in range(rng.randint(0, degree) + 1)])
+
+    return build(ring.depth)
+
+
+def _is_canonical(value, depth):
+    """No trailing zero at any level, and zero coefficients of polynomial
+    coefficients written as ()."""
+    if depth == 0:
+        return True
+    return (
+        isinstance(value, tuple)
+        and (not value or bool(value[-1]))
+        and all(_is_canonical(x, depth - 1) for x in value)
+    )
+
+
+def _spy(monkeypatch, name):
+    """Replace kronecker.<name> by a wrapper; returns the list of whether
+    each call returned a packed result."""
+    real, outcomes = getattr(kronecker, name), []
+
+    def spy(*args):
+        out = real(*args)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(kronecker, name, spy)
+    return outcomes
+
+
+class TestPackedKernels:
+    # (ring, degrees per level): the small degrees stay under the ring's
+    # packing cutoff, the large ones pass it
+    CASES = [(ZX, (2, 6, 30)), (QX, (1, 2, 8)), (ZXY, (1, 3, 8)), (QXY, (1, 2, 5)), (ZXYZ, (1, 2, 3))]
+
+    def test_products_match_schoolbook(self, monkeypatch):
+        rng = random.Random(2026)
+        for ring, degrees in self.CASES:
+            product, count = kronecker.product, kronecker.slot_counter(ring.depth)
+            least = kronecker.min_pairs(ring.depth, ring.rational_coefficients)
+            dispatched, sides = _spy(monkeypatch, "product"), set()
+            for trial in range(36):
+                degree = degrees[trial % 3]
+                density = (1.0, 0.6)[trial % 2]
+                a = _random_value(rng, ring, degree, density)
+                b = _random_value(rng, ring, degree, density)
+                got = rings.RingElement(ring, ring.mul(a, b))
+                with monkeypatch.context() as schoolbook:
+                    schoolbook.setattr(kronecker, "product", lambda *args: None)
+                    expected = rings.RingElement(ring, ring.mul(a, b))
+                assert got == expected and hash(got) == hash(expected)
+                assert _is_canonical(got.value, ring.depth)
+                if a and b:
+                    sides.add(count(a) * count(b) >= least)
+                    # packed on any size, under the cutoff too
+                    forced = product(a, b, ring.depth, ring.rational_coefficients, 10**9)
+                    if forced is not None:
+                        assert forced == expected.value and _is_canonical(forced, ring.depth)
+                        assert hash(forced) == hash(expected.value)
+            # both sides of the cutoff were reached, and the dispatch packed
+            assert sides == {False, True} and True in dispatched, ring
+            monkeypatch.undo()
+
+    def test_quotients_match_long_division(self, monkeypatch):
+        rng = random.Random(2027)
+        for ring, degree in ((ZXY, 10), (ZXYZ, 5)):
+            packed = _spy(monkeypatch, "quotient")
+            for trial in range(30):
+                q = _random_value(rng, ring, degree, (1.0, 0.7)[trial % 2])
+                b = _random_value(rng, ring, 1 + trial % 3, 1.0)
+                if not b or ring.canon(b) == ring.one.value:
+                    continue
+                a = ring.mul(q, b)
+                not_multiple = ring.add(a, ring.one.value)
+                assert ring.divide(a, b) == q
+                assert ring.divide(not_multiple, b) is None
+                if a:
+                    assert kronecker.quotient(not_multiple, b, ring.depth - 1, ring.mul) is None
+                with monkeypatch.context() as schoolbook:
+                    schoolbook.setattr(kronecker, "quotient", lambda *args: None)
+                    assert ring.divide(a, b) == q
+                    assert ring.divide(not_multiple, b) is None
+            assert packed.count(True) >= 5, (ring, packed)
+            monkeypatch.undo()
+
+    def test_sparse_product_in_many_variables(self):
+        # the dense box of (1 + x0 + ... + x7)^2 squared has 5^8 slots
+        # against 45 * 45 term pairs: it must stay on the schoolbook path
+        names = [f"x{i}" for i in range(8)]
+        ring = polynomial_ring(*names)
+        s = parse_element("(1+" + "+".join(names) + ")^2", ring)
+        assert kronecker.product(s.value, s.value, 8, False, 10**9) is None
+        start = time.perf_counter()
+        p = s * s
+        assert time.perf_counter() - start < 0.1
+        terms = dict(ring.terms(p.value))
+        assert len(terms) == math.comb(12, 4)  # monomials of degree <= 4 in 8 variables
+        assert terms[(0,) * 8] == 1 and terms[(1, 1, 1, 1, 0, 0, 0, 0)] == 24
+        assert terms[(0, 0, 0, 0, 0, 0, 0, 4)] == 1
 
 
 class TestGcdLcm:

@@ -9,6 +9,8 @@ constructed but equal descriptors, so the checks also exercise rings being
 one object each: mixing the two constructions must never raise.
 """
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,3 +271,56 @@ def test_euclidean_xgcd_matches_sympy(case):
     expected = sympy.gcd(pa, pb)
     expected = abs(expected) if name == "ZZ" else graded_lex_normal(expected)
     assert terms_of(g) == sympy_terms(expected)
+
+
+Z = sympy.symbols("z")
+# name -> (ring, sympy generators, sympy domain, term counts per operand on
+# each side of the ring's packing cutoff)
+PACKED = {
+    "ZZ[x]": (polynomial_ring("x"), (X,), sympy.ZZ, (5, 40)),
+    "QQ[x]": (polynomial_ring("x", base=rings.QQ), (X,), sympy.QQ, (2, 12)),
+    "ZZ[x,y]": (polynomial_ring("x", "y"), (X, Y), sympy.ZZ, (3, 30)),
+    "QQ[x,y]": (polynomial_ring("x", "y", base=rings.QQ), (X, Y), sympy.QQ, (2, 20)),
+    "ZZ[x,y,z]": (polynomial_ring("x", "y", "z"), (X, Y, Z), sympy.ZZ, (3, 25)),
+}
+
+
+def random_terms(rng, ring, count):
+    """{exponents: coefficient} with count terms of degree at most 2*count
+    in one variable and 6 per variable in more: negative coefficients,
+    coefficients past 2^64, gaps between exponents, and over QQ mixed
+    denominators."""
+    degree = 2 * count if ring.depth == 1 else 6
+    terms = {}
+    while len(terms) < count:
+        exps = tuple(rng.randint(0, degree) for _ in ring.variables)
+        c = rng.choice([rng.randint(-9, 9), rng.randint(-(2**80), 2**80)]) or 1
+        terms[exps] = Fraction(c, rng.choice([1, 4, 9, 3**41])) if ring.rational_coefficients else c
+    return terms
+
+
+@pytest.mark.parametrize("name", sorted(PACKED))
+def test_products_and_quotients_on_both_sides_of_the_cutoff(name):
+    ring, gens, domain, sizes = PACKED[name]
+    rng = random.Random(name)
+    for trial in range(12):
+        terms_a = random_terms(rng, ring, sizes[trial % 2])
+        terms_b = random_terms(rng, ring, sizes[trial // 2 % 2])
+        a, b = parse_element(text(terms_a, ring), ring), parse_element(text(terms_b, ring), ring)
+        pa = sympy.Poly.from_dict(terms_a, *gens, domain=domain)
+        pb = sympy.Poly.from_dict(terms_b, *gens, domain=domain)
+        product = a * b
+        assert terms_of(product) == sympy_terms(pa * pb)
+        assert product == parse_element(format_element(product), ring)
+        assert exact_div(product, b) == a
+        assert try_exact_div(product + ring.one, b) is None
+
+
+def test_power_of_a_trinomial_is_fast():
+    ring = polynomial_ring("x", "y", base=rings.QQ)
+    start = time.perf_counter()
+    power = parse_element("(x+y+1)^50", ring)
+    elapsed = time.perf_counter() - start
+    expected = sympy.Poly((X + Y + 1) ** 50, X, Y, domain=sympy.QQ)
+    assert terms_of(power) == sympy_terms(expected)
+    assert elapsed < 0.2

@@ -116,6 +116,24 @@ class TestIsSpline:
     def test_target_is_spline(self, t4, t4_target):
         assert is_spline(t4, t4_target.components)
 
+    def test_labels_unwrapped_once_per_graph(self, monkeypatch):
+        g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(6)), (1, 2, zz(4))])
+        real, unwrapped = rings.RingDescriptor.values, []
+
+        def values(ring, elements):
+            out = real(ring, elements)
+            unwrapped.append(len(out))
+            return out
+
+        monkeypatch.setattr(rings.RingDescriptor, "values", values)
+        for _ in range(4):
+            assert spline_violations(g, [zz(2), zz(9), zz(10)]) == [
+                "edge 1 (v1,v2): difference is not a multiple of 6",
+                "edge 2 (v2,v3): difference is not a multiple of 4",
+            ]
+        # the components on every call; the 3 vertex and 2 edge labels once
+        assert unwrapped == [3, 3, 2, 3, 3, 3]
+
     def test_module_closure(self):
         rng = random.Random(31)
         for seed in range(15):
@@ -595,6 +613,21 @@ class TestExpress:
         )
         with pytest.raises(ZeroDivisionError):
             express_in_basis(p2, ms, Spline(p2, [zz(2), zz(6)]))
+
+    def test_reconstruction_mismatch_raises(self, monkeypatch, p2, p2_basis):
+        # numerators off by one determinant still divide, into coefficients
+        # off by one: the raw-value reconstruction must refuse them
+        real = splines._bareiss
+
+        def faulty(rows, rhs=None):
+            det, ys = real(rows, rhs)
+            return det, [y + det for y in ys]
+
+        monkeypatch.setattr(splines, "_bareiss", faulty)
+        with pytest.raises(splines.SplineError, match="^internal error: Cramer reconstruction mismatch$"):
+            express_in_basis(p2, p2_basis, Spline(p2, [zz(6), zz(42)]))
+        with pytest.raises(splines.SplineError, match="^internal error: span decomposition mismatch$"):
+            qhat_span_decomposition(p2, p2_basis, Spline(p2, [zz(2), zz(6)]))
 
 
 class TestSpanDecomposition:
