@@ -22,31 +22,27 @@ from fractions import Fraction
 from typing import Optional
 
 # Fewest term pairs, counted with interior zeros, for which a product is
-# packed, for one variable and for more.  The packed path costs about
-# 20 us even on tiny operands.  Dense random operands with coefficients up
-# to 50 (over QQ, a third of them with denominator 2 or 3), 2-core x86-64,
-# CPython 3.11, schoolbook against packed: ZZ[x] 9x9 terms 20 against
-# 29 us, 12x12 33 against 30 us; ZZ[x,y] 4x4 22 against 31 us, 9x9 63
-# against 42 us; QQ[x] 2x2 24 against 28 us, 3x3 52 against 37 us (every
-# rational schoolbook step takes a gcd).  In several variables the count
-# with interior zeros overstates small operands: (x+1/2*y)*(x*y-3) counts
-# 9 pairs for 4 and takes 45 us by schoolbook against 57 us packed.
-MIN_PAIRS_ZZ = (128, 36)
-MIN_PAIRS_QQ = (9, 16)
+# packed, keyed by (rational base, more than one variable).  The packed
+# path costs about 20 us even on tiny operands.  Dense random operands
+# with coefficients up to 50 (over QQ, a third of them with denominator 2
+# or 3), 2-core x86-64, CPython 3.11, schoolbook against packed: ZZ[x]
+# 9x9 terms 20 against 29 us, 12x12 33 against 30 us; ZZ[x,y] 4x4 22
+# against 31 us, 9x9 63 against 42 us; QQ[x] 2x2 24 against 28 us, 3x3 52
+# against 37 us (every rational schoolbook step takes a gcd).  In several
+# variables the count with interior zeros overstates small operands:
+# (x+1/2*y)*(x*y-3) counts 9 pairs for 4 and takes 45 us by schoolbook
+# against 57 us packed.
+MIN_PAIRS = {(False, False): 128, (False, True): 36, (True, False): 9, (True, True): 16}
 # Fewest dense slots of a dividend for which an exact division over a
 # multivariate ZZ-base ring is first tried on packed coefficients.  One
 # in-process pass over the poly_cli benchmark instances (seed 3, median of
 # 6 alternating repeats) took 2.30 s with this cutoff, 2.32 s at 10 and
-# 2.42 s at 30 slots, and 2.72 s without the packed path.
+# 2.42 s at 30 slots, and 2.72 s without the packed path.  Ten alternating
+# poly_cli benchmark pairs (seed 3, 20 s) read 92.3 ips and a 28.2 ms tail
+# with the packed path against 81.5 ips and 34.8 ms without it.
 MIN_DIVIDEND = 100
 # struct formats of the slot widths that are packed and unpacked in one call
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def min_pairs(depth: int, rational: bool) -> int:
-    """Fewest term pairs for which a product in a ring of this many
-    variables and this base is packed."""
-    return (MIN_PAIRS_QQ if rational else MIN_PAIRS_ZZ)[depth > 1]
 
 
 def strip(coeffs: list) -> tuple:
@@ -58,18 +54,14 @@ def strip(coeffs: list) -> tuple:
     return tuple(coeffs[:n])
 
 
-def slot_counter(depth: int):
-    """The function counting the scalar slots of the nested tuples of a
-    value with depth variables, zeros included: a bound on its number of
-    terms."""
-    count = len
-    for _ in range(depth - 1):
-        count = _summing(count)
-    return count
-
-
-def _summing(count):
-    return lambda a: sum(map(count, a))
+def dense(a, depth: int) -> int:
+    """The scalar slots of the nested tuples of a value with depth
+    variables, zeros included: a bound on its number of terms."""
+    if depth == 1:
+        return len(a)
+    if depth == 2:
+        return sum(map(len, a))
+    return sum([dense(x, depth - 1) for x in a])
 
 
 def _slot_width(bound: int) -> int:
@@ -201,9 +193,11 @@ def quotient(a, b, inner_depth: int, mul):
     if len(a) * g > len(ia) * len(ib):
         return None
     # a quotient coefficient exceeds the dividend's by at most a factor of
-    # about 2^degree (Mignotte); an overflow fails the check below
+    # about 2^degree (Mignotte), and a quotient slot that overflows fails
+    # the check below; the divisor's slots must hold it exactly
     degree = len(a) - 1 + sum(dims) - len(dims)
-    s = _slot_width((max(abs(x) for _, x in ia) << degree) * len(ia))
+    bound = (max(abs(x) for _, x in ia) << degree) * len(ia)
+    s = _slot_width(max(bound, max(abs(y) for _, y in ib)))
     width = g * s
 
     def coefficients(items, length):

@@ -374,8 +374,8 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     field = c is QQ
     depth = c.depth + 1
     rational = c.rational_coefficients
-    min_pairs = kronecker.min_pairs(depth, rational)
-    dense = kronecker.slot_counter(depth)
+    min_pairs = kronecker.MIN_PAIRS[rational, depth > 1]
+    dense = kronecker.dense
     packed_division = depth > 1 and not rational
 
     def add(a, b):
@@ -402,7 +402,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         # a product with a single coefficient in the outer variable is a
         # scaling, whose coefficient products dispatch on their own
         if len(a) > 1 and len(b) > 1:
-            most = dense(a) * dense(b)
+            most = dense(a, depth) * dense(b, depth)
             if most >= min_pairs:
                 product = kronecker.product(a, b, depth, rational, most)
                 if product is not None:
@@ -441,7 +441,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return _strip(quo), _strip(rem[:db])
 
     def divide(a, b):
-        if packed_division and dense(a) >= kronecker.MIN_DIVIDEND:
+        if packed_division and dense(a, depth) >= kronecker.MIN_DIVIDEND:
             q = kronecker.quotient(a, b, depth - 1, mul)
             if q is not None:
                 return q

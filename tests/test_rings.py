@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from egsplines import kronecker, rings
+from egsplines.graph import LabeledGraph
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -37,6 +38,7 @@ from egsplines.rings import (
     polynomial_ring,
     try_exact_div,
 )
+from egsplines.splines import spline_violations
 
 from conftest import QX, QXY, ZX, ZXY, qx, qxy, zxy, zz
 
@@ -398,8 +400,8 @@ class TestPackedKernels:
     def test_products_match_schoolbook(self, monkeypatch):
         rng = random.Random(2026)
         for ring, degrees in self.CASES:
-            product, count = kronecker.product, kronecker.slot_counter(ring.depth)
-            least = kronecker.min_pairs(ring.depth, ring.rational_coefficients)
+            product = kronecker.product
+            least = kronecker.MIN_PAIRS[ring.rational_coefficients, ring.depth > 1]
             dispatched, sides = _spy(monkeypatch, "product"), set()
             for trial in range(36):
                 degree = degrees[trial % 3]
@@ -413,7 +415,7 @@ class TestPackedKernels:
                 assert got == expected and hash(got) == hash(expected)
                 assert _is_canonical(got.value, ring.depth)
                 if a and b:
-                    sides.add(count(a) * count(b) >= least)
+                    sides.add(kronecker.dense(a, ring.depth) * kronecker.dense(b, ring.depth) >= least)
                     # packed on any size, under the cutoff too
                     forced = product(a, b, ring.depth, ring.rational_coefficients, 10**9)
                     if forced is not None:
@@ -444,6 +446,23 @@ class TestPackedKernels:
                     assert ring.divide(not_multiple, b) is None
             assert packed.count(True) >= 5, (ring, packed)
             monkeypatch.undo()
+
+    def test_divisor_with_wider_coefficients_than_the_dividend(self, monkeypatch):
+        # a dividend of 100 dense slots with coefficients 1, and divisors
+        # whose coefficients need wider slots than the dividend's bound
+        a = zxy("*".join("(" + "+".join(f"{v}^{i}" for i in range(10)) + ")" for v in "xy"))
+        assert kronecker.dense(a.value, 2) >= kronecker.MIN_DIVIDEND
+        packed = _spy(monkeypatch, "quotient")
+        for b in (zxy(f"{2**40}*x + y"), zxy(f"x - {2**100}*y")):
+            assert ZXY.divide(a.value, b.value) is None
+            assert try_exact_div(a, b) is None and not rings.divides(b, a)
+            assert exact_div(a * b, b) == a
+            g = LabeledGraph(ZXY, [ZXY.one, ZXY.one], [(0, 1, b)])
+            assert spline_violations(g, [a, ZXY.zero]) == [
+                f"edge 1 (v1,v2): difference is not a multiple of {b}"
+            ]
+            assert spline_violations(g, [a * b, ZXY.zero]) == []
+        assert len(packed) >= 6 and True in packed
 
     def test_sparse_product_in_many_variables(self):
         # the dense box of (1 + x0 + ... + x7)^2 squared has 5^8 slots
