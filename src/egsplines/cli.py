@@ -166,14 +166,14 @@ def _emit(doc: dict, as_json: bool, lines: Sequence[str]) -> None:
 def cmd_qhat(args) -> int:
     g = load_instance(args.instance)
     key = splines.key_element(g)
-    lines = [f"Q({g.vertex_name(i)}) = {c}" for i, c in enumerate(key.components)]
-    lines.append(f"Qhat = {key.qhat}")
     doc = {"components": [str(c) for c in key.components], "qhat": str(key.qhat)}
+    lines = [f"Q({g.vertex_name(i)}) = {c}" for i, c in enumerate(doc["components"])]
+    lines.append(f"Qhat = {doc['qhat']}")
     if args.classical:
-        lines.append(f"Q_G = {key.classical_qg}")
-        lines.append(f"H = {key.h_factor}")
         doc["classical_qg"] = str(key.classical_qg)
         doc["h_factor"] = str(key.h_factor)
+        lines.append(f"Q_G = {doc['classical_qg']}")
+        lines.append(f"H = {doc['h_factor']}")
     _emit(doc, args.json, lines)
     return EXIT_OK
 
@@ -186,24 +186,17 @@ def cmd_certify(args) -> int:
             f"need exactly {g.n} splines to certify, got {len(columns)}"
         )
     cert = splines.certify_basis(g, SplineMatrix(g, columns))
-    name = cert.verdict.name.lower()
-    lines = [
-        f"verdict: {name}",
-        f"determinant: {cert.determinant}",
-        f"qhat: {cert.qhat}",
-    ]
     doc = {
-        "verdict": name,
+        "verdict": cert.verdict.name.lower(),
         "determinant": str(cert.determinant),
         "qhat": str(cert.qhat),
     }
     if cert.unit is not None:
-        lines.append(f"unit: {cert.unit}")
         doc["unit"] = str(cert.unit)
+    lines = [f"{field}: {text}" for field, text in doc.items()]
     if cert.failing_columns:
-        cols = ", ".join(str(i + 1) for i in cert.failing_columns)
-        lines.append(f"non-spline columns: {cols}")
         doc["failing_columns"] = [i + 1 for i in cert.failing_columns]
+        lines.append("non-spline columns: " + ", ".join(map(str, doc["failing_columns"])))
     _emit(doc, args.json, lines)
     if cert.verdict is Verdict.CERTIFIED:
         return EXIT_OK
@@ -216,32 +209,29 @@ def cmd_flowup(args) -> int:
     g = load_instance(args.instance)
     basis = pid.flow_up_basis(g)
     report = pid.verify_flow_up(g, basis)
-    determinant, key, unit = report.determinant, report.key, report.unit
-    lines = []
-    for cls in basis.classes:
-        lines.append(
-            f"F({cls.index + 1}) = ({', '.join(_spline_strings(cls.spline))})"
-        )
+    unit = report.unit
+    doc = {
+        "splines": [_spline_strings(cls.spline) for cls in basis.classes],
+        "leading_terms": [str(t) for t in basis.leading_terms()],
+        "determinant": str(report.determinant),
+        "qhat": str(report.key),
+        "unit": None if unit is None else str(unit),
+        "verified": report.ok,
+    }
+    lines = [
+        f"F({cls.index + 1}) = ({', '.join(row)})"
+        for cls, row in zip(basis.classes, doc["splines"])
+    ]
+    lines.append("leading terms: " + ", ".join(doc["leading_terms"]))
+    lines.append(f"determinant: {doc['determinant']}")
+    lines.append(f"qhat: {doc['qhat']}")
     lines.append(
-        "leading terms: " + ", ".join(str(t) for t in basis.leading_terms())
-    )
-    lines.append(f"determinant: {determinant}")
-    lines.append(f"qhat: {key}")
-    lines.append(
-        f"determinant = {unit} * qhat" if unit is not None else "determinant does not match qhat"
+        f"determinant = {doc['unit']} * qhat" if unit is not None else "determinant does not match qhat"
     )
     lines.append("verification: " + ("all checks passed" if report.ok else "FAILED"))
     for check in report.checks:
         if not check.ok:
             lines.append(f"  failed: {check.name} ({check.detail})")
-    doc = {
-        "splines": [_spline_strings(cls.spline) for cls in basis.classes],
-        "leading_terms": [str(t) for t in basis.leading_terms()],
-        "determinant": str(determinant),
-        "qhat": str(key),
-        "unit": None if unit is None else str(unit),
-        "verified": report.ok,
-    }
     _emit(doc, args.json, lines)
     return EXIT_OK if report.ok else EXIT_REFUTED
 

@@ -12,6 +12,9 @@ loop of a schoolbook product (Kronecker 1882; Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 44 (2009)).  Buffers are built with int.from_bytes and int.to_bytes, with
 an explicit length and byte order, never by shifting and adding.
+
+quotient only packs and unpacks: the long division runs in the univariate
+ZZ ring whose divide it is given.
 """
 
 from __future__ import annotations
@@ -166,19 +169,19 @@ def product(a, b, depth: int, rational: bool, most_pairs: int):
     return _rebuild(flat, dims)
 
 
-def quotient(a, b, inner_depth: int, mul):
+def quotient(a, b, inner_depth: int, mul, divide):
     """The exact quotient a/b of nonzero values over a ZZ base with
     inner_depth >= 1 variables below the outermost, or None when this path
     cannot vouch for one.
 
     Each coefficient in the outermost variable is packed into one integer
-    over the box of the dividend's inner degrees, and the long division in
-    the outermost variable runs on those integers.  Dividing the whole
-    packed integers instead is slower, since CPython's int division is
-    quadratic.  The quotient is accepted only when it unpacks and
-    mul(q, b) == a; every other outcome returns None, and the caller falls
-    back to its schoolbook long division.  The box holds no more slots than
-    the operands have term pairs.
+    over the box of the dividend's inner degrees, and divide, the exact
+    division of a univariate ZZ ring, divides the packed polynomials.
+    Dividing the whole packed integers instead is slower, since CPython's
+    int division is quadratic.  The quotient is accepted only when it
+    unpacks and mul(q, b) == a; every other outcome returns None, and the
+    caller falls back to its long division.  The box holds no more slots
+    than the operands have term pairs.
     """
     ia = [(i, x) for i, x in enumerate(a) if x]
     ib = [(j, y) for j, y in enumerate(b) if y]
@@ -202,28 +205,14 @@ def quotient(a, b, inner_depth: int, mul):
 
     def coefficients(items, length):
         pos, neg = _buffers(items, length * g, s)
-        return [
+        return tuple(
             int.from_bytes(pos[i:i + width], "little")
             - int.from_bytes(neg[i:i + width], "little")
             for i in range(0, length * width, width)
-        ]
+        )
 
-    rem, divisor = coefficients(ia, len(a)), coefficients(ib, len(b))
-    db = len(divisor) - 1
-    lead = divisor[db]
-    quo = [0] * (len(rem) - db)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        top = rem[k + db]
-        if not top:
-            continue
-        q, r = divmod(top, lead)
-        if r:
-            return None
-        quo[k] = q
-        for j, y in enumerate(divisor):
-            if y:
-                rem[k + j] -= q * y
-    if any(rem[:db]):
+    quo = divide(coefficients(ia, len(a)), coefficients(ib, len(b)))
+    if quo is None:
         return None
     out = []
     for q in quo:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .graph import LabeledGraph
-from .rings import ZZ, Congruence, RingElement, crt
+from .rings import ZZ, RingElement, lcm_many
 from .splines import Spline
 
 _PRIMES = [
@@ -206,19 +206,18 @@ def brute_minimal_leading_entry(
 
     Any admissible t is a multiple of the vertex label and of every label on
     an edge down to the zeroed vertices (both forced by the definition, not
-    by the formula under test), so those congruences are merged once and
-    candidates iterate over the solution class; each candidate is then
-    decided by the exhaustive per-prime residue search.
+    by the formula under test), so candidates iterate over the multiples of
+    their lcm; each candidate is then decided by the exhaustive per-prime
+    residue search.
     """
     _require_integers(g)
     g.require_valid()
-    forced = [Congruence(ZZ.zero, g.vertex_labels[index])]
+    forced = [g.vertex_labels[index]]
     for e in g.edges:
         a, b = e.endpoints()
         if max(a, b) == index and min(a, b) < index:
-            forced.append(Congruence(ZZ.zero, e.label))
-    _, modulus = crt(forced)
-    step = modulus.value
+            forced.append(e.label)
+    step = lcm_many(forced).value
     t = step
     while t <= bound:
         if _flow_up_exists(g, index, t):

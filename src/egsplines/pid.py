@@ -277,7 +277,7 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
         FlowUpCheck(
             "determinant is a unit multiple of the key element",
             unit is not None,
-            f"det = {determinant}, key element = {key.qhat}",
+            "ok" if unit is not None else f"det = {determinant}, key element = {key.qhat}",
         )
     )
     for cls, expected in zip(basis.classes, key.components):
@@ -286,7 +286,7 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
             FlowUpCheck(
                 f"leading term {cls.index + 1} matches the formula value",
                 ok,
-                f"leading term {cls.leading_term}, formula {expected}",
+                "ok" if ok else f"leading term {cls.leading_term}, formula {expected}",
             )
         )
     return FlowUpReport(tuple(checks), determinant, key.qhat, unit)

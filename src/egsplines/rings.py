@@ -162,12 +162,7 @@ class RingDescriptor:
         rational = "rationals" in (kind, base)
         coefficients = None
         if depth > 1:
-            coefficients = _RINGS.get((kind, variables[:-1], base))
-            if coefficients is None:
-                # build the missing coefficient rings bottom-up, so that
-                # construction never recurses more than one level deep
-                for k in range(1, depth):
-                    coefficients = RingDescriptor(kind, variables[:k], base)
+            coefficients = RingDescriptor(kind, variables[:-1], base)
         elif depth:
             coefficients = RingDescriptor(base)
         table = _polynomial_operations(coefficients) if depth else _SCALAR_OPERATIONS[kind]
@@ -367,6 +362,10 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     dividend on packed coefficients (kronecker.quotient).  Both are exact:
     product's slots are wide enough for any product coefficient, and
     quotient's result is checked by multiplying back.
+
+    long_division is the package's one polynomial division loop: divide,
+    the Euclidean remainder over QQ, the PRS pseudo-remainder and, through
+    the univariate ZZ ring's divide, kronecker.quotient all run it.
     """
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
     cdivide, cgcd, cterms = c.divide, c.gcd, c.terms
@@ -376,7 +375,9 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     rational = c.rational_coefficients
     min_pairs = kronecker.MIN_PAIRS[rational, depth > 1]
     dense = kronecker.dense
-    packed_division = depth > 1 and not rational
+    packed_divide = None  # the univariate ZZ ring divides packed coefficients
+    if depth > 1 and not rational:
+        packed_divide = RingDescriptor(c.kind, c.variables[:1], c.base).divide
 
     def add(a, b):
         if len(a) < len(b):
@@ -441,8 +442,8 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return _strip(quo), _strip(rem[:db])
 
     def divide(a, b):
-        if packed_division and dense(a, depth) >= kronecker.MIN_DIVIDEND:
-            q = kronecker.quotient(a, b, depth - 1, mul)
+        if packed_divide and dense(a, depth) >= kronecker.MIN_DIVIDEND:
+            q = kronecker.quotient(a, b, depth - 1, mul, packed_divide)
             if q is not None:
                 return q
         qr = long_division(a, b)
@@ -500,18 +501,20 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return cont, _strip([cdivide(x, cont) for x in a])
 
     def pseudo_remainder(a, b):
-        """r = u*a mod b with deg r < deg b, for some power u of lc(b).
+        """The remainder of lc(b)^(deg a - deg b + 1) * a by b, or a when
+        deg a < deg b (Knuth, TAOCP Vol. 2, 4.6.1, Algorithm R).
 
-        Only used inside the PRS loop, where the cofactor is irrelevant
-        because the primitive part is taken immediately afterwards.
+        The scaling makes each of long_division's deg a - deg b + 1
+        divisions by lc(b) exact in c: after j steps the remainder is
+        lc(b)^(deg a - deg b + 1 - j) times a polynomial over c.  The PRS
+        takes the primitive part at once, so the cofactor does not matter.
         """
-        db = len(b) - 1
-        lead_b = b[-1]
-        rem = a
-        while rem and len(rem) - 1 >= db:
-            shifted = (czero,) * (len(rem) - 1 - db) + b
-            rem = sub(scale(rem, lead_b), scale(shifted, rem[-1]))
-        return rem
+        if len(a) < len(b):
+            return a
+        lead = u = b[-1]
+        for _ in range(len(a) - len(b)):
+            u = cmul(u, lead)
+        return long_division(scale(a, u), b)[1]
 
     def gcd(a, b):
         if not a:

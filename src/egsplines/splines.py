@@ -390,7 +390,7 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     unit = rings.associate_unit(determinant, key)
     if unit is not None:
         return BasisCertificate(Verdict.CERTIFIED, determinant, key, unit=unit)
-    if coprime_label_violation(g) is None or g.ring.is_pid:
+    if g.ring.is_pid or coprime_label_violation(g) is None:
         return BasisCertificate(Verdict.REFUTED_BY_COPRIME_CONVERSE, determinant, key)
     return BasisCertificate(Verdict.INCONCLUSIVE, determinant, key)
 

@@ -439,7 +439,7 @@ class TestPackedKernels:
                 assert ring.divide(a, b) == q
                 assert ring.divide(not_multiple, b) is None
                 if a:
-                    assert kronecker.quotient(not_multiple, b, ring.depth - 1, ring.mul) is None
+                    assert kronecker.quotient(not_multiple, b, ring.depth - 1, ring.mul, ZX.divide) is None
                 with monkeypatch.context() as schoolbook:
                     schoolbook.setattr(kronecker, "quotient", lambda *args: None)
                     assert ring.divide(a, b) == q

@@ -1,12 +1,13 @@
 """Property tests of the ring layer against sympy.
 
 Ring arithmetic, the canonical associate, gcd, exact division and the
-parse/format round trip over ZZ, QQ[x], ZZ[x,y] and QQ[x,y], and division
-with remainder and the extended gcd over the Euclidean rings ZZ and QQ[x],
-with sympy as a second implementation that shares no code with
-egsplines.rings.  The operands of each check are built in separately
-constructed but equal descriptors, so the checks also exercise rings being
-one object each: mixing the two constructions must never raise.
+parse/format round trip over ZZ, QQ[x], ZZ[x,y] and QQ[x,y], gcd and lcm
+over ZZ[x,y,z] too, and division with remainder and the extended gcd over
+the Euclidean rings ZZ and QQ[x], with sympy as a second implementation
+that shares no code with egsplines.rings.  The operands of each check are
+built in separately constructed but equal descriptors, so the checks also
+exercise rings being one object each: mixing the two constructions must
+never raise.
 """
 
 import random
@@ -29,12 +30,13 @@ from egsplines.rings import (
     exact_div,
     format_element,
     gcd,
+    lcm,
     parse_element,
     polynomial_ring,
     try_exact_div,
 )
 
-X, Y = sympy.symbols("x y")
+X, Y, Z = sympy.symbols("x y z")
 
 # name -> (two separately constructed descriptors, sympy generators, sympy domain)
 RINGS = {
@@ -57,6 +59,11 @@ RINGS = {
         (X, Y),
         sympy.QQ,
     ),
+    "ZZ[x,y,z]": (
+        (RingDescriptor("polynomial", ("x", "y", "z"), "integers"), polynomial_ring("x", "y", "z")),
+        (X, Y, Z),
+        sympy.ZZ,
+    ),
 }
 
 nonzero = st.integers(-20, 20).filter(bool)
@@ -71,6 +78,7 @@ TERMS = {
         st.builds(Fraction, nonzero, st.integers(1, 6)),
         max_size=4,
     ),
+    "ZZ[x,y,z]": st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), nonzero, max_size=4),
 }
 PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -80,7 +88,10 @@ def pair(name):
     return st.tuples(st.just(name), TERMS[name], TERMS[name])
 
 
-pairs = st.sampled_from(sorted(RINGS)).flatmap(pair)
+pairs = st.sampled_from(["QQ[x]", "QQ[x,y]", "ZZ", "ZZ[x,y]"]).flatmap(pair)
+# ZZ[x,y,z] only in the gcd and lcm tests: depth 3 runs the PRS over
+# ZZ[x,y] coefficients
+gcd_pairs = st.sampled_from(sorted(RINGS)).flatmap(pair)
 euclidean_pairs = st.sampled_from(["QQ[x]", "ZZ"]).flatmap(pair)
 
 
@@ -138,8 +149,23 @@ def build(name, terms_a, terms_b):
     return parse_element(text(terms_a, first), first), parse_element(text(terms_b, second), second)
 
 
+def expanded(name, expression):
+    """{exponents: coefficient} of a sympy expression in the generators of ring name."""
+    _, gens, domain = RINGS[name]
+    return sympy_terms(sympy.Poly(expression, *gens, domain=domain))
+
+
+# operands with a common factor, over ZZ[x,y,z]
+COMMON_FACTOR = (
+    "ZZ[x,y,z]",
+    expanded("ZZ[x,y,z]", (X * Z + Y) * (Z**2 - 2 * X * Y)),
+    expanded("ZZ[x,y,z]", (X * Z + Y) * (3 * Y * Z + 2)),
+)
+
+
 @PROPERTY
-@given(case=pairs)
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
 def test_gcd_matches_sympy(case):
     name, terms_a, terms_b = case
     a, b = build(name, terms_a, terms_b)
@@ -154,6 +180,52 @@ def test_gcd_matches_sympy(case):
         # sympy and egsplines normalise the sign by different term orders
         options = (sympy_terms(expected), sympy_terms(-expected))
         assert got in options
+
+
+@PROPERTY
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
+def test_lcm_matches_sympy(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    if a.is_zero or b.is_zero:
+        # sympy's lcm divides by zero over QQ here
+        assert lcm(a, b).is_zero
+        return
+    expected = sympy.lcm(to_sympy(name, terms_a), to_sympy(name, terms_b))
+    expected = abs(expected) if name == "ZZ" else graded_lex_normal(expected)
+    assert terms_of(lcm(a, b)) == sympy_terms(expected)
+
+
+# (a, b) over ZZ[x,y] and QQ[x,y] for the PRS; y is the outer variable
+PRS_CASES = [
+    # deg a < deg b, with a common content
+    ((X + 1) * (Y + X), (X + 1) * (Y**3 + 2 * X * Y - 1)),
+    # b divides a
+    ((3 * X * Y**2 - Y + X**2) * (2 * X * Y + 5), 2 * X * Y + 5),
+    # non-monic leading coefficients in y, degrees 3 and 4
+    (((X**2 + 3) * Y**2 - 2) * ((2 * X + 1) * Y + X), ((X**2 + 3) * Y**2 - 2) * ((X - 4) * Y**2 + 7)),
+    # degrees 7 and 4: lc(b)^4 scales a
+    ((X * Y**3 + 2) * ((2 * X + 3) * Y**4 - X), (X * Y**3 + 2) * (5 * X * Y + 1)),
+    # nontrivial integer and polynomial contents
+    (6 * (X**2 - 1) * (Y**2 + X * Y + 2), 4 * (X - 1) * (X * Y - 3) * (Y**2 + X * Y + 2)),
+]
+
+
+@pytest.mark.parametrize("name", ["ZZ[x,y]", "QQ[x,y]"])
+@pytest.mark.parametrize("case", range(len(PRS_CASES)))
+def test_pseudo_remainder_sequence_cases(name, case):
+    terms_a, terms_b = (expanded(name, e) for e in PRS_CASES[case])
+    a, b = build(name, terms_a, terms_b)
+    pa, pb = to_sympy(name, terms_a), to_sympy(name, terms_b)
+    expected = sympy_terms(graded_lex_normal(sympy.gcd(pa, pb)))
+    assert terms_of(gcd(a, b)) == terms_of(gcd(b, a)) == expected
+    assert terms_of(lcm(a, b)) == sympy_terms(graded_lex_normal(sympy.lcm(pa, pb)))
+    q, r = sympy.div(pa, pb)
+    got = try_exact_div(a, b)
+    assert (got is not None) == r.is_zero
+    if got is not None:
+        assert terms_of(got) == sympy_terms(q)
 
 
 @PROPERTY
@@ -273,7 +345,6 @@ def test_euclidean_xgcd_matches_sympy(case):
     assert terms_of(g) == sympy_terms(expected)
 
 
-Z = sympy.symbols("z")
 # name -> (ring, sympy generators, sympy domain, term counts per operand on
 # each side of the ring's packing cutoff)
 PACKED = {

@@ -574,6 +574,17 @@ class TestCertify:
         cert = certify_basis(p2, ms)
         assert cert.verdict is Verdict.REFUTED_BY_COPRIME_CONVERSE
 
+    def test_pid_refutation_skips_the_coprime_scan(self, p2, monkeypatch):
+        # over a PID the verdict does not depend on the labels' coprimality
+        def scan(g):
+            raise AssertionError("coprime_label_violation called over a PID")
+
+        monkeypatch.setattr(splines, "coprime_label_violation", scan)
+        ms = SplineMatrix(
+            p2, [Spline(p2, [zz(4), zz(12)]), Spline(p2, [zz(0), zz(12)])]
+        )
+        assert certify_basis(p2, ms).verdict is Verdict.REFUTED_BY_COPRIME_CONVERSE
+
     def test_coprime_converse_refutes(self):
         g = LabeledGraph(ZZ, [zz(2), zz(3)], [(0, 1, zz(5))])
         basis = flow_up_basis(g).matrix()
