@@ -24,8 +24,6 @@ from .rings import (
     RingElement,
     canonical_associate,
     exact_div,
-    gcd,
-    is_unit,
     try_exact_div,
 )
 
@@ -357,9 +355,12 @@ class BasisCertificate:
 def coprime_label_violation(g: LabeledGraph) -> Optional[Tuple[str, str]]:
     """A pair of labels with non-unit gcd, or None when pairwise coprime."""
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            if not is_unit(gcd(labels[i], labels[j])):
+    ring = g.ring
+    values, gcd, one = ring.values(labels), ring.gcd, ring.one.value
+    # the gcd is canonical, so a unit gcd is exactly one
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if gcd(values[i], values[j]) != one:
                 return str(labels[i]), str(labels[j])
     return None
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -387,6 +388,41 @@ class TestErrors:
         code, out, err = run(capsys, "qhat", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: bad ring: ") and "variables" in err
+
+    def test_ninety_variables_within_budget(self, capsys, tmp_path):
+        # at the variable limit every ring operation recurses once per
+        # variable; the PRS gcd alone took over 40 s on this instance
+        ring = {"kind": "polynomial", "variables": [f"x{i}" for i in range(90)]}
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ring": ring,
+                    "vertices": [
+                        {"name": "a", "label": "2"},
+                        {"name": "b", "label": "x0"},
+                        {"name": "c", "label": "(x1+2)*(x0-3)"},
+                    ],
+                    "edges": [
+                        {"u": "a", "v": "b", "label": "3"},
+                        {"u": "b", "v": "c", "label": "x1+2"},
+                        {"u": "a", "v": "c", "label": "x89*x1+1"},
+                    ],
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "qhat", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        assert out == (
+            "Q(a) = 2\n"
+            "Q(b) = 3*x0*x1+6*x0\n"
+            "Q(c) = x0*x1^2*x89+2*x0*x1*x89-3*x1^2*x89+x0*x1-6*x1*x89+2*x0-3*x1-6\n"
+            "Qhat = 6*x0^2*x1^3*x89+24*x0^2*x1^2*x89-18*x0*x1^3*x89+6*x0^2*x1^2"
+            "+24*x0^2*x1*x89-72*x0*x1^2*x89+24*x0^2*x1-18*x0*x1^2-72*x0*x1*x89"
+            "+24*x0^2-72*x0*x1-72*x0\n"
+        )
 
     def test_scalar_ring_ignores_variables(self, capsys, tmp_path):
         path = tmp_path / "zz.json"

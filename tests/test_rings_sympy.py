@@ -4,15 +4,17 @@ Ring arithmetic, the canonical associate, gcd, exact division and the
 parse/format round trip over ZZ, QQ[x], ZZ[x,y] and QQ[x,y], gcd and lcm
 over ZZ[x,y,z] too, and division with remainder and the extended gcd over
 the Euclidean rings ZZ and QQ[x], with sympy as a second implementation
-that shares no code with egsplines.rings.  The operands of each check are
-built in separately constructed but equal descriptors, so the checks also
-exercise rings being one object each: mixing the two constructions must
-never raise.
+that shares no code with egsplines.rings.  gcd and lcm are checked with
+and without the packed heuristic gcd in front of the PRS.  The operands
+of each check are built in separately constructed but equal descriptors,
+so the checks also exercise rings being one object each: mixing the two
+constructions must never raise.
 """
 
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -21,7 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st
 
-from egsplines import rings
+from egsplines import kronecker, rings
 from egsplines.rings import (
     RingDescriptor,
     canonical_associate,
@@ -163,10 +165,27 @@ COMMON_FACTOR = (
 )
 
 
+def prs_only():
+    """kronecker.gcd refusing every pair, so that gcd runs its PRS."""
+    return mock.patch.object(kronecker, "gcd", lambda *args: None)
+
+
 @PROPERTY
 @given(case=gcd_pairs)
 @example(case=COMMON_FACTOR)
 def test_gcd_matches_sympy(case):
+    check_gcd(case)
+
+
+@PROPERTY
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
+def test_gcd_matches_sympy_on_the_prs(case):
+    with prs_only():
+        check_gcd(case)
+
+
+def check_gcd(case):
     name, terms_a, terms_b = case
     a, b = build(name, terms_a, terms_b)
     got = terms_of(gcd(a, b))
@@ -186,6 +205,18 @@ def test_gcd_matches_sympy(case):
 @given(case=gcd_pairs)
 @example(case=COMMON_FACTOR)
 def test_lcm_matches_sympy(case):
+    check_lcm(case)
+
+
+@PROPERTY
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
+def test_lcm_matches_sympy_on_the_prs(case):
+    with prs_only():
+        check_lcm(case)
+
+
+def check_lcm(case):
     name, terms_a, terms_b = case
     a, b = build(name, terms_a, terms_b)
     if a.is_zero or b.is_zero:
@@ -395,3 +426,66 @@ def test_power_of_a_trinomial_is_fast():
     expected = sympy.Poly((X + Y + 1) ** 50, X, Y, domain=sympy.QQ)
     assert terms_of(power) == sympy_terms(expected)
     assert elapsed < 0.2
+
+
+# (ring, a, b, integer gcds that kronecker.gcd takes, whether it answers)
+PACKED_GCD_CASES = [
+    # with x -> t and y -> t^2 the images share a factor that the operands
+    # do not, t for the first pair and t - 1 for the second: refused
+    ("ZZ[x,y]", X - Y, X**2 - Y, 3, False),
+    ("ZZ[x,y]", X * Y - 1, X - Y, 3, False),
+    # gcd 13x+4: xi = 2^8 gives x^2+17x+84, xi = 2^16 gives 3*(13x+4)
+    ("ZZ[x]", -26 * X**3 - 47 * X**2 + 14 * X + 8, 13 * X**3 + 30 * X**2 - 31 * X - 12, 2, True),
+    # integer contents 3*2^100 and 5*2^90
+    ("ZZ[x,y]", 3 * 2**100 * (X + Y) * (X - 2), 5 * 2**90 * (X + Y) * (Y + 7), 1, True),
+    ("QQ[x,y]", (X + Y / 2) * (X - 2) / 3**40, (X + Y / 2) * (Y + 7) * 2**90, 1, True),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PACKED_GCD_CASES)))
+def test_packed_gcd_cases(case, monkeypatch):
+    name, ea, eb, tries, answers = PACKED_GCD_CASES[case]
+    ring, gens, domain, _ = PACKED[name]
+    pa, pb = (sympy.Poly(e, *gens, domain=domain) for e in (ea, eb))
+    a, b = (parse_element(text(sympy_terms(p), ring), ring) for p in (pa, pb))
+    unpacked, unpack = [], kronecker._unpack
+    monkeypatch.setattr(kronecker, "_unpack", lambda *args: unpacked.append(args) or unpack(*args))
+    got = kronecker.gcd(a.value, b.value, ring.depth, ring.rational_coefficients, ring.divide)
+    assert (len(unpacked), got is not None) == (tries, answers)
+    expected = sympy_terms(graded_lex_normal(sympy.gcd(pa, pb)))
+    assert terms_of(gcd(a, b)) == terms_of(gcd(b, a)) == expected
+    assert terms_of(lcm(a, b)) == sympy_terms(graded_lex_normal(sympy.lcm(pa, pb)))
+
+
+def test_packed_gcd_refuses_a_sparse_box(monkeypatch):
+    # 5001^2 slots against 2 * 2 term pairs: refused before anything is packed
+    ring = PACKED["ZZ[x,y]"][0]
+    a, b = parse_element("x^5000*y^5000+1", ring), parse_element("x^5000+y^5000", ring)
+    monkeypatch.setattr(kronecker, "_pack", lambda *args: pytest.fail("packed a sparse box"))
+    start = time.perf_counter()
+    assert kronecker.gcd(a.value, b.value, 2, False, ring.divide) is None
+    assert time.perf_counter() - start < 0.05
+
+
+def test_rational_gcd_with_a_common_factor_is_fast():
+    # operands of degrees (6, 7) and (12, 16) in (x, y) with a common factor
+    # of degree (3, 4), coefficients up to 9 over denominators 2 or 3: the
+    # PRS alone took over a minute here, swelling rational coefficients
+    ring, gens, domain, _ = PACKED["QQ[x,y]"]
+    rng = random.Random("rational gcd")
+
+    def poly(dx, dy):
+        terms = {
+            (i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([2, 3]))
+            for i in range(dx + 1)
+            for j in range(dy + 1)
+        }
+        return sympy.Poly.from_dict(terms, *gens, domain=domain)
+
+    common = poly(3, 4)
+    pa, pb = common * poly(3, 3), common * poly(9, 12)
+    a, b = (parse_element(text(sympy_terms(p), ring), ring) for p in (pa, pb))
+    start = time.perf_counter()
+    g = gcd(a, b)
+    assert time.perf_counter() - start < 3.0
+    assert terms_of(g) == sympy_terms(graded_lex_normal(sympy.gcd(pa, pb)))
