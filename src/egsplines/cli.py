@@ -22,7 +22,8 @@ monomials a^k can have.  Past a limit: exit 2.
 
 Exit codes (stable contract):
   0  success / certified
-  1  refuted, not in span, or a failed check
+  1  refuted, not in span, dependent basis splines (express, determinant 0),
+     or a failed check
   2  parse error (JSON schema, expressions, dimension mismatch)
   3  graph validation error
   4  retired, never emitted (formerly: trail cap exceeded)
@@ -252,6 +253,9 @@ def cmd_express(args) -> int:
     except splines.NotInSpanError as exc:
         cols = ", ".join(str(i + 1) for i in exc.failed_indices)
         print(f"not in span: first failing column {exc.index + 1} (all: {cols})")
+        return EXIT_REFUTED
+    except ZeroDivisionError:
+        print("dependent: the basis splines are linearly dependent (determinant 0)")
         return EXIT_REFUTED
     print("coefficients: " + ", ".join(str(c) for c in coefficients))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Kronecker substitution: polynomial products, quotients and gcds on packed integers.
+"""Kronecker substitution: polynomial products and gcds on packed integers.
 
 Internal to ``rings``, whose polynomial values are nested coefficient
 tuples (see its module docstring).  A polynomial whose exponents lie in a
@@ -13,11 +13,10 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 44 (2009)).  Buffers are built with int.from_bytes and int.to_bytes, with
 an explicit length and byte order, never by shifting and adding.
 
-quotient only packs and unpacks: the long division runs in the univariate
-ZZ ring whose divide it is given.  gcd is the heuristic gcd at
-xi = 2^(8s): the operands' images are evaluations at xi, their integer
-gcd read back in balanced base-xi digits gives a candidate, and the ring's
-exact division of both operands by it makes it the gcd (see gcd).
+gcd is the heuristic gcd at xi = 2^(8s): the operands' images are
+evaluations at xi, their integer gcd read back in balanced base-xi digits
+gives a candidate, and the ring's exact division of both operands by it
+makes it the gcd (see gcd).
 """
 
 from __future__ import annotations
@@ -39,14 +38,6 @@ from typing import Optional
 # (x+1/2*y)*(x*y-3) counts 9 pairs for 4 and takes 45 us by schoolbook
 # against 57 us packed.
 MIN_PAIRS = {(False, False): 128, (False, True): 36, (True, False): 9, (True, True): 16}
-# Fewest dense slots of a dividend for which an exact division over a
-# multivariate ZZ-base ring is first tried on packed coefficients.  One
-# in-process pass over the poly_cli benchmark instances (seed 3, median of
-# 6 alternating repeats) took 2.30 s with this cutoff, 2.32 s at 10 and
-# 2.42 s at 30 slots, and 2.72 s without the packed path.  Ten alternating
-# poly_cli benchmark pairs (seed 3, 20 s) read 92.3 ips and a 28.2 ms tail
-# with the packed path against 81.5 ips and 34.8 ms without it.
-MIN_DIVIDEND = 100
 # Most bytes of a packed gcd operand whose box has more slots than the
 # operands have term pairs.  Sparse pairs, packed gcd against the PRS,
 # 2-core x86-64, CPython 3.11: x^k against y^k+1 over ZZ[x,y] (1-byte
@@ -93,10 +84,10 @@ def _descend(items: list, d: int) -> list:
     return [(k * d + i, x) for k, v in items for i, x in enumerate(v) if x]
 
 
-def _buffers(items: list, n: int, s: int):
-    """Little-endian buffers of n slots of s bytes, one holding the positive
-    coefficients of the (slot, int) pairs items and one the magnitudes of
-    the negative ones."""
+def _pack(items: list, n: int, s: int) -> int:
+    """The integer of n slots of s bytes that holds the coefficients of the
+    (slot, int) pairs items: a little-endian buffer of the positive ones
+    minus one of the magnitudes of the negative ones."""
     fmt = _SLOT_FORMATS.get(s)
     if fmt is None:
         pos, neg = bytearray(n * s), bytearray(n * s)
@@ -105,20 +96,15 @@ def _buffers(items: list, n: int, s: int):
                 pos[k * s:k * s + s] = x.to_bytes(s, "little")
             else:
                 neg[k * s:k * s + s] = (-x).to_bytes(s, "little")
-        return pos, neg
-    pos, neg = [0] * n, [0] * n
-    for k, x in items:
-        if x > 0:
-            pos[k] = x
-        else:
-            neg[k] = -x
-    fmt = f"<{n}{fmt}"
-    return struct.pack(fmt, *pos), struct.pack(fmt, *neg)
-
-
-def _pack(items: list, n: int, s: int) -> int:
-    """The integer of n slots of s bytes that holds items' coefficients."""
-    pos, neg = _buffers(items, n, s)
+    else:
+        pos, neg = [0] * n, [0] * n
+        for k, x in items:
+            if x > 0:
+                pos[k] = x
+            else:
+                neg[k] = -x
+        fmt = f"<{n}{fmt}"
+        pos, neg = struct.pack(fmt, *pos), struct.pack(fmt, *neg)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
@@ -270,58 +256,3 @@ def gcd(a, b, depth: int, rational: bool, divide):
                 return h
         s = _slot_width(1 << 8 * s)
     return None
-
-
-def quotient(a, b, inner_depth: int, mul, divide):
-    """The exact quotient a/b of nonzero values over a ZZ base with
-    inner_depth >= 1 variables below the outermost, or None when this path
-    cannot vouch for one.
-
-    Each coefficient in the outermost variable is packed into one integer
-    over the box of the dividend's inner degrees, and divide, the exact
-    division of a univariate ZZ ring, divides the packed polynomials.
-    Dividing the whole packed integers instead is slower, since CPython's
-    int division is quadratic.  The quotient is accepted only when it
-    unpacks and mul(q, b) == a; every other outcome returns None, and the
-    caller falls back to its long division.  The box holds no more slots
-    than the operands have term pairs.
-    """
-    ia = [(i, x) for i, x in enumerate(a) if x]
-    ib = [(j, y) for j, y in enumerate(b) if y]
-    dims = []
-    for _ in range(inner_depth):
-        d = max(len(v) for _, v in ia)
-        if max(len(v) for _, v in ib) > d:
-            return None
-        ia, ib = _descend(ia, d), _descend(ib, d)
-        dims.append(d)
-    g = math.prod(dims)  # slots per coefficient
-    if len(a) * g > len(ia) * len(ib):
-        return None
-    # a quotient coefficient exceeds the dividend's by at most a factor of
-    # about 2^degree (Mignotte), and a quotient slot that overflows fails
-    # the check below; the divisor's slots must hold it exactly
-    degree = len(a) - 1 + sum(dims) - len(dims)
-    bound = (max(abs(x) for _, x in ia) << degree) * len(ia)
-    s = _slot_width(max(bound, max(abs(y) for _, y in ib)))
-    width = g * s
-
-    def coefficients(items, length):
-        pos, neg = _buffers(items, length * g, s)
-        return tuple(
-            int.from_bytes(pos[i:i + width], "little")
-            - int.from_bytes(neg[i:i + width], "little")
-            for i in range(0, length * width, width)
-        )
-
-    quo = divide(coefficients(ia, len(a)), coefficients(ib, len(b)))
-    if quo is None:
-        return None
-    out = []
-    for q in quo:
-        flat = _unpack(q, g, s)
-        if flat is None:
-            return None
-        out.append(_rebuild(flat, dims))
-    q = strip(out)
-    return q if mul(q, b) == a else None

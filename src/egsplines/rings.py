@@ -122,12 +122,10 @@ class RingDescriptor:
     product (see the kronecker module).  That is exact, since every slot is
     wider than the largest possible product coefficient, and it is skipped
     when the dense box of exponents has more slots than the operands have
-    term pairs.  On multivariate ZZ-base rings, divide tries a large
-    dividend on packed coefficients first and keeps the quotient only after
-    multiplying it back.  gcd first takes one integer gcd of the packed
-    operands (the heuristic gcd, kronecker.gcd) and keeps its candidate only
-    after dividing both operands by it; otherwise it runs the primitive
-    pseudo-remainder sequence.
+    term pairs.  gcd first takes one integer gcd of the packed operands
+    (the heuristic gcd, kronecker.gcd) and keeps its candidate only after
+    dividing both operands by it; otherwise it runs the primitive
+    pseudo-remainder sequence.  divide always runs long division.
     """
 
     __slots__ = (
@@ -186,6 +184,7 @@ class RingDescriptor:
             "zero": RingElement(ring, zero),
             "one": RingElement(ring, one),
             "coefficients": coefficients,
+            # a table's own lcm (ZZ's math.lcm) overrides the generic one
             "lcm": _least_common_multiple(table, zero, one),
             "xgcd": _extended_gcd(table, zero, one) if table["divmod"] else None,
             **table,
@@ -292,8 +291,8 @@ _SCALAR_COMMON = {
 }
 _SCALAR_OPERATIONS = {
     "integers": dict(
-        _SCALAR_COMMON, divide=_zz_divide, gcd=math.gcd, canon=abs,
-        divmod=_zz_divmod, size=abs,
+        _SCALAR_COMMON, divide=_zz_divide, gcd=math.gcd, lcm=math.lcm,
+        canon=abs, divmod=_zz_divmod, size=abs,
     ),
     "rationals": dict(
         _SCALAR_COMMON,
@@ -367,14 +366,11 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     cost to pay and their box of exponents has no more slots than they
     have term pairs; otherwise it runs the schoolbook product, whose
     coefficient products go through c's mul and so dispatch again one
-    level down.  On multivariate ZZ-base rings, divide first tries a large
-    dividend on packed coefficients (kronecker.quotient).  Both are exact:
-    product's slots are wide enough for any product coefficient, and
-    quotient's result is checked by multiplying back.
+    level down.  The packed product is exact: its slots are wide enough
+    for any product coefficient.
 
     long_division is the package's one polynomial division loop: divide,
-    divmod over QQ, the PRS pseudo-remainder and, through the univariate ZZ
-    ring's divide, kronecker.quotient all run it.
+    divmod over QQ and the PRS pseudo-remainder all run it.
     """
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
     cdivide, cgcd, cterms = c.divide, c.gcd, c.terms
@@ -384,9 +380,6 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     rational = c.rational_coefficients
     min_pairs = kronecker.MIN_PAIRS[rational, depth > 1]
     dense = kronecker.dense
-    packed_divide = None  # the univariate ZZ ring divides packed coefficients
-    if depth > 1 and not rational:
-        packed_divide = RingDescriptor(c.kind, c.variables[:1], c.base).divide
 
     def add(a, b):
         if len(a) < len(b):
@@ -451,10 +444,6 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return _strip(quo), _strip(rem[:db])
 
     def divide(a, b):
-        if packed_divide and dense(a, depth) >= kronecker.MIN_DIVIDEND:
-            q = kronecker.quotient(a, b, depth - 1, mul, packed_divide)
-            if q is not None:
-                return q
         qr = long_division(a, b)
         return qr[0] if qr is not None and not qr[1] else None
 
@@ -738,21 +727,24 @@ def lcm_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> Ri
 
 
 def is_unit(a: RingElement) -> bool:
-    """True when a divides 1, decided by attempting the division."""
-    if a.is_zero:
-        return False
-    return try_exact_div(a.descriptor.one, a) is not None
+    """True when a divides 1: a is nonzero and its canonical associate is 1."""
+    d = a.descriptor
+    return not a.is_zero and d.canon(a.value) == d.one.value
 
 
 def associate_unit(a: RingElement, b: RingElement) -> Optional[RingElement]:
-    """The unit u with a = u*b when a and b are associates, else None."""
+    """The unit u with a = u*b when a and b are associates, else None.
+
+    Associates share their canonical associate, the representative of
+    their class, so only a and b with equal canonical forms are divided.
+    """
     a._check(b)
-    if a.is_zero or b.is_zero:
-        return a.descriptor.one if (a.is_zero and b.is_zero) else None
-    u = try_exact_div(a, b)
-    if u is not None and is_unit(u):
-        return u
-    return None
+    d = a.descriptor
+    if d.canon(a.value) != d.canon(b.value):
+        return None
+    if b.is_zero:
+        return d.one
+    return RingElement(d, d.divide(a.value, b.value))
 
 
 def is_associate(a: RingElement, b: RingElement) -> bool:

@@ -256,14 +256,35 @@ def h_factor(g: LabeledGraph) -> RingElement:
 def _bareiss(
     rows: List[List[RingElement]], rhs: Optional[Sequence[RingElement]] = None
 ) -> Tuple[RingElement, Optional[List[RingElement]]]:
-    """(det M, y = adj(M)*f) from one fraction-free elimination of [M | f].
+    """(det M, y = adj(M)*f): singleton rows peeled off M, then one
+    fraction-free elimination of what is left.  y is None without f or
+    when det = 0.
 
-    Each Bareiss step divides exactly by the previous pivot (Sylvester's
-    identity); the first step's divisor is 1 and is skipped.  y_k, the
-    determinant of M with column k replaced by f, comes from
-    back-substitution on the eliminated [U | b]: y_k = (det*b_k -
-    sum_{j>k} U_kj*y_j) / U_kk, exact since y lies in the ring.  y is None
-    without f or when det = 0.
+    Peel: let a live row r have a as its only nonzero entry in the live
+    columns, in column c, and let M' be the live matrix without row r and
+    column c.  Then det M = s*a*det M', with s = (-1)^(i+j) for the
+    positions i of r among the live rows and j of c among the live
+    columns.  Solving M x = f by row r first, with f' = a*f - f_r*(column
+    c) on the other live rows, gives adj(M)*f = s*(det M' * f_r at c,
+    adj(M')*f' elsewhere), so f' needs no division.  A live row with no
+    nonzero live entry makes det 0.  A permuted triangular matrix, such as
+    a flow-up basis or a coprime witness matrix, empties this way.  Rows
+    are peeled in a loop while any is a singleton, so no recursion depth
+    grows with n.
+
+    Elimination of the remaining block: each Bareiss step divides exactly
+    by the previous pivot (Sylvester's identity; Bareiss, Math. Comp. 22
+    (1968)); the first step's divisor is 1 and is skipped.  The block's
+    numerators come from back-substitution on the eliminated [U | b]: y_k =
+    (D*b_k - sum_{j>k} U_kj*y_j) / U_kk with D the last pivot, exact since
+    y lies in the ring.
+
+    Signs: both stages run unsigned.  The block's determinant is D times
+    the row-swap sign, and each peel's numerator det M' * f_r takes the
+    unsigned det M', the product of the later peels' pivots a and D; read
+    back in reverse peel order, these products end in the unsigned det M.
+    The true det and y are the unsigned ones times one sign, the product
+    of every peel's s and the row-swap sign, applied once at the end.
 
     The entries of M and f are unwrapped once, each checked to lie in the
     ring of M's first entry (DescriptorMismatchError otherwise); the
@@ -273,9 +294,7 @@ def _bareiss(
     n = len(rows)
     ring = rows[0][0].descriptor
     m = [ring.values(row) for row in rows]
-    if rhs is not None:
-        for row, b in zip(m, ring.values(rhs)):
-            row.append(b)
+    f = None if rhs is None else ring.values(rhs)
     sub, mul, neg, divide = ring.sub, ring.mul, ring.neg, ring.divide
 
     def quotient(a, b):
@@ -288,37 +307,74 @@ def _bareiss(
         return q
 
     sign = 1
+    live_rows, live_cols = list(range(n)), list(range(n))
+    counts = [sum(map(bool, row)) for row in m]  # nonzero live entries
+    singletons = [r for r in live_rows if counts[r] <= 1]
+    peeled = []  # (column, pivot, f at the pivot's row), in peel order
+    while singletons:
+        r = singletons.pop()
+        if not counts[r]:
+            return ring.zero, None
+        top = m[r]
+        c = next(j for j in live_cols if top[j])
+        if (live_rows.index(r) + live_cols.index(c)) % 2:
+            sign = -sign
+        live_rows.remove(r)
+        live_cols.remove(c)
+        a = top[c]
+        fr = None if f is None else f[r]
+        peeled.append((c, a, fr))
+        for i in live_rows:
+            lead = m[i][c]
+            if f is not None:
+                f[i] = sub(mul(a, f[i]), mul(fr, lead)) if lead else mul(a, f[i])
+            if lead:
+                counts[i] -= 1
+                if counts[i] == 1:
+                    singletons.append(i)
+
+    k = len(live_rows)
+    m = [[m[i][j] for j in live_cols] + ([] if f is None else [f[i]]) for i in live_rows]
     previous = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
+    for p in range(k - 1):
+        if not m[p][p]:
+            for i in range(p + 1, k):
+                if m[i][p]:
+                    m[p], m[i] = m[i], m[p]
                     sign = -sign
                     break
             else:
                 return ring.zero, None
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, len(top)):
+        top = m[p]
+        pivot = top[p]
+        for row in m[p + 1:]:
+            lead = row[p]
+            for j in range(p + 1, len(top)):
                 numerator = sub(mul(pivot, row[j]), mul(lead, top[j]))
                 row[j] = numerator if previous is None else quotient(numerator, previous)
         previous = pivot
-    det = m[n - 1][n - 1] if sign > 0 else neg(m[n - 1][n - 1])
-    if rhs is None or not det:
-        return RingElement(ring, det), None
+    det = m[k - 1][k - 1] if k else ring.one.value
+    if not det:
+        return ring.zero, None
     y: list = [None] * n
-    # det = sign * U_{n-1,n-1}, so the last numerator needs no division
-    y[n - 1] = m[n - 1][n] if sign > 0 else neg(m[n - 1][n])
-    for k in range(n - 2, -1, -1):
-        row = m[k]
-        acc = mul(det, row[n])
-        for j in range(k + 1, n):
-            acc = sub(acc, mul(row[j], y[j]))
-        y[k] = quotient(acc, row[k])
-    return RingElement(ring, det), [RingElement(ring, v) for v in y]
+    if f is not None and k:
+        # the last numerator is the block's last entry of b, undivided
+        y[live_cols[k - 1]] = m[k - 1][k]
+        for p in range(k - 2, -1, -1):
+            row = m[p]
+            acc = mul(det, row[k])
+            for j in range(p + 1, k):
+                acc = sub(acc, mul(row[j], y[live_cols[j]]))
+            y[live_cols[p]] = quotient(acc, row[p])
+    for c, a, fr in reversed(peeled):
+        if f is not None:
+            y[c] = mul(det, fr)
+        det = mul(a, det)
+    if sign < 0:
+        det = neg(det)
+    if f is None:
+        return RingElement(ring, det), None
+    return RingElement(ring, det), [RingElement(ring, v if sign > 0 else neg(v)) for v in y]
 
 
 def spline_determinant(ms: SplineMatrix) -> RingElement:
@@ -420,7 +476,8 @@ def _combination(
 def express_in_basis(
     g: LabeledGraph, ms: SplineMatrix, f: Spline
 ) -> Tuple[RingElement, ...]:
-    """Coefficients c with sum(c_k F_k) = f, or NotInSpanError.
+    """Coefficients c with sum(c_k F_k) = f; NotInSpanError when f is not in
+    the span, ZeroDivisionError when the columns are dependent (det 0).
 
     Cramer's rule: the column-replaced determinants divided by the matrix
     determinant, all from one elimination (see _bareiss).  The output is

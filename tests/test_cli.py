@@ -209,6 +209,17 @@ class TestExpress:
         assert code == 0
         assert "coefficients: 0, 1, 1, 0" in out
 
+    def test_dependent_basis_exit_1(self, capsys, tmp_path):
+        basis, target = tmp_path / "basis.json", tmp_path / "target.json"
+        basis.write_text(json.dumps({"splines": [["2", "6"], ["4", "12"]]}))
+        target.write_text(json.dumps({"splines": [["2", "6"]]}))
+        code, out, err = run(
+            capsys, "express", data("p2.json"), "--splines", str(basis), "--target", str(target)
+        )
+        assert code == 1
+        assert out == "dependent: the basis splines are linearly dependent (determinant 0)\n"
+        assert "Traceback" not in err
+
 
 class TestOracle:
     def test_c3(self, capsys):

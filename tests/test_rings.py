@@ -425,10 +425,9 @@ class TestPackedKernels:
             assert sides == {False, True} and True in dispatched, ring
             monkeypatch.undo()
 
-    def test_quotients_match_long_division(self, monkeypatch):
+    def test_quotients_match_long_division(self):
         rng = random.Random(2027)
         for ring, degree in ((ZXY, 10), (ZXYZ, 5)):
-            packed = _spy(monkeypatch, "quotient")
             for trial in range(30):
                 q = _random_value(rng, ring, degree, (1.0, 0.7)[trial % 2])
                 b = _random_value(rng, ring, 1 + trial % 3, 1.0)
@@ -438,21 +437,11 @@ class TestPackedKernels:
                 not_multiple = ring.add(a, ring.one.value)
                 assert ring.divide(a, b) == q
                 assert ring.divide(not_multiple, b) is None
-                if a:
-                    assert kronecker.quotient(not_multiple, b, ring.depth - 1, ring.mul, ZX.divide) is None
-                with monkeypatch.context() as schoolbook:
-                    schoolbook.setattr(kronecker, "quotient", lambda *args: None)
-                    assert ring.divide(a, b) == q
-                    assert ring.divide(not_multiple, b) is None
-            assert packed.count(True) >= 5, (ring, packed)
-            monkeypatch.undo()
 
-    def test_divisor_with_wider_coefficients_than_the_dividend(self, monkeypatch):
+    def test_divisor_with_wider_coefficients_than_the_dividend(self):
         # a dividend of 100 dense slots with coefficients 1, and divisors
-        # whose coefficients need wider slots than the dividend's bound
+        # whose coefficients are far wider than the dividend's
         a = zxy("*".join("(" + "+".join(f"{v}^{i}" for i in range(10)) + ")" for v in "xy"))
-        assert kronecker.dense(a.value, 2) >= kronecker.MIN_DIVIDEND
-        packed = _spy(monkeypatch, "quotient")
         for b in (zxy(f"{2**40}*x + y"), zxy(f"x - {2**100}*y")):
             assert ZXY.divide(a.value, b.value) is None
             assert try_exact_div(a, b) is None and not rings.divides(b, a)
@@ -462,7 +451,6 @@ class TestPackedKernels:
                 f"edge 1 (v1,v2): difference is not a multiple of {b}"
             ]
             assert spline_violations(g, [a * b, ZXY.zero]) == []
-        assert len(packed) >= 6 and True in packed
 
     def test_sparse_product_in_many_variables(self):
         # the dense box of (1 + x0 + ... + x7)^2 squared has 5^8 slots

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -385,6 +386,18 @@ class TestDeterminant:
                 ).det(method="berkowitz")
                 got = _to_sympy(sympy, spline_determinant(_as_spline_matrix(rows)))
                 assert sympy.expand(got - expected) == 0, (rows, got, expected)
+            # every path of the kernel: full peel, peel then elimination of
+            # a regular or singular block, a zero row, odd row and column
+            # shuffles
+            for shape in SHAPES:
+                for trial in range(6):
+                    n = rng.randint(3 if shape == "block" else 1, 5)
+                    rows, _ = _shaped_matrix(rng, ring, n, shape, singular=trial % 3 == 2)
+                    expected = sympy.Matrix(
+                        [[_to_sympy(sympy, e) for e in row] for row in rows]
+                    ).det(method="berkowitz")
+                    got = _to_sympy(sympy, spline_determinant(_as_spline_matrix(rows)))
+                    assert sympy.expand(got - expected) == 0, (shape, rows, got, expected)
 
 
 class TestBareissKernel:
@@ -400,43 +413,68 @@ class TestBareissKernel:
                 n = 1 + trial % 5
                 singular = trial % 4 == 3
                 rows = _random_matrix(rng, ring, n, singular=singular)
-                if rng.random() < 0.5:
-                    # a target in the span: M times random coefficients
-                    coefficients = [_random_element(rng, ring) for _ in range(n)]
-                    target = [
-                        sum((a * c for a, c in zip(row, coefficients)), ring.zero)
-                        for row in rows
-                    ]
-                else:
-                    target = [_random_element(rng, ring) for _ in range(n)]
-                det, numerators = _bareiss(rows, target)
-                assert det == _cofactor_det(rows)
-                assert _bareiss(rows)[0] == det
-                if det.is_zero:
-                    seen["singular"] += 1
-                    assert numerators is None
-                    with pytest.raises(ZeroDivisionError):
-                        express_in_basis(*_express_args(rows, target))
-                    continue
-                literal = [
-                    _cofactor_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, target)])
-                    for k in range(n)
-                ]
-                assert numerators == literal
-                failed = tuple(
-                    k for k, y in enumerate(literal) if not rings.divides(det, y)
-                )
-                if failed:
-                    seen["not_in_span"] += 1
-                    with pytest.raises(NotInSpanError) as exc:
-                        express_in_basis(*_express_args(rows, target))
-                    assert exc.value.failed_indices == failed
-                    assert exc.value.index == failed[0]
-                else:
-                    seen["in_span"] += 1
-                    got = express_in_basis(*_express_args(rows, target))
-                    assert list(got) == [rings.exact_div(y, det) for y in literal]
+                self._check_against_cofactors(rng, ring, rows, seen)
         assert min(seen.values()) >= 10, seen
+        # every path of the kernel: full peel (triangular, with an odd
+        # shuffle for the sign), peel then elimination of a regular or
+        # singular block, and a zero row
+        shaped = {"odd_full_peel": 0, "singular_block": 0, "zero_row": 0}
+        for ring in (ZZ, QX, ZXY):
+            for shape in SHAPES:
+                for trial in range(8):
+                    n = rng.randint(3 if shape == "block" else 1, 5)
+                    singular = trial % 3 == 2
+                    rows, odd = _shaped_matrix(rng, ring, n, shape, singular=singular)
+                    det = self._check_against_cofactors(rng, ring, rows, seen)
+                    shaped["odd_full_peel"] += shape == "triangular" and odd
+                    shaped["singular_block"] += shape == "block" and singular and det.is_zero
+                    shaped["zero_row"] += shape == "zero_row"
+                    if shape == "triangular":
+                        assert not det.is_zero
+        assert min(shaped.values()) >= 5, shaped
+
+    @staticmethod
+    def _check_against_cofactors(rng, ring, rows, seen):
+        """Check det, the numerators and express_in_basis of rows with a
+        random target against the cofactor definition; returns det."""
+        n = len(rows)
+        if rng.random() < 0.5:
+            # a target in the span: M times random coefficients
+            coefficients = [_random_element(rng, ring) for _ in range(n)]
+            target = [
+                sum((a * c for a, c in zip(row, coefficients)), ring.zero)
+                for row in rows
+            ]
+        else:
+            target = [_random_element(rng, ring) for _ in range(n)]
+        det, numerators = _bareiss(rows, target)
+        assert det == _cofactor_det(rows)
+        assert _bareiss(rows)[0] == det
+        if det.is_zero:
+            seen["singular"] += 1
+            assert numerators is None
+            with pytest.raises(ZeroDivisionError):
+                express_in_basis(*_express_args(rows, target))
+            return det
+        literal = [
+            _cofactor_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, target)])
+            for k in range(n)
+        ]
+        assert numerators == literal
+        failed = tuple(
+            k for k, y in enumerate(literal) if not rings.divides(det, y)
+        )
+        if failed:
+            seen["not_in_span"] += 1
+            with pytest.raises(NotInSpanError) as exc:
+                express_in_basis(*_express_args(rows, target))
+            assert exc.value.failed_indices == failed
+            assert exc.value.index == failed[0]
+        else:
+            seen["in_span"] += 1
+            got = express_in_basis(*_express_args(rows, target))
+            assert list(got) == [rings.exact_div(y, det) for y in literal]
+        return det
 
     def test_foreign_entries_rejected(self):
         # each foreign entry sits where the elimination never multiplies it:
@@ -517,6 +555,51 @@ def _random_matrix(rng, ring, n, singular=False):
         for row in rows:
             row[-1] = a * row[0] + b * row[1] if n > 1 else ring.zero
     return rows
+
+
+SHAPES = ("sparse", "triangular", "block", "zero_row")
+
+
+def _shaped_matrix(rng, ring, n, shape, singular=False):
+    """A random n x n matrix of one shape with its rows and columns
+    shuffled, and whether the two shuffles together are odd.
+
+    sparse: about 70% of the entries zero.  triangular: lower triangular
+    with a nonzero diagonal, which singleton rows peel whole.  block (n >=
+    3): triangular but for a dense diagonal block of 2 or 3 rows below the
+    first row, so rows peel up to the block and the rest is eliminated; the
+    block's last column is a multiple of its first when singular is set.  zero_row: dense with a row of
+    zeros."""
+    if shape == "sparse":
+        rows = [
+            [_random_element(rng, ring) if rng.random() < 0.4 else ring.zero for _ in range(n)]
+            for _ in range(n)
+        ]
+    elif shape == "zero_row":
+        rows = _random_matrix(rng, ring, n)
+        rows[rng.randrange(n)] = [ring.zero] * n
+    else:
+        rows = [[_random_element(rng, ring) if j < i else ring.zero for j in range(n)] for i in range(n)]
+        for i in range(n):
+            while rows[i][i].is_zero:
+                rows[i][i] = _random_element(rng, ring)
+        if shape == "block":
+            size = rng.randint(2, min(3, n - 1))
+            top = rng.randint(1, n - size)
+            block = _random_matrix(rng, ring, size)
+            if singular:
+                c = _random_element(rng, ring)
+                for block_row in block:
+                    block_row[-1] = c * block_row[0]
+            for i, block_row in enumerate(block):
+                rows[top + i][top:top + size] = block_row
+    row_order, column_order = list(range(n)), list(range(n))
+    rng.shuffle(row_order)
+    rng.shuffle(column_order)
+    inversions = sum(
+        order[j] > order[i] for order in (row_order, column_order) for i in range(n) for j in range(i)
+    )
+    return [[rows[i][j] for j in column_order] for i in row_order], inversions % 2 == 1
 
 
 def _as_spline_matrix(rows):
@@ -740,6 +823,23 @@ class TestWitnessMatrices:
                         hat = hat * label
                 expected = hat ** (g.n - 1) * key
                 assert is_associate(spline_determinant(ms), expected)
+
+    def test_certify_n8_polynomial_witness_within_budget(self):
+        # distinct linear forms with x-coefficient 1 are pairwise coprime in
+        # ZZ[x,y]; an 8-cycle has 16 of them, and the chord's witness is a
+        # permuted triangle whose determinant has thousands of terms
+        n = 8
+        labels = [zxy(f"x + {k}*y + {k % 3}") for k in range(2 * n)]
+        edges = [(i, i + 1, labels[n + i]) for i in range(n - 1)]
+        g = LabeledGraph(ZXY, labels[:n], edges + [(0, n - 1, labels[-1])])
+        started = time.perf_counter()
+        cert = certify_basis(g, coprime_witness_matrices(g)[-1])
+        hat = ZXY.one
+        for label in labels[:-1]:
+            hat = hat * label
+        assert cert.verdict is Verdict.REFUTED_BY_COPRIME_CONVERSE
+        assert is_associate(cert.determinant, hat ** (n - 1) * cert.qhat)
+        assert time.perf_counter() - started < 6.0
 
     def test_rejects_non_coprime(self, c3_int):
         g = LabeledGraph(ZZ, [zz(4), zz(6)], [(0, 1, zz(5))])
