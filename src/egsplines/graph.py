@@ -208,8 +208,11 @@ def trail_constraint(g: LabeledGraph, source: int, target: int) -> RingElement:
     Canonical.  A lookup in the graph's aggregate table, which the first
     call builds in O(n^3) ring operations.  Every trail contains a simple
     path whose gcd it divides, so the aggregate equals the lcm over simple
-    paths, which is what the closure computes.
+    paths, which is what the closure computes.  The endpoints are vertex
+    indices in 0..n-1 and must differ; ValueError otherwise.
     """
+    if not (0 <= source < g.n and 0 <= target < g.n):
+        raise ValueError(f"trail endpoints must lie in 0..{g.n - 1}")
     if source == target:
         raise ValueError("trail endpoints must differ")
     return RingElement(g.ring, _aggregate_table(g)[source][target])

@@ -20,6 +20,7 @@ no operation decides at call time which ring it is working in.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ class RingDescriptor:
     - lcm, the canonical least common multiple (0 when an operand is 0);
     - divide, the exact quotient, or None when there is none;
     - terms, the list of (exponents in variable order, scalar coefficient)
-      pairs of the nonzero terms;
+      pairs of the nonzero terms (_terms at this ring's depth);
     - primitive, the split (content, primitive part) of a polynomial, whose
       content is a value of the coefficient ring (None on ZZ and QQ);
     - divmod, the quotient and canonical remainder, size, the Euclidean
@@ -186,6 +187,7 @@ class RingDescriptor:
             "coefficients": coefficients,
             # a table's own lcm (ZZ's math.lcm) overrides the generic one
             "lcm": _least_common_multiple(table, zero, one),
+            "terms": functools.partial(_terms, depth=depth),
             "xgcd": _extended_gcd(table, zero, one) if table["divmod"] else None,
             **table,
         }
@@ -271,8 +273,14 @@ def _graded_lex(term):
     return sum(exps), exps
 
 
-def _scalar_terms(a):
-    return [((), a)] if a else []
+def _terms(value, depth: int) -> list:
+    """The (exponents in variable order, scalar coefficient) pairs of the
+    nonzero terms of a raw value with depth variables, by outer exponent
+    first: one pass per nesting level, each prepending its exponent."""
+    items = [((), value)] if value else []
+    for _ in range(depth):
+        items = [((i,) + exps, x) for exps, v in items for i, x in enumerate(v) if x]
+    return items
 
 
 def _zz_divide(a, b):
@@ -287,7 +295,7 @@ def _zz_divmod(a, b):
 
 _SCALAR_COMMON = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "neg": operator.neg, "terms": _scalar_terms, "primitive": None,
+    "neg": operator.neg, "primitive": None,
 }
 _SCALAR_OPERATIONS = {
     "integers": dict(
@@ -373,7 +381,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     divmod over QQ and the PRS pseudo-remainder all run it.
     """
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
-    cdivide, cgcd, cterms = c.divide, c.gcd, c.terms
+    cdivide, cgcd = c.divide, c.gcd
     czero = c.zero.value
     field = c is QQ
     depth = c.depth + 1
@@ -447,20 +455,13 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         qr = long_division(a, b)
         return qr[0] if qr is not None and not qr[1] else None
 
-    def terms(a):
-        out = []
-        for i, x in enumerate(a):
-            for exps, s in cterms(x):
-                out.append((exps + (i,), s))
-        return out
-
     if c.rational_coefficients:
 
         def canon(a):
             """Monic in graded-lex order."""
             if not a:
                 return a
-            lead = max(terms(a), key=_graded_lex)[1]
+            lead = max(_terms(a, depth), key=_graded_lex)[1]
             if lead == 1:
                 return a
             return scale(a, _const_value(Fraction(1, 1) / lead, c.depth))
@@ -469,7 +470,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
         def canon(a):
             """Positive graded-lex leading coefficient."""
-            if a and max(terms(a), key=_graded_lex)[1] < 0:
+            if a and max(_terms(a, depth), key=_graded_lex)[1] < 0:
                 return neg(a)
             return a
 
@@ -524,7 +525,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
     return {
         "add": add, "sub": sub, "mul": mul, "neg": neg, "divide": divide,
-        "gcd": gcd, "canon": canon, "terms": terms, "primitive": primitive,
+        "gcd": gcd, "canon": canon, "primitive": primitive,
         "divmod": long_division if field else None, "size": len if field else None,
     }
 

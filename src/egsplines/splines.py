@@ -13,6 +13,7 @@ checks absorb the sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -382,6 +383,21 @@ def spline_determinant(ms: SplineMatrix) -> RingElement:
     return _bareiss(ms.rows())[0]
 
 
+def _solve(
+    g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None
+) -> Tuple[RingElement, Optional[List[RingElement]]]:
+    """_bareiss on the matrix of ms and, when given, the target f.
+
+    The entry of certify_basis, express_in_basis and qhat_span_decomposition:
+    ValueError("splines live on different graphs") unless ms and f live on
+    g, raised before any elimination.  f's components are reversed into the
+    row convention (v_n top .. v_1 bottom).
+    """
+    if ms.graph is not g or (f is not None and f.graph is not g):
+        raise ValueError("splines live on different graphs")
+    return _bareiss(ms.rows(), None if f is None else f.components[::-1])
+
+
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
@@ -431,7 +447,7 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     an open question and is never assumed here.
     """
     g.require_valid()
-    determinant = spline_determinant(ms)
+    determinant = _solve(g, ms)[0]
     key = qhat(g)
     failing = tuple(
         idx
@@ -462,8 +478,6 @@ def _combination(
 ) -> list:
     """The components of sum(c_k F_k) as raw values of g's ring, computed
     through its mul and add."""
-    if ms.graph is not g:
-        raise ValueError("splines live on different graphs")
     ring = g.ring
     add, mul = ring.add, ring.mul
     out = [ring.zero.value] * g.n
@@ -477,21 +491,22 @@ def express_in_basis(
     g: LabeledGraph, ms: SplineMatrix, f: Spline
 ) -> Tuple[RingElement, ...]:
     """Coefficients c with sum(c_k F_k) = f; NotInSpanError when f is not in
-    the span, ZeroDivisionError when the columns are dependent (det 0).
+    the span, ZeroDivisionError when the columns are dependent (det 0),
+    ValueError when ms or f lives on another graph than g (see _solve).
 
     Cramer's rule: the column-replaced determinants divided by the matrix
     determinant, all from one elimination (see _bareiss).  The output is
     verified by full reconstruction on raw values before it is returned,
     so an arithmetic fault cannot produce silent garbage.
     """
-    determinant, numerators = _bareiss(ms.rows(), f.components[::-1])
+    determinant, numerators = _solve(g, ms, f)
     if determinant.is_zero:
         raise ZeroDivisionError("cannot express against a singular matrix")
     coefficients = [try_exact_div(y, determinant) for y in numerators]
     failed = [k for k, c in enumerate(coefficients) if c is None]
     if failed:
         raise NotInSpanError(failed[0], tuple(failed))
-    if _combination(g, ms, coefficients) != g.ring.values(f.components) or f.graph is not g:
+    if _combination(g, ms, coefficients) != g.ring.values(f.components):
         raise SplineError("internal error: Cramer reconstruction mismatch")
     return tuple(coefficients)
 
@@ -505,7 +520,7 @@ def qhat_span_decomposition(
     x_k are the column-replaced determinants (see _bareiss), scaled by the
     inverse of the unit relating determinant and key element.
     """
-    determinant, numerators = _bareiss(ms.rows(), f.components[::-1])
+    determinant, numerators = _solve(g, ms, f)
     key = qhat(g)
     unit = rings.associate_unit(determinant, key)
     if unit is None:
@@ -516,7 +531,7 @@ def qhat_span_decomposition(
     xs = [unit_inverse * y for y in numerators]
     mul, k = g.ring.mul, key.value
     scaled = [mul(k, x) for x in g.ring.values(f.components)]
-    if _combination(g, ms, xs) != scaled or f.graph is not g:
+    if _combination(g, ms, xs) != scaled:
         raise SplineError("internal error: span decomposition mismatch")
     return tuple(xs)
 
@@ -530,12 +545,13 @@ def coprime_witness_matrices(g: LabeledGraph) -> List[SplineMatrix]:
     """The n + k witness matrices of the coprime converse argument.
 
     With labels l_1..l_{n+k} (vertex labels then edge labels) pairwise
-    coprime and lhat_i the product omitting l_i: for a vertex index i the
-    witness is diagonal with the key element in position i and lhat_i
-    elsewhere; for an edge index the key element sits at the higher
-    endpoint's column, the lower endpoint's column covers both endpoints,
-    and the remaining columns are diagonal.  Every column is a spline and
-    the determinant is associate to lhat_i^(n-1) times the key element.
+    coprime, their product is taken once and lhat_i, the product omitting
+    l_i, is one exact division of it.  Witness i is the diagonal matrix of
+    lhat_i with lhat_i written at (a, b) and the key element at (b, b),
+    indexed (column, vertex): (a, b) = (i, i) for a vertex index i, and the
+    edge's endpoints a < b for an edge index.  So an edge witness's column
+    a covers both endpoints.  Every column is a spline and the determinant
+    is associate to lhat_i^(n-1) times the key element.
     """
     g.require_valid()
     violation = coprime_label_violation(g)
@@ -545,38 +561,14 @@ def coprime_witness_matrices(g: LabeledGraph) -> List[SplineMatrix]:
         )
     n = g.n
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
+    positions = [(i, i) for i in range(n)] + [e.endpoints() for e in g.edges]
     key = qhat(g)
-
-    def hat(skip: int) -> RingElement:
-        product = g.ring.one
-        for idx, label in enumerate(labels):
-            if idx != skip:
-                product = product * label
-        return product
-
-    zero = g.ring.zero
+    product = math.prod(labels, start=g.ring.one)
     out: List[SplineMatrix] = []
-    for i in range(n):
-        lhat = hat(i)
-        columns = []
-        for j in range(n):
-            comp = [zero] * n
-            comp[j] = key if j == i else lhat
-            columns.append(Spline(g, comp))
-        out.append(SplineMatrix(g, columns))
-    for e_index, e in enumerate(g.edges):
-        lhat = hat(n + e_index)
-        a, b = e.endpoints()
-        columns = []
-        for j in range(n):
-            comp = [zero] * n
-            if j == a:
-                comp[a] = lhat
-                comp[b] = lhat
-            elif j == b:
-                comp[b] = key
-            else:
-                comp[j] = lhat
-            columns.append(Spline(g, comp))
-        out.append(SplineMatrix(g, columns))
+    for label, (a, b) in zip(labels, positions):
+        lhat = exact_div(product, label)
+        columns = [[lhat if v == j else g.ring.zero for v in range(n)] for j in range(n)]
+        columns[a][b] = lhat
+        columns[b][b] = key
+        out.append(SplineMatrix(g, [Spline(g, comp) for comp in columns]))
     return out

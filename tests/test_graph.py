@@ -171,6 +171,13 @@ class TestTrailConstraint:
         with pytest.raises(ValueError):
             trail_constraint(c3_int, 1, 1)
 
+    def test_endpoint_out_of_range_rejected(self, c3_int):
+        # -1 would otherwise index the last vertex, and n past the table
+        for source, target in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+            with pytest.raises(ValueError, match="0..2"):
+                trail_constraint(c3_int, source, target)
+        assert trail_constraint(c3_int, 0, 2) == zz(5)
+
     def test_foreign_label_rejected(self):
         g = LabeledGraph(ZZ, [zz(2), zz(3)], [(0, 1, QQ.from_int(2))])
         with pytest.raises(DescriptorMismatchError):

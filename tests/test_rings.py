@@ -468,6 +468,35 @@ class TestPackedKernels:
         assert terms[(0, 0, 0, 0, 0, 0, 0, 4)] == 1
 
 
+def _literal_terms(value, depth):
+    """The nonzero terms by recursion on the outer variable, whose exponent
+    goes last."""
+    if depth == 0:
+        return [((), value)] if value else []
+    return [
+        (exps + (i,), c)
+        for i, x in enumerate(value)
+        for exps, c in _literal_terms(x, depth - 1)
+    ]
+
+
+class TestTerms:
+    def test_matches_literal_recursion_in_order(self):
+        rng = random.Random(61)
+        zxyz = polynomial_ring("x", "y", "z")
+        for ring in (ZX, QX, ZXY, QXY, zxyz):
+            for _ in range(60):
+                value = _random_value(rng, ring, 6, rng.choice([0.3, 0.7, 1.0]))
+                expected = _literal_terms(value, ring.depth)
+                assert rings._terms(value, ring.depth) == expected
+                assert ring.terms(value) == expected
+            assert ring.terms(ring.zero.value) == []
+
+    def test_scalar_rings(self):
+        assert ZZ.terms(-3) == [((), -3)] and ZZ.terms(0) == []
+        assert QQ.terms(Fraction(1, 2)) == [((), Fraction(1, 2))] and QQ.terms(Fraction(0)) == []
+
+
 class TestGcdLcm:
     def test_integer_examples(self):
         assert gcd(zz(12), zz(18)) == zz(6)

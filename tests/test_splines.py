@@ -675,6 +675,12 @@ class TestCertify:
         cert = certify_basis(g, scaled)
         assert cert.verdict is Verdict.REFUTED_BY_COPRIME_CONVERSE
 
+    def test_matrix_of_another_graph_refused_before_elimination(self, monkeypatch):
+        g, h, basis = _twin_graphs()
+        monkeypatch.setattr(splines, "_bareiss", _no_elimination)
+        with pytest.raises(ValueError, match="^splines live on different graphs$"):
+            certify_basis(h, basis)
+
     def test_inconclusive_needs_non_pid_non_coprime(self, t4, t4_set_a):
         assert coprime_label_violation(t4) is not None
         assert not t4.ring.is_pid
@@ -708,6 +714,13 @@ class TestExpress:
         with pytest.raises(ZeroDivisionError):
             express_in_basis(p2, ms, Spline(p2, [zz(2), zz(6)]))
 
+    def test_target_of_another_graph_refused_before_elimination(self, monkeypatch):
+        g, h, basis = _twin_graphs()
+        monkeypatch.setattr(splines, "_bareiss", _no_elimination)
+        for graph_, target in [(g, h), (h, h), (h, g)]:
+            with pytest.raises(ValueError, match="^splines live on different graphs$"):
+                express_in_basis(graph_, basis, Spline(target, [zz(6), zz(42)]))
+
     def test_reconstruction_mismatch_raises(self, monkeypatch, p2, p2_basis):
         # numerators off by one determinant still divide, into coefficients
         # off by one: the raw-value reconstruction must refuse them
@@ -724,7 +737,25 @@ class TestExpress:
             qhat_span_decomposition(p2, p2_basis, Spline(p2, [zz(2), zz(6)]))
 
 
+def _twin_graphs():
+    """Two graphs with the same labels (2, 3; edge 5) and the first one's
+    flow-up basis."""
+    g, h = (LabeledGraph(ZZ, [zz(2), zz(3)], [(0, 1, zz(5))]) for _ in range(2))
+    return g, h, flow_up_basis(g).matrix()
+
+
+def _no_elimination(rows, rhs=None):
+    raise AssertionError("_bareiss called on splines of another graph")
+
+
 class TestSpanDecomposition:
+    def test_target_of_another_graph_refused_before_elimination(self, monkeypatch):
+        g, h, basis = _twin_graphs()
+        monkeypatch.setattr(splines, "_bareiss", _no_elimination)
+        for graph_, target in [(g, h), (h, h), (h, g)]:
+            with pytest.raises(ValueError, match="^splines live on different graphs$"):
+                qhat_span_decomposition(graph_, basis, Spline(target, [zz(2), zz(6)]))
+
     def test_zero_target(self, p2, p2_basis):
         xs = qhat_span_decomposition(p2, p2_basis, Spline(p2, [zz(0), zz(0)]))
         assert all(x.is_zero for x in xs)
@@ -790,7 +821,75 @@ class TestLinearCombinationLemmas:
             assert is_associate(first_cert.determinant, second_cert.determinant)
 
 
+def _reference_witness_matrices(g):
+    """The witness matrices built literally: one loop for vertex witnesses
+    and one for edge witnesses, each lhat a product of the other labels."""
+    n = g.n
+    labels = list(g.vertex_labels) + [e.label for e in g.edges]
+    key = qhat(g)
+
+    def hat(skip):
+        product = g.ring.one
+        for idx, label in enumerate(labels):
+            if idx != skip:
+                product = product * label
+        return product
+
+    zero = g.ring.zero
+    out = []
+    for i in range(n):
+        lhat = hat(i)
+        columns = []
+        for j in range(n):
+            comp = [zero] * n
+            comp[j] = key if j == i else lhat
+            columns.append(comp)
+        out.append(columns)
+    for e_index, e in enumerate(g.edges):
+        lhat = hat(n + e_index)
+        a, b = e.endpoints()
+        columns = []
+        for j in range(n):
+            comp = [zero] * n
+            if j == a:
+                comp[a] = lhat
+                comp[b] = lhat
+            elif j == b:
+                comp[b] = key
+            else:
+                comp[j] = lhat
+            columns.append(comp)
+        out.append(columns)
+    return out
+
+
+def _coprime_linear_graph(rng, ring, n):
+    """A connected graph whose labels are distinct linear forms
+    x + k*y + c, pairwise coprime since their x-coefficients are 1."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [rng.sample(range(n), 2) for _ in range(rng.randrange(n + 1))] if n > 1 else []
+    ks = rng.sample(range(-20, 21), n + len(pairs))
+    x, y = ring.variable("x"), ring.variable("y")
+    labels = [x + ring.from_int(k) * y + ring.from_int(rng.randint(-3, 3)) for k in ks]
+    return LabeledGraph(ring, labels[:n], [(u, v, label) for (u, v), label in zip(pairs, labels[n:])])
+
+
 class TestWitnessMatrices:
+    def test_matches_reference_construction(self):
+        rng = random.Random(67)
+        graphs = [
+            random_instance(InstanceSpec(seed=seed, n=n, edge_density=0.5, coprime=True))
+            for seed in range(6)
+            for n in (1, 2, 4, 5)
+        ]
+        graphs += [_coprime_linear_graph(rng, ring, n) for ring in (ZXY, QXY) for n in (1, 2, 3, 5)]
+        for g in graphs:
+            assert coprime_label_violation(g) is None
+            got = [[col.components for col in ms.columns] for ms in coprime_witness_matrices(g)]
+            expected = [[tuple(col) for col in columns] for columns in _reference_witness_matrices(g)]
+            assert got == expected
+        assert sum(g.ring is not ZZ and len(g.edges) > 1 for g in graphs) >= 4
+
     def test_single_vertex(self, single_vertex):
         matrices = coprime_witness_matrices(single_vertex)
         assert len(matrices) == 1
