@@ -1,8 +1,10 @@
 """Byte-for-byte replay of `egs` on the bundled data.
 
 tests/golden/cases.json lists each case: its name, its argv and its exit
-code.  An argv entry ending in ".json" names a bundled data file.  The
-expected stdout of a case is tests/golden/<name>.out.
+code.  An argv entry ending in ".json" names a bundled data file, or, when
+it starts with "golden/", an instance file under tests/golden/ (such as
+"golden/qx_frontier.json").  The expected stdout of a case is
+tests/golden/<name>.out.
 
 When an output change is intended, rewrite the exit codes and the .out
 files from the current code with
@@ -27,6 +29,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def _resolve(arg):
+    if arg.startswith("golden/"):
+        return str(GOLDEN.parent / arg)
     if arg.endswith(".json"):
         return str(resources.files("egsplines").joinpath("data", arg))
     return arg
