@@ -9,13 +9,21 @@ they are formed, and the vertex rows' pivot columns are the basis.  L
 contains D*R^(|E|+|V|) for D the lcm of all labels, so every entry is kept
 reduced modulo D and no unimodular transform is tracked.  The pass runs on
 raw values through the ring's own operations (add, mul, divmod, xgcd, ...),
-wrapping RingElements only at entry and exit.  The leading terms and
-determinant are cross-checked against the key-element formula.
+wrapping RingElements only at entry and exit.  Over QQ[x], D bounds the
+degrees but not the heights of rational coefficients, so the pass holds
+each column as a primitive vector over ZZ[x] instead: the nonzero rationals
+are the units of QQ[x], so scaling a whole column by one changes neither
+the lattice nor its Hermite form, and Fractions appear only in the result.
+The leading terms and determinant are cross-checked against the
+key-element formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
@@ -74,11 +82,10 @@ def hermite_form(
     the Hermite form of the sublattice whose first k coordinates vanish,
     restricted to the other rows.
 
-    The folded-in column modulus*e_i gives every row a pivot dividing the
-    modulus, and lets every entry below the current row be reduced modulo
-    it; an entry is reduced only once its size reaches the modulus's.
-    Column operations touch only rows at or below the current row, since
-    the rows above are zero in the columns still being worked on.
+    ZZ and QQ run _euclidean_pass.  QQ[x] runs _primitive_pass, the same
+    steps on primitive integer columns: a nonzero rational is a unit of
+    QQ[x], so scaling a whole column by one changes neither the lattice
+    nor, after each pivot is made monic, the unique Hermite form.
 
     The entries and the modulus are unwrapped once, each checked to lie in
     ring (DescriptorMismatchError otherwise); the pass runs on raw values
@@ -92,18 +99,33 @@ def hermite_form(
     if not modulus:
         raise ValueError("the modulus must be nonzero")
     values = [ring.values(row) for row in rows]
+    nrows = len(values)
+    ncols = len(values[0]) if nrows else 0
+    work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
+    run = _primitive_pass if ring.is_polynomial else _euclidean_pass
+    kept = run(work, nrows, ring, ring.canon(modulus), skip)
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, nrows)]
+
+
+def _euclidean_pass(
+    work: List[list], nrows: int, ring: RingDescriptor, modulus, skip: int
+) -> List[list]:
+    """The kept columns of hermite_form, by ring's Euclidean operations.
+
+    The folded-in column modulus*e_i gives every row a pivot dividing the
+    modulus, and lets every entry below the current row be reduced modulo
+    it; an entry is reduced only once its size reaches the modulus's.
+    Column operations touch only rows at or below the current row, since
+    the rows above are zero in the columns still being worked on.
+    """
     add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
     divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
     zero, one = ring.zero.value, ring.one.value
-    modulus = ring.canon(modulus)
     bound = size(modulus)
-    nrows = len(values)
 
     def reduced(x):
         return divmod_(x, modulus)[1] if size(x) >= bound else x
 
-    ncols = len(values[0]) if nrows else 0
-    work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
     kept: List[list] = []
     for i in range(nrows):
         below = range(i + 1, nrows)
@@ -164,7 +186,144 @@ def hermite_form(
                     if pivot[r]:
                         col[r] = reduced(sub(col[r], mul(q, pivot[r])))
         kept.append(pivot)
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, nrows)]
+    return kept
+
+
+def _primitive_pass(
+    work: List[list], nrows: int, ring: RingDescriptor, modulus, skip: int
+) -> List[list]:
+    """The kept columns of hermite_form over QQ[x], by _euclidean_pass's
+    steps on primitive integer columns.
+
+    Each column is held as the primitive ZZ[x] multiple of the column that
+    _euclidean_pass would hold: the same vector up to a nonzero rational,
+    which is a unit of QQ[x].  So a step may scale a whole column (never
+    one entry) by a nonzero integer, and after each step the column is
+    divided by the gcd of its integer coefficients:
+
+    - a division by an integer polynomial of leading coefficient c first
+      scales the whole column by a power of c, so that every leading
+      division is exact (a pseudo-division; c = 1 when every label is
+      monic with integer coefficients);
+    - xgcd runs the extended Euclidean algorithm the same way on the
+      columns (a, 1, 0) and (b, 0, 1), so its gcd is an integer multiple
+      of the monic one;
+    - the extra column of the fold is a remainder modulo the primitive
+      gcd, times the modulus divided by it (exact in ZZ[x] by Gauss's
+      lemma), and scaled by -1.
+
+    Fractions are built only at the end, when each kept column is divided
+    by the leading coefficient of its pivot.  That makes the pivot monic
+    and keeps each reduced entry's degree below its pivot's.
+    """
+    zx = RingDescriptor("polynomial", ring.variables, "integers")
+    add, sub, mul, divide = zx.add, zx.sub, zx.mul, zx.divide
+    long_division = zx.long_division
+
+    def scaled(col, f):
+        return [tuple(f * c for c in x) for x in col]
+
+    def exact_for(col, size, divisor):
+        """col times the power of lc(divisor) that makes each leading
+        division exact when an entry of this size is divided by divisor."""
+        k = size - len(divisor) + 1
+        return scaled(col, divisor[-1] ** k) if k > 0 and divisor[-1] != 1 else col
+
+    def primitive(col):
+        g = math.gcd(*chain.from_iterable(col))
+        return [tuple(c // g for c in x) for x in col] if g > 1 else col
+
+    def remainders(col, i, divisor):
+        """col times lc(divisor)^k, then its entries below row i replaced
+        by their remainders modulo divisor, k just large enough for that."""
+        size = max(map(len, col[i + 1:]), default=0)
+        if size < len(divisor):
+            return col
+        col = exact_for(col, size, divisor)
+        return col[: i + 1] + [
+            long_division(x, divisor)[1] if len(x) >= len(divisor) else x
+            for x in col[i + 1:]
+        ]
+
+    def xgcd(a, b):
+        """[g, s, t] with s*a + t*b = g, a nonzero integer multiple of gcd(a, b)."""
+        u, v = [a, (1,), ()], [b, (), (1,)]
+        while v[0]:
+            if len(u[0]) >= len(v[0]):
+                u = exact_for(u, len(u[0]), v[0])
+                q, r = long_division(u[0], v[0])
+                u = [r, sub(u[1], mul(q, v[1])), sub(u[2], mul(q, v[2]))]
+            u, v = v, primitive(u)
+        return u
+
+    def cleared(col):
+        """The primitive ZZ[x] multiple of a column of QQ[x] values."""
+        den = math.lcm(*(c.denominator for x in col for c in x))
+        col = [tuple(c.numerator * (den // c.denominator) for c in x) for x in col]
+        return primitive(col)
+
+    def reduced(col, i):
+        return primitive(remainders(col, i, m))
+
+    (m,) = cleared([modulus])
+    work = [cleared(col) for col in work]
+    kept: List[list] = []
+    for i in range(nrows):
+        below = range(i + 1, nrows)
+        pivot = None
+        rest = []
+        for col in work:
+            if not col[i]:
+                rest.append(col)
+            elif pivot is None:
+                pivot = col
+            else:
+                d, s, t = xgcd(pivot[i], col[i])
+                (g,) = primitive([d])
+                a, b = divide(pivot[i], g), divide(col[i], g)
+                for r in below:
+                    x, y = pivot[r], col[r]
+                    if x or y:
+                        pivot[r] = add(mul(s, x), mul(t, y))
+                        col[r] = sub(mul(a, y), mul(b, x))
+                pivot[i] = d
+                col[i] = ()
+                pivot = reduced(pivot, i)
+                col = reduced(col, i)
+                if any(col[r] for r in below):
+                    rest.append(col)
+        if pivot is None:
+            pivot = [()] * nrows
+            pivot[i] = m
+        else:
+            d, s, _ = xgcd(pivot[i], m)
+            if len(d) > 1:
+                (g,) = primitive([d])
+                cofactor = divide(m, g)
+                extra = remainders(pivot, i, g)[i + 1:]
+                if any(extra):
+                    extra = [()] * (i + 1) + [mul(cofactor, x) for x in extra]
+                    rest.append(primitive(extra))
+            if i >= skip:
+                pivot = reduced(pivot[:i] + [d] + [mul(s, x) for x in pivot[i + 1:]], i)
+        work = rest
+        if i < skip:
+            continue
+        p = pivot[i]
+        for j, col in enumerate(kept):
+            if len(col[i]) < len(p):
+                continue
+            col = exact_for(col, len(col[i]), p)
+            q, col[i] = long_division(col[i], p)
+            for r in below:
+                if pivot[r]:
+                    col[r] = sub(col[r], mul(q, pivot[r]))
+            kept[j] = reduced(col, i)
+        kept.append(pivot)
+    return [
+        [tuple(Fraction(c, col[skip + j][-1]) for c in x) for x in col]
+        for j, col in enumerate(kept)
+    ]
 
 
 # ---------------------------------------------------------------------------

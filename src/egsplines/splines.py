@@ -204,7 +204,7 @@ def key_element(g: LabeledGraph) -> KeyElement:
         return g._key
     g.require_valid()
     ring = g.ring
-    lcm, gcd, mul, divide = ring.lcm, ring.gcd, ring.mul, ring.divide
+    lcm, gcd, mul, divide, canon = ring.lcm, ring.gcd, ring.mul, ring.divide, ring.canon
     labels = graph._raw_labels(g)[0]
     table = graph._aggregate_table(g)
     one = ring.one.value
@@ -219,11 +219,17 @@ def key_element(g: LabeledGraph) -> KeyElement:
         lower = one
         for s in range(i):
             lower = lcm(lower, row[s])
-        component = RingElement(ring, lcm(upper, lower))
+        # lcm(U, L) = (U / gcd(U, L)) * L, taking the gcd that H needs once
+        if lower == one:
+            cofactor, component = upper, canon(upper)
+        else:
+            cofactor = divide(upper, gcd(upper, lower))
+            component = canon(mul(cofactor, lower))
+        component = RingElement(ring, component)
         components.append(component)
         key = key * component
         qg = mul(qg, lower)
-        h = mul(h, divide(upper, gcd(upper, lower)))
+        h = mul(h, cofactor)
     g._key = KeyElement(
         tuple(components),
         canonical_associate(key),

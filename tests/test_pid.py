@@ -11,7 +11,7 @@ from egsplines.pid import (
     hermite_form,
     verify_flow_up,
 )
-from egsplines import rings
+from egsplines import pid, rings
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -19,6 +19,7 @@ from egsplines.rings import (
     RingElement,
     UnsupportedRingError,
     associate_unit,
+    lcm_many,
     parse_element,
 )
 from egsplines.splines import (
@@ -194,8 +195,66 @@ def _random_qx_modulus(rng):
     return out
 
 
+def _euclidean_form(rows, ring, modulus, skip=0):
+    """hermite_form by _euclidean_pass, the loop that serves ZZ and QQ, kept
+    as the reference for QQ[x]'s pass on primitive integer columns."""
+    values = [ring.values(row) for row in rows]
+    work = [list(col) for col in zip(*values)]
+    kept = pid._euclidean_pass(work, len(rows), ring, ring.canon(modulus.value), skip)
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, len(rows))]
+
+
+def _random_nonmonic_qx_graph(rng):
+    """Connected QQ[x] graph whose labels are rational multiples of products
+    of a*x - b with a in {1, 2, 3}, so their integer associates need not be
+    monic, and sometimes of x^2 - 3."""
+
+    def label():
+        out = parse_element(f"{rng.choice((1, 2, -3))}/{rng.randint(1, 4)}", QX)
+        for _ in range(rng.randint(0, 2)):
+            out = out * qx(f"{rng.randint(1, 3)}*x-{rng.randint(-3, 3)}")
+        if rng.random() < 0.2:
+            out = out * qx("x^2-3")
+        return out
+
+    n = rng.randint(2, 5)
+    edges = [(rng.randrange(v), v, label()) for v in range(1, n)]
+    if n > 2:
+        edges.append((0, n - 1, label()))
+    return LabeledGraph(QX, [label() for _ in range(n)], edges)
+
+
 class TestHermiteRationalPolynomials:
     """The ZZ properties of TestHermite, on seeded QQ[x] matrices."""
+
+    def test_matches_euclidean_pass_on_random_matrices(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            nrows, ncols = rng.randint(1, 4), rng.randint(0, 5)
+            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
+            modulus = _random_qx_modulus(rng)
+            skip = rng.randint(0, nrows)
+            expected = _euclidean_form(rows, QX, modulus, skip)
+            assert hermite_form(rows, QX, modulus, skip) == expected, (rows, modulus)
+
+    def test_matches_euclidean_pass_on_nonmonic_labels(self):
+        # the flow-up matrices of graphs whose lcm has a non-monic integer
+        # associate, which makes every reduction a pseudo-division
+        rng = random.Random(103)
+        nonmonic = 0
+        for _ in range(40):
+            g = _random_nonmonic_qx_graph(rng)
+            rows = assemble_constraint_matrix(g)
+            modulus = lcm_many(list(g.vertex_labels) + [e.label for e in g.edges], QX)
+            nonmonic += any(c.denominator != 1 for c in modulus.value)
+            for skip in (0, len(g.edges)):
+                got = hermite_form(rows, QX, modulus, skip)
+                expected = _euclidean_form(rows, QX, modulus, skip)
+                assert got == expected, g
+                assert [list(map(str, row)) for row in got] == [
+                    list(map(str, row)) for row in expected
+                ]
+        assert nonmonic >= 20
 
     def test_column_shuffle_invariance(self):
         rng = random.Random(83)
