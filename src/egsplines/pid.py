@@ -220,14 +220,14 @@ def _primitive_pass(
     add, sub, mul, divide = zx.add, zx.sub, zx.mul, zx.divide
     long_division = zx.long_division
 
-    def scaled(col, f):
-        return [tuple(f * c for c in x) for x in col]
-
     def exact_for(col, size, divisor):
         """col times the power of lc(divisor) that makes each leading
         division exact when an entry of this size is divided by divisor."""
         k = size - len(divisor) + 1
-        return scaled(col, divisor[-1] ** k) if k > 0 and divisor[-1] != 1 else col
+        if k <= 0 or divisor[-1] == 1:
+            return col
+        f = divisor[-1] ** k
+        return [tuple(f * c for c in x) for x in col]
 
     def primitive(col):
         g = math.gcd(*chain.from_iterable(col))
