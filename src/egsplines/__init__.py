@@ -2,9 +2,9 @@
 
 Computes the key element from one all-pairs (lcm, gcd) closure of the edge
 labels, certifies candidate bases via the determinant criterion over GCD
-domains, and synthesizes flow-up bases over PIDs from one Hermite pass
-reduced modulo the lcm of the labels, with brute-force oracles for integer
-instances.
+domains, and synthesizes flow-up bases over PIDs by intersecting one edge
+congruence at a time and taking one Hermite pass modulo the lcm of the
+labels, with brute-force oracles for integer instances.
 """
 
 from .graph import LabeledGraph, trail_constraint
@@ -12,7 +12,6 @@ from .oracle import Trail, trails_between
 from .pid import (
     FlowUpClass,
     TriangularBasis,
-    assemble_constraint_matrix,
     flow_up_basis,
     hermite_form,
     verify_flow_up,
@@ -71,7 +70,6 @@ __all__ = [
     "Trail",
     "TriangularBasis",
     "Verdict",
-    "assemble_constraint_matrix",
     "certify_basis",
     "classical_qg",
     "coprime_witness_matrices",

@@ -1,21 +1,16 @@
-"""Flow-up bases over Euclidean PIDs, from one modular Hermite pass.
+"""Flow-up bases over Euclidean PIDs, by edge-wise lattice intersection.
 
-Stack one row per edge, m_a*a_{v_a} - m_b*a_{v_b} - r_e*b_e, over one row per
-vertex, m_v*a_v.  The columns of that matrix span a lattice L whose vectors
-with a zero edge part are exactly (0, f) for the splines f.  One column
-Hermite pass over L therefore yields the spline module in Hermite form,
-which is a flow-up basis: the pivot columns of the edge rows are dropped as
-they are formed, and the vertex rows' pivot columns are the basis.  L
-contains D*R^(|E|+|V|) for D the lcm of all labels, so every entry is kept
-reduced modulo D and no unimodular transform is tracked.  The pass runs on
-raw values through the ring's own operations (add, mul, divmod, xgcd, ...),
-wrapping RingElements only at entry and exit.  Over QQ[x], D bounds the
-degrees but not the heights of rational coefficients, so the pass holds
-each column as a primitive vector over ZZ[x] instead: the nonzero rationals
-are the units of QQ[x], so scaling a whole column by one changes neither
-the lattice nor its Hermite form, and Fractions appear only in the result.
-The leading terms and determinant are cross-checked against the
-key-element formula.
+The spline module {f in (+) m_v R : f_u = f_v mod r_e on every edge} of a
+graph over a PID contains D*R^n, D the lcm of all labels, and its column
+Hermite form is a flow-up basis whose leading terms are the key-element
+components.  flow_up_basis cuts diag(m_v) down by one edge congruence at a
+time (_intersect_edges, O(n^2) ring operations per edge), then takes one
+Hermite pass modulo D (hermite_form).  Both run on raw values through the
+ring's own operations (add, mul, divmod, xgcd, ...), wrapping RingElements
+only at exit.  Over QQ[x] the Hermite pass holds each column as a primitive
+ZZ[x] vector, which keeps coefficient heights down: a nonzero rational is a
+unit, so scaling a whole column by one changes neither the lattice nor its
+Hermite form.  verify_flow_up checks a basis against the key element.
 """
 
 from __future__ import annotations
@@ -27,37 +22,9 @@ from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _raw_labels
 from .rings import RingDescriptor, RingElement, UnsupportedRingError, lcm_many
 from .splines import Spline, SplineMatrix
-
-
-def assemble_constraint_matrix(g: LabeledGraph) -> List[List[RingElement]]:
-    """(|E|+|V|) x (|V|+|E|) matrix whose column lattice lifts the splines.
-
-    Columns: one coefficient a_v per vertex, then one b_e per edge.  The row
-    of edge e = {v_a, v_b} with a < b reads m_a * a_{v_a} - m_b * a_{v_b}
-    - r_e * b_e; below the edge rows, the row of vertex v holds m_v in
-    column v.  A column combination (a, b) has a zero edge part exactly when
-    its vertex part (m_v * a_v) is a spline.
-    """
-    g.require_valid()
-    n = g.n
-    k = len(g.edges)
-    zero = g.ring.zero
-    rows: List[List[RingElement]] = []
-    for e_index, e in enumerate(g.edges):
-        a, b = e.endpoints()
-        row = [zero] * (n + k)
-        row[a] = g.vertex_labels[a]
-        row[b] = -g.vertex_labels[b]
-        row[n + e_index] = -e.label
-        rows.append(row)
-    for v in range(n):
-        row = [zero] * (n + k)
-        row[v] = g.vertex_labels[v]
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +36,6 @@ def hermite_form(
     rows: Sequence[Sequence[RingElement]],
     ring: RingDescriptor,
     modulus: RingElement,
-    skip: int = 0,
 ) -> List[List[RingElement]]:
     """Column Hermite form of the lattice spanned by the columns and modulus*R^N.
 
@@ -77,10 +43,7 @@ def hermite_form(
     as the caller must ensure, the result is its Hermite form: lower
     triangular, canonical pivots (positive integers, monic polynomials), and
     in each pivot row the entries left of the pivot reduced modulo it.
-    Euclidean descriptors only.  With skip = k the pivot columns of the
-    first k rows are dropped as soon as they are formed, so the result is
-    the Hermite form of the sublattice whose first k coordinates vanish,
-    restricted to the other rows.
+    Euclidean descriptors only.
 
     ZZ and QQ run _euclidean_pass.  QQ[x] runs _primitive_pass, the same
     steps on primitive integer columns: a nonzero rational is a unit of
@@ -102,15 +65,20 @@ def hermite_form(
     nrows = len(values)
     ncols = len(values[0]) if nrows else 0
     work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
+    kept = _hermite_columns(work, nrows, ring, modulus)
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(nrows)]
+
+
+def _hermite_columns(work: List[list], nrows: int, ring: RingDescriptor, modulus) -> List[list]:
+    """The columns of hermite_form, from raw columns and a raw modulus."""
     run = _primitive_pass if ring.is_polynomial else _euclidean_pass
-    kept = run(work, nrows, ring, ring.canon(modulus), skip)
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, nrows)]
+    return run(work, nrows, ring, ring.canon(modulus))
 
 
 def _euclidean_pass(
-    work: List[list], nrows: int, ring: RingDescriptor, modulus, skip: int
+    work: List[list], nrows: int, ring: RingDescriptor, modulus
 ) -> List[list]:
-    """The kept columns of hermite_form, by ring's Euclidean operations.
+    """The columns of hermite_form, by ring's Euclidean operations.
 
     The folded-in column modulus*e_i gives every row a pivot dividing the
     modulus, and lets every entry below the current row be reduced modulo
@@ -170,8 +138,6 @@ def _euclidean_pass(
                 if any(extra[r] for r in below):
                     rest.append(extra)
         work = rest
-        if i < skip:
-            continue
         if s != one:
             for r in below:
                 if pivot[r]:
@@ -190,9 +156,9 @@ def _euclidean_pass(
 
 
 def _primitive_pass(
-    work: List[list], nrows: int, ring: RingDescriptor, modulus, skip: int
+    work: List[list], nrows: int, ring: RingDescriptor, modulus
 ) -> List[list]:
-    """The kept columns of hermite_form over QQ[x], by _euclidean_pass's
+    """The columns of hermite_form over QQ[x], by _euclidean_pass's
     steps on primitive integer columns.
 
     Each column is held as the primitive ZZ[x] multiple of the column that
@@ -304,11 +270,8 @@ def _primitive_pass(
                 if any(extra):
                     extra = [()] * (i + 1) + [mul(cofactor, x) for x in extra]
                     rest.append(primitive(extra))
-            if i >= skip:
-                pivot = reduced(pivot[:i] + [d] + [mul(s, x) for x in pivot[i + 1:]], i)
+            pivot = reduced(pivot[:i] + [d] + [mul(s, x) for x in pivot[i + 1:]], i)
         work = rest
-        if i < skip:
-            continue
         p = pivot[i]
         for j, col in enumerate(kept):
             if len(col[i]) < len(p):
@@ -321,7 +284,7 @@ def _primitive_pass(
             kept[j] = reduced(col, i)
         kept.append(pivot)
     return [
-        [tuple(Fraction(c, col[skip + j][-1]) for c in x) for x in col]
+        [tuple(Fraction(c, col[j][-1]) for c in x) for x in col]
         for j, col in enumerate(kept)
     ]
 
@@ -353,32 +316,84 @@ class TriangularBasis:
 
 
 def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
-    """Flow-up basis of the spline module over a PID descriptor.
-
-    The Hermite form of the spline module, from one pass over the stacked
-    constraint matrix modulo the lcm of all labels (see hermite_form).  It
-    is lower triangular, so column i has its first nonzero entry at vertex
-    index i and is a flow-up class.
+    """Flow-up basis of the spline module over a PID descriptor: the Hermite
+    form of H*R^n + D*R^n for H from _intersect_edges and D the lcm of all
+    labels.  It is lower triangular, so column i is a flow-up class at i.
     """
     g.require_valid()
-    if not g.ring.is_pid:
+    ring = g.ring
+    if not ring.is_pid:
         raise UnsupportedRingError(
             f"flow-up synthesis requires a PID descriptor (ZZ, QQ or QQ[x]), "
-            f"got {g.ring}; over general GCD domains a free spline module "
+            f"got {ring}; over general GCD domains a free spline module "
             f"may have no flow-up basis at all"
         )
-    labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    h = hermite_form(
-        assemble_constraint_matrix(g),
-        g.ring,
-        lcm_many(labels, g.ring),
-        skip=len(g.edges),
-    )
-    classes = tuple(
-        FlowUpClass(Spline(g, [row[i] for row in h]), i, h[i][i])
-        for i in range(g.n)
-    )
-    return TriangularBasis(g, classes)
+    modulus = lcm_many([*g.vertex_labels, *(e.label for e in g.edges)], ring).value
+    columns = _hermite_columns(_intersect_edges(g, modulus), g.n, ring, modulus)
+    classes = []
+    for i, col in enumerate(columns):
+        components = [RingElement(ring, x) for x in col]
+        classes.append(FlowUpClass(Spline(g, components), i, components[i]))
+    return TriangularBasis(g, tuple(classes))
+
+
+def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
+    """Columns of an n x n lower triangular H with H*R^n + D*R^n the spline
+    module of g, for D = modulus, the raw lcm of all labels.
+
+    H starts as diag(m_v), which with D*R^n spans (+) m_v R.  Edge {u, v},
+    u < v, with label r keeps the vectors H*x with c.x = 0 (mod r), where
+    c_j = H_uj - H_vj; r divides D, so D*R^n stays.  H is lower triangular,
+    so c_j = 0 for j > v, and j walks from v down to 0 with G = r, V = 0.
+    Where c_j != 0 (mod r): (d, s, t) = xgcd(G, c_j), column j becomes
+    (G/d)*H_j - (c_j/d)*V, then V = s*V + t*H_j (the old H_j) and G = d.
+    Only rows >= j change.  V = H*w with w zero up to j and c.w = G (mod r),
+    which s*c.w + t*c_j = d keeps, so the new column H*x has c.x =
+    (G/d)*c_j - (c_j/d)*c.w = 0 (mod r).  These x form a triangular matrix
+    with diagonal entries G/d (1 where c_j = 0), whose product r/gcd(r, c)
+    is the index of {x : c.x = 0 (mod r)} in R^n; so they generate it, and
+    the new H*R^n + D*R^n is exactly the old one cut by the congruence.
+    Entries are reduced modulo D once their size reaches D's, which leaves
+    that lattice unchanged.
+    """
+    ring = g.ring
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
+    zero, one = ring.zero.value, ring.one.value
+    n = g.n
+    bound = size(modulus)
+
+    def reduced(x):
+        return divmod_(x, modulus)[1] if size(x) >= bound else x
+
+    vertex_labels, edge_labels = _raw_labels(g)
+    H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(vertex_labels)]
+    for e, r in zip(g.edges, edge_labels):
+        u, v = e.endpoints()
+        G, V = r, [zero] * n
+        for j in range(v, -1, -1):
+            col = H[j]
+            c = sub(col[u], col[v])
+            if size(c) >= size(r):
+                c = divmod_(c, r)[1]
+            if not c:
+                continue
+            if G == one:
+                # (d, s, t) = (1, 1, 0): column j loses c_j*V, V stays;
+                # V is zero in row j, being made of columns above j
+                for i in range(j + 1, n):
+                    if V[i]:
+                        col[i] = reduced(sub(col[i], mul(c, V[i])))
+                continue
+            d, s, t = xgcd(G, c)
+            a, b = divide(G, d), divide(c, d)
+            for i in range(j, n):
+                x, y = col[i], V[i]
+                if x or y:
+                    col[i] = reduced(sub(mul(a, x), mul(b, y)))
+                    V[i] = reduced(add(mul(s, y), mul(t, x)))
+            G = d
+    return H
 
 
 @dataclass(frozen=True)
@@ -411,41 +426,24 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     """
     checks: List[FlowUpCheck] = []
     for cls in basis.classes:
-        violations = splines.spline_violations(g, cls.spline.components)
+        i, components = cls.index + 1, cls.spline.components
+        violations = splines.spline_violations(g, components)
         checks.append(
-            FlowUpCheck(
-                f"column {cls.index + 1} is a spline",
-                not violations,
-                "; ".join(violations) if violations else "ok",
-            )
+            FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
         )
-        shape_ok = all(
-            cls.spline.components[s].is_zero for s in range(cls.index)
-        ) and not cls.spline.components[cls.index].is_zero
-        checks.append(
-            FlowUpCheck(
-                f"column {cls.index + 1} is flow-up at index {cls.index + 1}",
-                shape_ok,
-                "ok" if shape_ok else "shape violated",
-            )
-        )
+        ok = all(x.is_zero for x in components[: i - 1]) and not components[i - 1].is_zero
+        detail = "ok" if ok else "shape violated"
+        checks.append(FlowUpCheck(f"column {i} is flow-up at index {i}", ok, detail))
     determinant = splines.spline_determinant(basis.matrix())
     key = splines.key_element(g)
     unit = rings.associate_unit(determinant, key.qhat)
-    checks.append(
-        FlowUpCheck(
-            "determinant is a unit multiple of the key element",
-            unit is not None,
-            "ok" if unit is not None else f"det = {determinant}, key element = {key.qhat}",
-        )
-    )
+    ok = unit is not None
+    detail = "ok" if ok else f"det = {determinant}, key element = {key.qhat}"
+    checks.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
     for cls, expected in zip(basis.classes, key.components):
         ok = rings.is_associate(cls.leading_term, expected)
+        detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
         checks.append(
-            FlowUpCheck(
-                f"leading term {cls.index + 1} matches the formula value",
-                ok,
-                "ok" if ok else f"leading term {cls.leading_term}, formula {expected}",
-            )
+            FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
         )
     return FlowUpReport(tuple(checks), determinant, key.qhat, unit)

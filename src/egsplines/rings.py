@@ -702,9 +702,10 @@ def lcm(a: RingElement, b: RingElement) -> RingElement:
 
 def _fold(operation: str, elements: list) -> RingElement:
     """The canonical fold of one of a ring's raw operations over a nonempty
-    list of elements of the first element's ring."""
+    list of elements of the first element's ring.  A value equal to an
+    earlier one cannot change the fold of gcd or lcm, so it is dropped."""
     d = elements[0].descriptor
-    values = d.values(elements)
+    values = list(dict.fromkeys(d.values(elements)))
     op = getattr(d, operation)
     out = values[0]
     for v in values[1:]:

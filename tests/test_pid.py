@@ -5,12 +5,7 @@ import pytest
 
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.pid import (
-    assemble_constraint_matrix,
-    flow_up_basis,
-    hermite_form,
-    verify_flow_up,
-)
+from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
 from egsplines import pid, rings
 from egsplines.rings import (
     QQ,
@@ -37,16 +32,60 @@ def _values(rows):
     return [[x.value for x in row] for row in rows]
 
 
+def _constraint_matrix(g):
+    """(|E|+|V|) x (|V|+|E|) matrix whose column lattice lifts the splines.
+
+    Columns: one coefficient a_v per vertex, then one b_e per edge.  The row
+    of edge e = {v_a, v_b} with a < b reads m_a * a_{v_a} - m_b * a_{v_b}
+    - r_e * b_e; below the edge rows, the row of vertex v holds m_v in
+    column v.  A column combination (a, b) has a zero edge part exactly when
+    its vertex part (m_v * a_v) is a spline, so the splines are the lattice
+    vectors whose first |E| coordinates vanish.
+    """
+    n, k = g.n, len(g.edges)
+    zero = g.ring.zero
+    rows = []
+    for e_index, e in enumerate(g.edges):
+        a, b = e.endpoints()
+        row = [zero] * (n + k)
+        row[a] = g.vertex_labels[a]
+        row[b] = -g.vertex_labels[b]
+        row[n + e_index] = -e.label
+        rows.append(row)
+    for v in range(n):
+        row = [zero] * (n + k)
+        row[v] = g.vertex_labels[v]
+        rows.append(row)
+    return rows
+
+
+def _stacked_flow_up(g, form=hermite_form):
+    """The flow-up basis from the stacked constraint matrix, an independent
+    reference: the Hermite form of its lattice modulo the lcm D of all
+    labels (which it contains) is lower triangular, so its vectors with a
+    zero edge part are spanned by the pivot columns of the vertex rows, and
+    their vertex rows, the trailing n x n block, are the spline module in
+    Hermite form.  Rows are vertices, columns are basis elements."""
+    labels = list(g.vertex_labels) + [e.label for e in g.edges]
+    full = form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
+    k = len(g.edges)
+    return [row[k:] for row in full[k:]]
+
+
+def _basis_rows(basis):
+    return [list(row) for row in zip(*(cls.spline.components for cls in basis.classes))]
+
+
 class TestConstraintMatrix:
     def test_p2(self, p2):
-        rows = _values(assemble_constraint_matrix(p2))
+        rows = _values(_constraint_matrix(p2))
         assert rows == [[2, -3, -4], [2, 0, 0], [0, 3, 0]]
 
     def test_single_vertex(self, single_vertex):
-        assert _values(assemble_constraint_matrix(single_vertex)) == [[5]]
+        assert _values(_constraint_matrix(single_vertex)) == [[5]]
 
     def test_c3_pattern(self, c3_int):
-        rows = _values(assemble_constraint_matrix(c3_int))
+        rows = _values(_constraint_matrix(c3_int))
         assert rows == [
             [4, -6, 0, -2, 0, 0],
             [0, 6, -9, 0, -3, 0],
@@ -115,18 +154,24 @@ class TestHermite:
             h2 = hermite_form(_int_rows(shuffled), ZZ, modulus)
             assert _values(h1) == _values(h2)
 
-    def test_skip_is_the_trailing_block(self):
-        # skipping the first k rows keeps the pivot columns of the others,
-        # which the full form has as its lower right block
+    def test_flow_up_is_the_trailing_block(self):
+        # flow_up_basis against the trailing block of the stacked constraint
+        # matrix's Hermite form, on graphs of every shape up to n = 9
         rng = random.Random(73)
-        for _ in range(40):
-            nrows = rng.randint(2, 5)
-            values = _random_matrix(rng, nrows, rng.randint(1, 6), 8)
-            modulus = zz(rng.randint(1, 60))
-            k = rng.randint(0, nrows)
-            full = _values(hermite_form(_int_rows(values), ZZ, modulus))
-            tail = _values(hermite_form(_int_rows(values), ZZ, modulus, skip=k))
-            assert tail == [row[k:] for row in full[k:]]
+        coprime = 0
+        for seed in range(400):
+            n = rng.randint(1, 9)
+            spec = InstanceSpec(
+                seed=seed,
+                n=n,
+                edge_density=rng.choice((0.0, 0.2, 0.4, 0.6, 0.9)),
+                label_bound=rng.choice((6, 30, 100, 1000)),
+                coprime=n <= 6 and rng.random() < 0.15,
+            )
+            coprime += spec.coprime
+            g = random_instance(spec)
+            assert _basis_rows(flow_up_basis(g)) == _stacked_flow_up(g), spec
+        assert coprime >= 30
 
     def test_rational_polynomials(self):
         rows = [[qx("x^2-1"), qx("x+1")]]
@@ -195,13 +240,13 @@ def _random_qx_modulus(rng):
     return out
 
 
-def _euclidean_form(rows, ring, modulus, skip=0):
+def _euclidean_form(rows, ring, modulus):
     """hermite_form by _euclidean_pass, the loop that serves ZZ and QQ, kept
     as the reference for QQ[x]'s pass on primitive integer columns."""
     values = [ring.values(row) for row in rows]
     work = [list(col) for col in zip(*values)]
-    kept = pid._euclidean_pass(work, len(rows), ring, ring.canon(modulus.value), skip)
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(skip, len(rows))]
+    kept = pid._euclidean_pass(work, len(rows), ring, ring.canon(modulus.value))
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(len(rows))]
 
 
 def _random_nonmonic_qx_graph(rng):
@@ -233,9 +278,8 @@ class TestHermiteRationalPolynomials:
             nrows, ncols = rng.randint(1, 4), rng.randint(0, 5)
             rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
             modulus = _random_qx_modulus(rng)
-            skip = rng.randint(0, nrows)
-            expected = _euclidean_form(rows, QX, modulus, skip)
-            assert hermite_form(rows, QX, modulus, skip) == expected, (rows, modulus)
+            expected = _euclidean_form(rows, QX, modulus)
+            assert hermite_form(rows, QX, modulus) == expected, (rows, modulus)
 
     def test_matches_euclidean_pass_on_nonmonic_labels(self):
         # the flow-up matrices of graphs whose lcm has a non-monic integer
@@ -244,16 +288,21 @@ class TestHermiteRationalPolynomials:
         nonmonic = 0
         for _ in range(40):
             g = _random_nonmonic_qx_graph(rng)
-            rows = assemble_constraint_matrix(g)
+            rows = _constraint_matrix(g)
             modulus = lcm_many(list(g.vertex_labels) + [e.label for e in g.edges], QX)
             nonmonic += any(c.denominator != 1 for c in modulus.value)
-            for skip in (0, len(g.edges)):
-                got = hermite_form(rows, QX, modulus, skip)
-                expected = _euclidean_form(rows, QX, modulus, skip)
-                assert got == expected, g
-                assert [list(map(str, row)) for row in got] == [
-                    list(map(str, row)) for row in expected
-                ]
+            got = hermite_form(rows, QX, modulus)
+            expected = _euclidean_form(rows, QX, modulus)
+            assert got == expected, g
+            assert [list(map(str, row)) for row in got] == [
+                list(map(str, row)) for row in expected
+            ]
+            basis = _basis_rows(flow_up_basis(g))
+            tail = _stacked_flow_up(g, _euclidean_form)
+            assert basis == tail, g
+            assert [list(map(str, row)) for row in basis] == [
+                list(map(str, row)) for row in tail
+            ]
         assert nonmonic >= 20
 
     def test_column_shuffle_invariance(self):
@@ -267,17 +316,20 @@ class TestHermiteRationalPolynomials:
             shuffled = [[row[c] for c in order] for row in rows]
             assert hermite_form(rows, QX, modulus) == hermite_form(shuffled, QX, modulus)
 
-    def test_skip_is_the_trailing_block(self):
+    def test_flow_up_is_the_trailing_block(self):
+        # flow_up_basis against the trailing block of the stacked constraint
+        # matrix's Hermite form, on graphs with monic and non-monic labels
         rng = random.Random(89)
-        for _ in range(25):
-            nrows = rng.randint(2, 4)
-            ncols = rng.randint(1, 4)
-            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
-            modulus = _random_qx_modulus(rng)
-            k = rng.randint(0, nrows)
-            full = hermite_form(rows, QX, modulus)
-            tail = hermite_form(rows, QX, modulus, skip=k)
-            assert tail == [row[k:] for row in full[k:]]
+        nonmonic = 0
+        for k in range(120):
+            if k % 2:
+                g = _random_nonmonic_qx_graph(rng)
+            else:
+                g = _random_qx_graph(rng)
+            labels = list(g.vertex_labels) + [e.label for e in g.edges]
+            nonmonic += any(c.denominator != 1 for c in lcm_many(labels, QX).value)
+            assert _basis_rows(flow_up_basis(g)) == _stacked_flow_up(g), g
+        assert nonmonic >= 40
 
     def test_pivots_multiply_to_sympy_determinant(self):
         # a nonsingular M spans a lattice containing det(M)*R^N, so with that
@@ -427,6 +479,27 @@ class TestRandomInstances:
             assert report.ok, [c.detail for c in report.checks if not c.ok]
             assert elapsed < 2.0, (n, density, elapsed)
 
+    @staticmethod
+    def _finishes_verified(g):
+        start = time.perf_counter()
+        report = verify_flow_up(g, flow_up_basis(g))
+        elapsed = time.perf_counter() - start
+        assert report.ok, [c.detail for c in report.checks if not c.ok]
+        assert elapsed < 2.0, elapsed
+
+    def test_sixty_integer_vertices_finish(self):
+        # 608 edges; 11-13 s when the basis came from one Hermite pass over
+        # the stacked (|E|+n)-row constraint matrix
+        g = random_instance(InstanceSpec(seed=5, n=60, edge_density=0.3))
+        assert len(g.edges) == 608
+        self._finishes_verified(g)
+
+    def test_fourteen_rational_polynomial_vertices_finish(self):
+        # 41 edges; 46-48 s by the stacked constraint matrix
+        g = _linear_factor_graph(random.Random("qx:5"), 14, 0.3)
+        assert len(g.edges) == 41
+        self._finishes_verified(g)
+
     def test_basis_is_reduced(self):
         # Hermite form: row i entries left of the pivot are reduced modulo
         # it, pivots are canonical
@@ -477,3 +550,22 @@ def _random_qx_graph(rng):
     edges = [(rng.randrange(v), v, label()) for v in range(1, n)]
     edges += [(0, n - 1, label())]
     return LabeledGraph(QX, [label() for _ in range(n)], edges)
+
+
+def _linear_factor_graph(rng, n, density):
+    """QQ[x] graph on a random spanning tree plus each other vertex pair with
+    probability density (a tree pair drawn again is a parallel edge); every
+    label is the product of one or two factors x - a, a in -3..3."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    pairs += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    x = QX.variable("x")
+
+    def label():
+        out = QX.one
+        for a in sorted(rng.randint(-3, 3) for _ in range(rng.randint(1, 2))):
+            out = out * (x - QX.from_int(a))
+        return out
+
+    labels = [label() for _ in range(n + len(pairs))]
+    edges = [(u, v, r) for (u, v), r in zip(pairs, labels[n:])]
+    return LabeledGraph(QX, labels[:n], edges)

@@ -606,6 +606,60 @@ class TestGcdLcm:
                     assert diff == 0 or (ring is ZXY and total == 0), (elements, got, want)
 
 
+    def test_aggregates_with_repeats_match_sympy(self):
+        # lists with repeated values and with associates of one value: the
+        # folds of lcm_many and gcd_many drop repeats and must still agree
+        # with sympy's fold over the whole list
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(73)
+        for ring, units in ((ZZ, ["-1"]), (QX, ["-1", "3", "1/2"]), (ZXY, ["-1"])):
+            gens = sympy.symbols(ring.variables) if ring.variables else ()
+            domain = "QQ" if ring.rational_coefficients else "ZZ"
+
+            def to_sympy(e):
+                return sympy.sympify(format_element(e).replace("^", "**"))
+
+            def fold(name, elements):
+                if not ring.variables:
+                    op = sympy.ilcm if name == "lcm" else sympy.igcd
+                    out = sympy.Integer(int(to_sympy(elements[0])))
+                    for e in elements[1:]:
+                        out = op(out, int(to_sympy(e)))
+                    return abs(out)
+                polys = [sympy.Poly(to_sympy(e), *gens, domain=domain) for e in elements]
+                out = polys[0]
+                for p in polys[1:]:
+                    out = getattr(out, name)(p)
+                if ring.rational_coefficients and not out.is_zero:
+                    out = out.monic()
+                return out.as_expr()
+
+            checked = repeated = 0
+            for _ in range(30):
+                pool = [_random_element(rng, ring) for _ in range(rng.randint(1, 3))]
+                pool = [e for e in pool if not e.is_zero]
+                if not pool:
+                    continue
+                elements = []
+                for _ in range(len(pool) + rng.randint(1, 4)):
+                    e = rng.choice(pool)
+                    if rng.random() < 0.3:
+                        e = e * parse_element(rng.choice(units), ring)
+                    elements.append(e)
+                repeated += len(set(elements)) < len(elements)
+                for name, got in (
+                    ("lcm", lcm_many(elements, ring)),
+                    ("gcd", gcd_many(elements, ring)),
+                ):
+                    assert canonical_associate(got) == got
+                    want = fold(name, elements)
+                    diff = sympy.expand(to_sympy(got) - want)
+                    total = sympy.expand(to_sympy(got) + want)
+                    assert diff == 0 or (ring is ZXY and total == 0), (name, elements, got)
+                checked += 1
+            assert checked >= 20 and repeated >= 10
+
+
 class TestUnitsAssociates:
     def test_units(self):
         assert is_unit(zz(-1)) and is_unit(zz(1)) and not is_unit(zz(2))
