@@ -3,8 +3,8 @@
 Computes the key element from one all-pairs (lcm, gcd) closure of the edge
 labels, certifies candidate bases via the determinant criterion over GCD
 domains, and synthesizes flow-up bases over PIDs by intersecting one edge
-congruence at a time and taking one Hermite pass modulo the lcm of the
-labels, with brute-force oracles for integer instances.
+congruence at a time into a triangular basis and normalizing it into
+Hermite form, with brute-force oracles for integer instances.
 """
 
 from .graph import LabeledGraph, trail_constraint

@@ -1,24 +1,21 @@
 """Flow-up bases over Euclidean PIDs, by edge-wise lattice intersection.
 
-The spline module {f in (+) m_v R : f_u = f_v mod r_e on every edge} of a
-graph over a PID contains D*R^n, D the lcm of all labels, and its column
-Hermite form is a flow-up basis whose leading terms are the key-element
-components.  flow_up_basis cuts diag(m_v) down by one edge congruence at a
-time (_intersect_edges, O(n^2) ring operations per edge), then takes one
-Hermite pass modulo D (hermite_form).  Both run on raw values through the
-ring's own operations (add, mul, divmod, xgcd, ...), wrapping RingElements
-only at exit.  Over QQ[x] the Hermite pass holds each column as a primitive
-ZZ[x] vector, which keeps coefficient heights down: a nonzero rational is a
-unit, so scaling a whole column by one changes neither the lattice nor its
-Hermite form.  verify_flow_up checks a basis against the key element.
+The spline module M = {f in (+) m_v R : f_u = f_v mod r_e on every edge} of
+a graph over a PID is free of rank n and contains D*R^n, D the lcm of all
+labels.  Its column Hermite form is a flow-up basis whose pivots are the
+key-element components.  flow_up_basis cuts diag(m_v) down by one edge
+congruence at a time (_intersect_edges, O(n^2) ring operations per edge)
+to a lower triangular basis of M, then normalizes that triangle into
+Hermite form.  Both run on raw values through the ring's own operations
+(add, mul, divmod, xgcd, ...), wrapping RingElements only at exit.
+hermite_form, the general column Hermite form modulo a lattice exponent,
+is kept as a public tool and as the tests' independent reference.
+verify_flow_up checks a basis against the key element.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
@@ -43,12 +40,14 @@ def hermite_form(
     as the caller must ensure, the result is its Hermite form: lower
     triangular, canonical pivots (positive integers, monic polynomials), and
     in each pivot row the entries left of the pivot reduced modulo it.
-    Euclidean descriptors only.
+    Euclidean descriptors only (ZZ, QQ and QQ[x]).
 
-    ZZ and QQ run _euclidean_pass.  QQ[x] runs _primitive_pass, the same
-    steps on primitive integer columns: a nonzero rational is a unit of
-    QQ[x], so scaling a whole column by one changes neither the lattice
-    nor, after each pivot is made monic, the unique Hermite form.
+    One pass over the rows merges the columns nonzero in row i by xgcd.  The
+    folded-in column modulus*e_i gives every row a pivot dividing the
+    modulus, and lets every entry below the current row be reduced modulo
+    it; an entry is reduced only once its size reaches the modulus's.
+    Column operations touch only rows at or below the current row, since
+    the rows above are zero in the columns still being worked on.
 
     The entries and the modulus are unwrapped once, each checked to lie in
     ring (DescriptorMismatchError otherwise); the pass runs on raw values
@@ -65,35 +64,11 @@ def hermite_form(
     nrows = len(values)
     ncols = len(values[0]) if nrows else 0
     work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
-    kept = _hermite_columns(work, nrows, ring, modulus)
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(nrows)]
-
-
-def _hermite_columns(work: List[list], nrows: int, ring: RingDescriptor, modulus) -> List[list]:
-    """The columns of hermite_form, from raw columns and a raw modulus."""
-    run = _primitive_pass if ring.is_polynomial else _euclidean_pass
-    return run(work, nrows, ring, ring.canon(modulus))
-
-
-def _euclidean_pass(
-    work: List[list], nrows: int, ring: RingDescriptor, modulus
-) -> List[list]:
-    """The columns of hermite_form, by ring's Euclidean operations.
-
-    The folded-in column modulus*e_i gives every row a pivot dividing the
-    modulus, and lets every entry below the current row be reduced modulo
-    it; an entry is reduced only once its size reaches the modulus's.
-    Column operations touch only rows at or below the current row, since
-    the rows above are zero in the columns still being worked on.
-    """
     add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
-    divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
+    divide, divmod_, xgcd = ring.divide, ring.divmod, ring.xgcd
     zero, one = ring.zero.value, ring.one.value
-    bound = size(modulus)
-
-    def reduced(x):
-        return divmod_(x, modulus)[1] if size(x) >= bound else x
-
+    modulus = ring.canon(modulus)
+    reduced = _reducer(ring, modulus)
     kept: List[list] = []
     for i in range(nrows):
         below = range(i + 1, nrows)
@@ -152,141 +127,19 @@ def _euclidean_pass(
                     if pivot[r]:
                         col[r] = reduced(sub(col[r], mul(q, pivot[r])))
         kept.append(pivot)
-    return kept
+    return [[RingElement(ring, col[r]) for col in kept] for r in range(nrows)]
 
 
-def _primitive_pass(
-    work: List[list], nrows: int, ring: RingDescriptor, modulus
-) -> List[list]:
-    """The columns of hermite_form over QQ[x], by _euclidean_pass's
-    steps on primitive integer columns.
+def _reducer(ring: RingDescriptor, modulus):
+    """x -> its remainder modulo the raw modulus, taken only once the size
+    of x reaches the modulus's."""
+    divmod_, size = ring.divmod, ring.size
+    bound = size(modulus)
 
-    Each column is held as the primitive ZZ[x] multiple of the column that
-    _euclidean_pass would hold: the same vector up to a nonzero rational,
-    which is a unit of QQ[x].  So a step may scale a whole column (never
-    one entry) by a nonzero integer, and after each step the column is
-    divided by the gcd of its integer coefficients:
+    def reduced(x):
+        return divmod_(x, modulus)[1] if size(x) >= bound else x
 
-    - a division by an integer polynomial of leading coefficient c first
-      scales the whole column by a power of c, so that every leading
-      division is exact (a pseudo-division; c = 1 when every label is
-      monic with integer coefficients);
-    - xgcd runs the extended Euclidean algorithm the same way on the
-      columns (a, 1, 0) and (b, 0, 1), so its gcd is an integer multiple
-      of the monic one;
-    - the extra column of the fold is a remainder modulo the primitive
-      gcd, times the modulus divided by it (exact in ZZ[x] by Gauss's
-      lemma), and scaled by -1.
-
-    Fractions are built only at the end, when each kept column is divided
-    by the leading coefficient of its pivot.  That makes the pivot monic
-    and keeps each reduced entry's degree below its pivot's.
-    """
-    zx = RingDescriptor("polynomial", ring.variables, "integers")
-    add, sub, mul, divide = zx.add, zx.sub, zx.mul, zx.divide
-    long_division = zx.long_division
-
-    def exact_for(col, size, divisor):
-        """col times the power of lc(divisor) that makes each leading
-        division exact when an entry of this size is divided by divisor."""
-        k = size - len(divisor) + 1
-        if k <= 0 or divisor[-1] == 1:
-            return col
-        f = divisor[-1] ** k
-        return [tuple(f * c for c in x) for x in col]
-
-    def primitive(col):
-        g = math.gcd(*chain.from_iterable(col))
-        return [tuple(c // g for c in x) for x in col] if g > 1 else col
-
-    def remainders(col, i, divisor):
-        """col times lc(divisor)^k, then its entries below row i replaced
-        by their remainders modulo divisor, k just large enough for that."""
-        size = max(map(len, col[i + 1:]), default=0)
-        if size < len(divisor):
-            return col
-        col = exact_for(col, size, divisor)
-        return col[: i + 1] + [
-            long_division(x, divisor)[1] if len(x) >= len(divisor) else x
-            for x in col[i + 1:]
-        ]
-
-    def xgcd(a, b):
-        """[g, s, t] with s*a + t*b = g, a nonzero integer multiple of gcd(a, b)."""
-        u, v = [a, (1,), ()], [b, (), (1,)]
-        while v[0]:
-            if len(u[0]) >= len(v[0]):
-                u = exact_for(u, len(u[0]), v[0])
-                q, r = long_division(u[0], v[0])
-                u = [r, sub(u[1], mul(q, v[1])), sub(u[2], mul(q, v[2]))]
-            u, v = v, primitive(u)
-        return u
-
-    def cleared(col):
-        """The primitive ZZ[x] multiple of a column of QQ[x] values."""
-        den = math.lcm(*(c.denominator for x in col for c in x))
-        col = [tuple(c.numerator * (den // c.denominator) for c in x) for x in col]
-        return primitive(col)
-
-    def reduced(col, i):
-        return primitive(remainders(col, i, m))
-
-    (m,) = cleared([modulus])
-    work = [cleared(col) for col in work]
-    kept: List[list] = []
-    for i in range(nrows):
-        below = range(i + 1, nrows)
-        pivot = None
-        rest = []
-        for col in work:
-            if not col[i]:
-                rest.append(col)
-            elif pivot is None:
-                pivot = col
-            else:
-                d, s, t = xgcd(pivot[i], col[i])
-                (g,) = primitive([d])
-                a, b = divide(pivot[i], g), divide(col[i], g)
-                for r in below:
-                    x, y = pivot[r], col[r]
-                    if x or y:
-                        pivot[r] = add(mul(s, x), mul(t, y))
-                        col[r] = sub(mul(a, y), mul(b, x))
-                pivot[i] = d
-                col[i] = ()
-                pivot = reduced(pivot, i)
-                col = reduced(col, i)
-                if any(col[r] for r in below):
-                    rest.append(col)
-        if pivot is None:
-            pivot = [()] * nrows
-            pivot[i] = m
-        else:
-            d, s, _ = xgcd(pivot[i], m)
-            if len(d) > 1:
-                (g,) = primitive([d])
-                cofactor = divide(m, g)
-                extra = remainders(pivot, i, g)[i + 1:]
-                if any(extra):
-                    extra = [()] * (i + 1) + [mul(cofactor, x) for x in extra]
-                    rest.append(primitive(extra))
-            pivot = reduced(pivot[:i] + [d] + [mul(s, x) for x in pivot[i + 1:]], i)
-        work = rest
-        p = pivot[i]
-        for j, col in enumerate(kept):
-            if len(col[i]) < len(p):
-                continue
-            col = exact_for(col, len(col[i]), p)
-            q, col[i] = long_division(col[i], p)
-            for r in below:
-                if pivot[r]:
-                    col[r] = sub(col[r], mul(q, pivot[r]))
-            kept[j] = reduced(col, i)
-        kept.append(pivot)
-    return [
-        [tuple(Fraction(c, col[j][-1]) for c in x) for x in col]
-        for j, col in enumerate(kept)
-    ]
+    return reduced
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +169,20 @@ class TriangularBasis:
 
 
 def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
-    """Flow-up basis of the spline module over a PID descriptor: the Hermite
-    form of H*R^n + D*R^n for H from _intersect_edges and D the lcm of all
-    labels.  It is lower triangular, so column i is a flow-up class at i.
+    """Flow-up basis of the spline module M over a PID descriptor: the
+    column Hermite form of M, lower triangular, so column i is a flow-up
+    class at i.
+
+    _intersect_edges gives a lower triangular basis H of M.  Its pivot p_i
+    generates {x_i : x in M, x_<i = 0}, which contains D (D*e_i lies in M,
+    D the lcm of all labels); so p_i divides D and is never 0.  For i = 0
+    .. n-1, column i is scaled by the unit that makes p_i canonical, then
+    each column j < i takes q, H_j[i] = divmod(H_j[i], p_i) and loses
+    q*H_i below row i.  Those column operations are unimodular, and
+    reducing an entry below the diagonal modulo D subtracts a multiple of
+    D*e_r, which lies in M; so the columns stay a triangular basis of M.
+    Row i is final after step i, since later steps touch only the rows
+    below, and the result is the unique Hermite form.
     """
     g.require_valid()
     ring = g.ring
@@ -328,44 +192,61 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
             f"got {ring}; over general GCD domains a free spline module "
             f"may have no flow-up basis at all"
         )
+    sub, mul, divide, divmod_ = ring.sub, ring.mul, ring.divide, ring.divmod
+    canon, one = ring.canon, ring.one.value
     modulus = lcm_many([*g.vertex_labels, *(e.label for e in g.edges)], ring).value
-    columns = _hermite_columns(_intersect_edges(g, modulus), g.n, ring, modulus)
+    reduced = _reducer(ring, modulus)
+    n = g.n
+    H = _intersect_edges(g, modulus)
+    for i, col in enumerate(H):
+        unit = divide(canon(col[i]), col[i])
+        if unit != one:
+            for r in range(i, n):
+                col[r] = mul(unit, col[r])
+        pivot = col[i]
+        for left in H[:i]:
+            if not left[i]:
+                continue
+            q, left[i] = divmod_(left[i], pivot)
+            if q:
+                for r in range(i + 1, n):
+                    if col[r]:
+                        left[r] = reduced(sub(left[r], mul(q, col[r])))
     classes = []
-    for i, col in enumerate(columns):
+    for i, col in enumerate(H):
         components = [RingElement(ring, x) for x in col]
         classes.append(FlowUpClass(Spline(g, components), i, components[i]))
     return TriangularBasis(g, tuple(classes))
 
 
 def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
-    """Columns of an n x n lower triangular H with H*R^n + D*R^n the spline
-    module of g, for D = modulus, the raw lcm of all labels.
+    """Columns of an n x n lower triangular basis H of the spline module of
+    g, with modulus D, the raw lcm of all labels.
 
-    H starts as diag(m_v), which with D*R^n spans (+) m_v R.  Edge {u, v},
-    u < v, with label r keeps the vectors H*x with c.x = 0 (mod r), where
-    c_j = H_uj - H_vj; r divides D, so D*R^n stays.  H is lower triangular,
-    so c_j = 0 for j > v, and j walks from v down to 0 with G = r, V = 0.
-    Where c_j != 0 (mod r): (d, s, t) = xgcd(G, c_j), column j becomes
-    (G/d)*H_j - (c_j/d)*V, then V = s*V + t*H_j (the old H_j) and G = d.
-    Only rows >= j change.  V = H*w with w zero up to j and c.w = G (mod r),
-    which s*c.w + t*c_j = d keeps, so the new column H*x has c.x =
-    (G/d)*c_j - (c_j/d)*c.w = 0 (mod r).  These x form a triangular matrix
-    with diagonal entries G/d (1 where c_j = 0), whose product r/gcd(r, c)
-    is the index of {x : c.x = 0 (mod r)} in R^n; so they generate it, and
-    the new H*R^n + D*R^n is exactly the old one cut by the congruence.
-    Entries are reduced modulo D once their size reaches D's, which leaves
-    that lattice unchanged.
+    H starts as diag(m_v), a basis of (+) m_v R.  Edge {u, v}, u < v, with
+    label r keeps the vectors H*x with c.x = 0 (mod r), where c_j = H_uj -
+    H_vj.  H is lower triangular, so c_j = 0 for j > v, and j walks from v
+    down to 0 with G = r, V = 0.  Where c_j != 0 (mod r): (d, s, t) =
+    xgcd(G, c_j), column j becomes (G/d)*H_j - (c_j/d)*V, then V = s*V +
+    t*H_j (the old H_j) and G = d.  Only rows >= j change, and row j only
+    by the factor G/d, since V is zero there.  V = H*w with w zero up to j
+    and c.w = G (mod r), which s*c.w + t*c_j = d keeps, so the new column
+    H*x has c.x = (G/d)*c_j - (c_j/d)*c.w = 0 (mod r).  These x form a
+    triangular matrix with diagonal entries G/d (1 where c_j = 0), whose
+    product r/gcd(r, c) is the index of {x : c.x = 0 (mod r)} in R^n; so
+    they generate it, and the new H is a basis of the old module cut by the
+    congruence.  D*e_i lies in every module on the way (each r divides D),
+    so an entry below the diagonal is reduced modulo D once its size
+    reaches D's: that keeps the columns in the module and the determinant
+    unchanged.  The diagonal is never reduced: it divides D (flow_up_basis),
+    and reduced it would read 0 wherever it is an associate of D.
     """
     ring = g.ring
     add, sub, mul = ring.add, ring.sub, ring.mul
     divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
     zero, one = ring.zero.value, ring.one.value
     n = g.n
-    bound = size(modulus)
-
-    def reduced(x):
-        return divmod_(x, modulus)[1] if size(x) >= bound else x
-
+    reduced = _reducer(ring, modulus)
     vertex_labels, edge_labels = _raw_labels(g)
     H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(vertex_labels)]
     for e, r in zip(g.edges, edge_labels):
@@ -379,15 +260,16 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
             if not c:
                 continue
             if G == one:
-                # (d, s, t) = (1, 1, 0): column j loses c_j*V, V stays;
-                # V is zero in row j, being made of columns above j
+                # (d, s, t) = (1, 1, 0): column j loses c_j*V, V stays
                 for i in range(j + 1, n):
                     if V[i]:
                         col[i] = reduced(sub(col[i], mul(c, V[i])))
                 continue
             d, s, t = xgcd(G, c)
             a, b = divide(G, d), divide(c, d)
-            for i in range(j, n):
+            x = col[j]
+            col[j], V[j] = mul(a, x), mul(t, x)
+            for i in range(j + 1, n):
                 x, y = col[i], V[i]
                 if x or y:
                     col[i] = reduced(sub(mul(a, x), mul(b, y)))
@@ -423,7 +305,11 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     associate to the corresponding key-element component (over a PID, the
     minimal leading term at that index).  The report keeps the determinant,
     key element and unit it compared; unit is None when they do not match.
+    ValueError("splines live on different graphs") unless the basis and
+    its splines live on g itself, raised before any check.
     """
+    if basis.graph is not g or any(c.spline.graph is not g for c in basis.classes):
+        raise ValueError("splines live on different graphs")
     checks: List[FlowUpCheck] = []
     for cls in basis.classes:
         i, components = cls.index + 1, cls.spline.components

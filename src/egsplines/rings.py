@@ -102,9 +102,6 @@ class RingDescriptor:
     - add, sub, mul, neg, gcd and canon (the canonical associate);
     - lcm, the canonical least common multiple (0 when an operand is 0);
     - divide, the exact quotient, or None when there is none;
-    - long_division, on polynomial rings, the (quotient, remainder) of
-      dividing by a polynomial, each leading coefficient divided exactly in
-      the coefficient ring, or None when one of them does not divide;
     - terms, the list of (exponents in variable order, scalar coefficient)
       pairs of the nonzero terms (_terms at this ring's depth);
     - primitive, the split (content, primitive part) of a polynomial, whose
@@ -135,7 +132,7 @@ class RingDescriptor:
     __slots__ = (
         "kind", "variables", "base", "depth", "rational_coefficients",
         "is_polynomial", "is_pid", "zero", "one", "coefficients",
-        "add", "sub", "mul", "neg", "divide", "long_division", "gcd", "lcm",
+        "add", "sub", "mul", "neg", "divide", "gcd", "lcm",
         "canon", "terms", "primitive", "divmod", "size", "xgcd",
     )
 
@@ -298,7 +295,7 @@ def _zz_divmod(a, b):
 
 _SCALAR_COMMON = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "neg": operator.neg, "primitive": None, "long_division": None,
+    "neg": operator.neg, "primitive": None,
 }
 _SCALAR_OPERATIONS = {
     "integers": dict(
@@ -381,8 +378,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     for any product coefficient.
 
     long_division is the package's one polynomial division loop: divide,
-    divmod over QQ, the PRS pseudo-remainder and the pseudo-divisions of
-    pid's QQ[x] Hermite pass over ZZ[x] all run it.
+    divmod over QQ and the PRS pseudo-remainder all run it.
     """
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
     cdivide, cgcd = c.divide, c.gcd
@@ -529,8 +525,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
     return {
         "add": add, "sub": sub, "mul": mul, "neg": neg, "divide": divide,
-        "long_division": long_division, "gcd": gcd, "canon": canon,
-        "primitive": primitive,
+        "gcd": gcd, "canon": canon, "primitive": primitive,
         "divmod": long_division if field else None, "size": len if field else None,
     }
 

@@ -6,7 +6,7 @@ import pytest
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
-from egsplines import pid, rings
+from egsplines import rings
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -59,7 +59,7 @@ def _constraint_matrix(g):
     return rows
 
 
-def _stacked_flow_up(g, form=hermite_form):
+def _stacked_flow_up(g):
     """The flow-up basis from the stacked constraint matrix, an independent
     reference: the Hermite form of its lattice modulo the lcm D of all
     labels (which it contains) is lower triangular, so its vectors with a
@@ -67,7 +67,7 @@ def _stacked_flow_up(g, form=hermite_form):
     their vertex rows, the trailing n x n block, are the spline module in
     Hermite form.  Rows are vertices, columns are basis elements."""
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    full = form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
+    full = hermite_form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
     k = len(g.edges)
     return [row[k:] for row in full[k:]]
 
@@ -240,15 +240,6 @@ def _random_qx_modulus(rng):
     return out
 
 
-def _euclidean_form(rows, ring, modulus):
-    """hermite_form by _euclidean_pass, the loop that serves ZZ and QQ, kept
-    as the reference for QQ[x]'s pass on primitive integer columns."""
-    values = [ring.values(row) for row in rows]
-    work = [list(col) for col in zip(*values)]
-    kept = pid._euclidean_pass(work, len(rows), ring, ring.canon(modulus.value))
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(len(rows))]
-
-
 def _random_nonmonic_qx_graph(rng):
     """Connected QQ[x] graph whose labels are rational multiples of products
     of a*x - b with a in {1, 2, 3}, so their integer associates need not be
@@ -272,33 +263,18 @@ def _random_nonmonic_qx_graph(rng):
 class TestHermiteRationalPolynomials:
     """The ZZ properties of TestHermite, on seeded QQ[x] matrices."""
 
-    def test_matches_euclidean_pass_on_random_matrices(self):
-        rng = random.Random(101)
-        for _ in range(60):
-            nrows, ncols = rng.randint(1, 4), rng.randint(0, 5)
-            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
-            modulus = _random_qx_modulus(rng)
-            expected = _euclidean_form(rows, QX, modulus)
-            assert hermite_form(rows, QX, modulus) == expected, (rows, modulus)
-
     def test_matches_euclidean_pass_on_nonmonic_labels(self):
-        # the flow-up matrices of graphs whose lcm has a non-monic integer
-        # associate, which makes every reduction a pseudo-division
+        # flow_up_basis against hermite_form's Euclidean pass over the
+        # stacked constraint matrix, on graphs whose lcm has a non-monic
+        # integer associate, in value and in printed text
         rng = random.Random(103)
         nonmonic = 0
         for _ in range(40):
             g = _random_nonmonic_qx_graph(rng)
-            rows = _constraint_matrix(g)
             modulus = lcm_many(list(g.vertex_labels) + [e.label for e in g.edges], QX)
             nonmonic += any(c.denominator != 1 for c in modulus.value)
-            got = hermite_form(rows, QX, modulus)
-            expected = _euclidean_form(rows, QX, modulus)
-            assert got == expected, g
-            assert [list(map(str, row)) for row in got] == [
-                list(map(str, row)) for row in expected
-            ]
             basis = _basis_rows(flow_up_basis(g))
-            tail = _stacked_flow_up(g, _euclidean_form)
+            tail = _stacked_flow_up(g)
             assert basis == tail, g
             assert [list(map(str, row)) for row in basis] == [
                 list(map(str, row)) for row in tail
@@ -306,15 +282,30 @@ class TestHermiteRationalPolynomials:
         assert nonmonic >= 20
 
     def test_column_shuffle_invariance(self):
-        rng = random.Random(83)
-        for _ in range(25):
-            nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
-            rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
-            modulus = _random_qx_modulus(rng)
-            order = list(range(ncols))
-            rng.shuffle(order)
-            shuffled = [[row[c] for c in order] for row in rows]
-            assert hermite_form(rows, QX, modulus) == hermite_form(shuffled, QX, modulus)
+        # 25 matrices of 1-4 columns, then 60 of 0-5 columns; each form has
+        # Hermite shape: lower triangular, monic pivots, and the entries
+        # left of each pivot of lower degree
+        first = random.Random(83)
+        shapes = [
+            (first, first, 25, 3, 1, 4),
+            (random.Random(101), random.Random(107), 60, 4, 0, 5),
+        ]
+        for rng, shuffler, count, most_rows, fewest_cols, most_cols in shapes:
+            for _ in range(count):
+                nrows, ncols = rng.randint(1, most_rows), rng.randint(fewest_cols, most_cols)
+                rows = [[_random_qx(rng) for _ in range(ncols)] for _ in range(nrows)]
+                modulus = _random_qx_modulus(rng)
+                order = list(range(ncols))
+                shuffler.shuffle(order)
+                shuffled = [[row[c] for c in order] for row in rows]
+                h = hermite_form(rows, QX, modulus)
+                assert h == hermite_form(shuffled, QX, modulus), (rows, modulus)
+                assert len(h) == nrows and all(len(row) == nrows for row in h)
+                for i, row in enumerate(h):
+                    pivot = row[i].value
+                    assert pivot and pivot[-1] == 1, (rows, modulus)
+                    assert all(x.is_zero for x in row[i + 1:]), (rows, modulus)
+                    assert all(len(x.value) < len(pivot) for x in row[:i]), (rows, modulus)
 
     def test_flow_up_is_the_trailing_block(self):
         # flow_up_basis against the trailing block of the stacked constraint
@@ -455,6 +446,16 @@ class TestVerifyFlowUp:
 
     def test_single_vertex(self, single_vertex):
         assert verify_flow_up(single_vertex, flow_up_basis(single_vertex)).ok
+
+    def test_basis_of_another_graph_rejected(self, p2, c3_int):
+        # more vertices, fewer vertices, and an equal twin built separately
+        twin = LabeledGraph(
+            ZZ, p2.vertex_labels, [(e.u, e.v, e.label) for e in p2.edges]
+        )
+        assert verify_flow_up(twin, flow_up_basis(twin)).ok
+        for g, basis in ((c3_int, p2), (p2, c3_int), (twin, p2)):
+            with pytest.raises(ValueError, match="splines live on different graphs"):
+                verify_flow_up(g, flow_up_basis(basis))
 
 
 class TestRandomInstances:
