@@ -54,23 +54,23 @@ def trails_between(g: LabeledGraph, source: int, target: int) -> List[Trail]:
     path_vertices = [source]
     path_edges: List[int] = []
     used = [False] * len(g.edges)
-
-    def extend(current: int) -> None:
-        for idx in g.adjacency[current]:
-            if used[idx]:
-                continue
-            other = g.edges[idx].other(current)
-            used[idx] = True
-            path_vertices.append(other)
-            path_edges.append(idx)
-            if other == target:
-                out.append(Trail(tuple(path_vertices), tuple(path_edges)))
-            extend(other)
-            used[idx] = False
-            path_vertices.pop()
-            path_edges.pop()
-
-    extend(source)
+    # one iterator over the adjacency of each vertex on the path
+    stack = [iter(g.adjacency[source])]
+    while stack:
+        idx = next((idx for idx in stack[-1] if not used[idx]), None)
+        if idx is None:
+            stack.pop()
+            if path_edges:
+                used[path_edges.pop()] = False
+                path_vertices.pop()
+            continue
+        other = g.edges[idx].other(path_vertices[-1])
+        used[idx] = True
+        path_vertices.append(other)
+        path_edges.append(idx)
+        if other == target:
+            out.append(Trail(tuple(path_vertices), tuple(path_edges)))
+        stack.append(iter(g.adjacency[other]))
     return out
 
 
@@ -144,10 +144,9 @@ def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
             return False
     assignment = dict(fixed)
 
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        v2 = order[k]
+    def candidates(v2: int):
+        """The residues left open for v2 by the assigned vertices, in
+        ascending order; none when their congruences conflict."""
         best_exp = m_exp[v2]
         best_val = 0
         constraints = [(0, m_exp[v2])]
@@ -164,16 +163,26 @@ def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
                 best_exp, best_val = exp, value
         for value, exp in constraints:
             if (value - best_val) % p**exp != 0:
-                return False
+                return iter(())
         step = p**best_exp
-        for candidate in range(best_val % step, p**reach, step):
-            assignment[v2] = candidate
-            if place(k + 1):
-                return True
-        del assignment[v2]
-        return False
+        return iter(range(best_val % step, p**reach, step))
 
-    return place(0)
+    # depth-first over order, one candidate iterator per placed vertex
+    if not order:
+        return True
+    stack = [candidates(order[0])]
+    while stack:
+        v2 = order[len(stack) - 1]
+        candidate = next(stack[-1], None)
+        if candidate is None:
+            stack.pop()
+            assignment.pop(v2, None)
+            continue
+        assignment[v2] = candidate
+        if len(stack) == len(order):
+            return True
+        stack.append(candidates(order[len(stack)]))
+    return False
 
 
 def _flow_up_exists(g: LabeledGraph, index: int, t: int) -> bool:
@@ -239,28 +248,33 @@ def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
     n = g.n
     out: List[Spline] = []
     values: List[int] = []
+    down: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, r in edges:
+        if a != b:
+            down[max(a, b)].append((min(a, b), r))
 
-    def place(v: int) -> None:
-        if v == n:
+    def candidates(v: int):
+        """Multiples of m_v in [-bound, bound], ascending, that agree with
+        values on every edge down to a vertex below v."""
+        for candidate in range(-(bound // m[v]) * m[v], bound + 1, m[v]):
+            if all((candidate - values[w]) % r == 0 for w, r in down[v]):
+                yield candidate
+
+    # depth-first over the vertices, one candidate iterator per placed vertex
+    stack = [candidates(0)]
+    while stack:
+        candidate = next(stack[-1], None)
+        if candidate is None:
+            stack.pop()
+            if values:
+                values.pop()
+            continue
+        values.append(candidate)
+        if len(values) == n:
             out.append(Spline(g, [ZZ.from_int(c) for c in values]))
-            return
-        lo = -(bound // m[v]) * m[v]
-        for candidate in range(lo, bound + 1, m[v]):
-            ok = True
-            for a, b, r in edges:
-                if a == v and b < v and (candidate - values[b]) % r != 0:
-                    ok = False
-                    break
-                if b == v and a < v and (candidate - values[a]) % r != 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            values.append(candidate)
-            place(v + 1)
             values.pop()
-
-    place(0)
+        else:
+            stack.append(candidates(len(values)))
     return out
 
 

@@ -6,11 +6,14 @@ labels.  Its column Hermite form is a flow-up basis whose pivots are the
 key-element components.  flow_up_basis cuts diag(m_v) down by one edge
 congruence at a time (_intersect_edges, O(n^2) ring operations per edge)
 to a lower triangular basis of M, then normalizes that triangle into
-Hermite form.  Both run on raw values through the ring's own operations
-(add, mul, divmod, xgcd, ...), wrapping RingElements only at exit.
-hermite_form, the general column Hermite form modulo a lattice exponent,
-is kept as a public tool and as the tests' independent reference.
-verify_flow_up checks a basis against the key element.
+Hermite form (_normalize).  hermite_form, the general column Hermite form
+modulo a lattice exponent, inserts its columns one at a time into
+modulus*I and normalizes the same way.  Both build their triangle with
+one 2x2 unimodular column step (_merger) and run on raw values through
+the ring's own operations (add, mul, divmod, xgcd, ...), wrapping
+RingElements only at exit.  The tests check both against sympy's
+hermite_normal_form, which shares no code with them.  verify_flow_up
+checks a basis against the key element.
 """
 
 from __future__ import annotations
@@ -36,18 +39,19 @@ def hermite_form(
 ) -> List[List[RingElement]]:
     """Column Hermite form of the lattice spanned by the columns and modulus*R^N.
 
-    N is the number of rows.  When the column lattice contains modulus*R^N,
-    as the caller must ensure, the result is its Hermite form: lower
-    triangular, canonical pivots (positive integers, monic polynomials), and
-    in each pivot row the entries left of the pivot reduced modulo it.
-    Euclidean descriptors only (ZZ, QQ and QQ[x]).
+    N is the number of rows.  The result is lower triangular, with canonical
+    pivots (positive integers, monic polynomials), and in each pivot row the
+    entries left of the pivot reduced modulo it.  Euclidean descriptors only
+    (ZZ, QQ and QQ[x]); ValueError for a zero modulus or rows of unequal
+    length.
 
-    One pass over the rows merges the columns nonzero in row i by xgcd.  The
-    folded-in column modulus*e_i gives every row a pivot dividing the
-    modulus, and lets every entry below the current row be reduced modulo
-    it; an entry is reduced only once its size reaches the modulus's.
-    Column operations touch only rows at or below the current row, since
-    the rows above are zero in the columns still being worked on.
+    H starts as modulus*I.  Each column v is inserted by walking its rows
+    down: where v_i != 0, the step merges v into H_i, which leaves the gcd
+    of the two in H_i's pivot and v zero in row i.  The step is unimodular,
+    and an entry it reduces modulo D = modulus sits in a row r > i, where
+    D*e_r lies in the span of the columns H_r, ..., H_(N-1) not yet touched
+    by this insertion; so H spans the lattice after each insertion, and
+    _normalize turns it into the Hermite form.
 
     The entries and the modulus are unwrapped once, each checked to lie in
     ring (DescriptorMismatchError otherwise); the pass runs on raw values
@@ -57,77 +61,25 @@ def hermite_form(
         raise UnsupportedRingError(
             f"hermite form needs a Euclidean ring, got {ring}"
         )
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("the rows must have equal length")
     (modulus,) = ring.values([modulus])
     if not modulus:
         raise ValueError("the modulus must be nonzero")
     values = [ring.values(row) for row in rows]
-    nrows = len(values)
-    ncols = len(values[0]) if nrows else 0
-    work = [[values[r][c] for r in range(nrows)] for c in range(ncols)]
-    add, sub, mul, neg = ring.add, ring.sub, ring.mul, ring.neg
-    divide, divmod_, xgcd = ring.divide, ring.divmod, ring.xgcd
-    zero, one = ring.zero.value, ring.one.value
+    zero = ring.zero.value
     modulus = ring.canon(modulus)
-    reduced = _reducer(ring, modulus)
-    kept: List[list] = []
-    for i in range(nrows):
-        below = range(i + 1, nrows)
-        pivot = None
-        rest = []
-        for col in work:
-            if not col[i]:
-                rest.append(col)
-            elif pivot is None:
-                pivot = col
-            else:
-                # (pivot, col) <- (s*pivot + t*col, a*col - b*pivot), det 1
-                d, s, t = xgcd(pivot[i], col[i])
-                a = divide(pivot[i], d)
-                b = divide(col[i], d)
-                for r in below:
-                    x, y = pivot[r], col[r]
-                    if x or y:
-                        pivot[r] = reduced(add(mul(s, x), mul(t, y)))
-                        col[r] = reduced(sub(mul(a, y), mul(b, x)))
-                pivot[i] = d
-                col[i] = zero
-                if any(col[r] for r in below):
-                    rest.append(col)
-        # fold modulus*e_i into the pivot p: (pivot, modulus*e_i) <-
-        # (s*pivot + t*modulus*e_i, (p/d)*modulus*e_i - (modulus/d)*pivot).
-        # The second column is zero in row i and, modulo the modulus, reads
-        # (modulus/d)*((-pivot) mod d) below; dropping it would lose part of
-        # the lattice, since the modulus need not be a multiple of its index
-        if pivot is None:
-            pivot = [zero] * nrows
-            d, s = modulus, one
-        else:
-            d, s, _ = xgcd(pivot[i], modulus)
-            if d != one:
-                cofactor = divide(modulus, d)
-                extra = [zero] * nrows
-                for r in below:
-                    x = pivot[r]
-                    if x:
-                        extra[r] = mul(cofactor, divmod_(neg(x), d)[1])
-                if any(extra[r] for r in below):
-                    rest.append(extra)
-        work = rest
-        if s != one:
-            for r in below:
-                if pivot[r]:
-                    pivot[r] = reduced(mul(s, pivot[r]))
-        pivot[i] = d
-        for col in kept:
-            if not col[i]:
-                continue
-            q, col[i] = divmod_(col[i], d)
-            if q:
-                for r in below:
-                    if pivot[r]:
-                        col[r] = reduced(sub(col[r], mul(q, pivot[r])))
-        kept.append(pivot)
-    return [[RingElement(ring, col[r]) for col in kept] for r in range(nrows)]
+    merge = _merger(ring, modulus)
+    H = [[modulus if r == c else zero for r in range(nrows)] for c in range(nrows)]
+    for c in range(ncols):
+        v = [row[c] for row in values]
+        for i, col in enumerate(H):
+            if v[i]:
+                merge(col, v, col[i], v[i], i)
+    _normalize(H, ring, modulus)
+    return [[RingElement(ring, col[r]) for col in H] for r in range(nrows)]
 
 
 def _reducer(ring: RingDescriptor, modulus):
@@ -140,6 +92,75 @@ def _reducer(ring: RingDescriptor, modulus):
         return divmod_(x, modulus)[1] if size(x) >= bound else x
 
     return reduced
+
+
+def _merger(ring: RingDescriptor, modulus):
+    """The one column step, merge(x, y, p, q, j), modulo the raw modulus D.
+
+    With (d, s, t) = xgcd(p, q), it sets (x, y) to (s*x + t*y, (p/d)*y -
+    (q/d)*x) in place on rows >= j and returns d.  The 2x2 transform has
+    determinant 1.  Rows below j are reduced modulo D (_reducer); row j is
+    not, since it holds the pivot.  When p is 1 the step is y -= q*x.
+    """
+    add, sub, mul, divide, xgcd = ring.add, ring.sub, ring.mul, ring.divide, ring.xgcd
+    one = ring.one.value
+    reduced = _reducer(ring, modulus)
+
+    def merge(x, y, p, q, j):
+        n = len(x)
+        if p == one:
+            if x[j]:
+                y[j] = sub(y[j], mul(q, x[j]))
+            for r in range(j + 1, n):
+                if x[r]:
+                    y[r] = reduced(sub(y[r], mul(q, x[r])))
+            return one
+        d, s, t = xgcd(p, q)
+        a, b = divide(p, d), divide(q, d)
+        u, w = x[j], y[j]
+        x[j], y[j] = add(mul(s, u), mul(t, w)), sub(mul(a, w), mul(b, u))
+        for r in range(j + 1, n):
+            u, w = x[r], y[r]
+            if u or w:
+                x[r] = reduced(add(mul(s, u), mul(t, w)))
+                y[r] = reduced(sub(mul(a, w), mul(b, u)))
+        return d
+
+    return merge
+
+
+def _normalize(H: List[list], ring: RingDescriptor, modulus) -> None:
+    """Turn the columns H of a lower triangular basis of a lattice that
+    contains D*R^n, D the raw modulus, into its Hermite form, in place.
+
+    Pivot p_i generates {x_i : x in the lattice, x_<i = 0}, which contains
+    D; so p_i divides D and is never 0.  For i = 0 .. n-1, column i is
+    scaled by the unit that makes its pivot p_i canonical, then each column
+    j < i takes q, H_j[i] = divmod(H_j[i], p_i) and loses q*H_i below row i.
+    Those column operations are unimodular, and reducing an entry below the
+    diagonal modulo D subtracts a multiple of D*e_r, which lies in the
+    lattice; so the columns stay a triangular basis of it.  Row i is final
+    after step i, since later steps touch only the rows below, and the
+    result is the unique Hermite form.
+    """
+    sub, mul, divide, divmod_ = ring.sub, ring.mul, ring.divide, ring.divmod
+    canon, one = ring.canon, ring.one.value
+    reduced = _reducer(ring, modulus)
+    n = len(H)
+    for i, col in enumerate(H):
+        unit = divide(canon(col[i]), col[i])
+        if unit != one:
+            for r in range(i, n):
+                col[r] = mul(unit, col[r])
+        pivot = col[i]
+        for left in H[:i]:
+            if not left[i]:
+                continue
+            q, left[i] = divmod_(left[i], pivot)
+            if q:
+                for r in range(i + 1, n):
+                    if col[r]:
+                        left[r] = reduced(sub(left[r], mul(q, col[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +194,8 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     column Hermite form of M, lower triangular, so column i is a flow-up
     class at i.
 
-    _intersect_edges gives a lower triangular basis H of M.  Its pivot p_i
-    generates {x_i : x in M, x_<i = 0}, which contains D (D*e_i lies in M,
-    D the lcm of all labels); so p_i divides D and is never 0.  For i = 0
-    .. n-1, column i is scaled by the unit that makes p_i canonical, then
-    each column j < i takes q, H_j[i] = divmod(H_j[i], p_i) and loses
-    q*H_i below row i.  Those column operations are unimodular, and
-    reducing an entry below the diagonal modulo D subtracts a multiple of
-    D*e_r, which lies in M; so the columns stay a triangular basis of M.
-    Row i is final after step i, since later steps touch only the rows
-    below, and the result is the unique Hermite form.
+    _intersect_edges gives a lower triangular basis H of M, and _normalize
+    turns it into the unique Hermite form.
     """
     g.require_valid()
     ring = g.ring
@@ -192,26 +205,9 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
             f"got {ring}; over general GCD domains a free spline module "
             f"may have no flow-up basis at all"
         )
-    sub, mul, divide, divmod_ = ring.sub, ring.mul, ring.divide, ring.divmod
-    canon, one = ring.canon, ring.one.value
     modulus = lcm_many([*g.vertex_labels, *(e.label for e in g.edges)], ring).value
-    reduced = _reducer(ring, modulus)
-    n = g.n
     H = _intersect_edges(g, modulus)
-    for i, col in enumerate(H):
-        unit = divide(canon(col[i]), col[i])
-        if unit != one:
-            for r in range(i, n):
-                col[r] = mul(unit, col[r])
-        pivot = col[i]
-        for left in H[:i]:
-            if not left[i]:
-                continue
-            q, left[i] = divmod_(left[i], pivot)
-            if q:
-                for r in range(i + 1, n):
-                    if col[r]:
-                        left[r] = reduced(sub(left[r], mul(q, col[r])))
+    _normalize(H, ring, modulus)
     classes = []
     for i, col in enumerate(H):
         components = [RingElement(ring, x) for x in col]
@@ -226,10 +222,11 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
     H starts as diag(m_v), a basis of (+) m_v R.  Edge {u, v}, u < v, with
     label r keeps the vectors H*x with c.x = 0 (mod r), where c_j = H_uj -
     H_vj.  H is lower triangular, so c_j = 0 for j > v, and j walks from v
-    down to 0 with G = r, V = 0.  Where c_j != 0 (mod r): (d, s, t) =
-    xgcd(G, c_j), column j becomes (G/d)*H_j - (c_j/d)*V, then V = s*V +
-    t*H_j (the old H_j) and G = d.  Only rows >= j change, and row j only
-    by the factor G/d, since V is zero there.  V = H*w with w zero up to j
+    down to 0 with G = r, V = 0.  Where c_j != 0 (mod r), G = merge(V,
+    H_j, G, c_j, j) (_merger): with (d, s, t) = xgcd(G, c_j), column j
+    becomes (G/d)*H_j - (c_j/d)*V, V becomes s*V + t*H_j (the old H_j) and
+    G becomes d.  Only rows >= j change, and row j only by the factor G/d,
+    since V is zero there.  V = H*w with w zero up to j
     and c.w = G (mod r), which s*c.w + t*c_j = d keeps, so the new column
     H*x has c.x = (G/d)*c_j - (c_j/d)*c.w = 0 (mod r).  These x form a
     triangular matrix with diagonal entries G/d (1 where c_j = 0), whose
@@ -238,15 +235,14 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
     congruence.  D*e_i lies in every module on the way (each r divides D),
     so an entry below the diagonal is reduced modulo D once its size
     reaches D's: that keeps the columns in the module and the determinant
-    unchanged.  The diagonal is never reduced: it divides D (flow_up_basis),
+    unchanged.  The diagonal is never reduced: it divides D (_normalize),
     and reduced it would read 0 wherever it is an associate of D.
     """
     ring = g.ring
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    divide, divmod_, xgcd, size = ring.divide, ring.divmod, ring.xgcd, ring.size
-    zero, one = ring.zero.value, ring.one.value
+    sub, divmod_, size = ring.sub, ring.divmod, ring.size
+    zero = ring.zero.value
     n = g.n
-    reduced = _reducer(ring, modulus)
+    merge = _merger(ring, modulus)
     vertex_labels, edge_labels = _raw_labels(g)
     H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(vertex_labels)]
     for e, r in zip(g.edges, edge_labels):
@@ -257,24 +253,8 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
             c = sub(col[u], col[v])
             if size(c) >= size(r):
                 c = divmod_(c, r)[1]
-            if not c:
-                continue
-            if G == one:
-                # (d, s, t) = (1, 1, 0): column j loses c_j*V, V stays
-                for i in range(j + 1, n):
-                    if V[i]:
-                        col[i] = reduced(sub(col[i], mul(c, V[i])))
-                continue
-            d, s, t = xgcd(G, c)
-            a, b = divide(G, d), divide(c, d)
-            x = col[j]
-            col[j], V[j] = mul(a, x), mul(t, x)
-            for i in range(j + 1, n):
-                x, y = col[i], V[i]
-                if x or y:
-                    col[i] = reduced(sub(mul(a, x), mul(b, y)))
-                    V[i] = reduced(add(mul(s, y), mul(t, x)))
-            G = d
+            if c:
+                G = merge(V, col, G, c, j)
     return H
 
 

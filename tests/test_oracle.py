@@ -8,6 +8,7 @@ from egsplines.oracle import (
     brute_minimal_leading_entry,
     enumerate_small_splines,
     random_instance,
+    trails_between,
 )
 from egsplines.rings import ZZ, gcd
 from egsplines.splines import coprime_label_violation, is_spline
@@ -93,6 +94,31 @@ def _negated(g):
     return LabeledGraph(
         g.ring, [-m for m in g.vertex_labels], [(e.u, e.v, -e.label) for e in g.edges]
     )
+
+
+class TestLongPath:
+    """A 1,100-vertex path, deeper than Python's default recursion limit:
+    the searches keep their own stacks, so their depth does not grow with
+    the graph."""
+
+    N = 1100
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        edges = [(v, v + 1, zz(3 if v % 2 == 0 else 2)) for v in range(self.N - 1)]
+        return LabeledGraph(ZZ, [zz(1)] * self.N, edges)
+
+    def test_residue_search(self, path):
+        assert brute_minimal_leading_entry(path, 0, 1) == 1
+
+    def test_enumeration(self, path):
+        (spline,) = enumerate_small_splines(path, 0)
+        assert all(x.is_zero for x in spline.components)
+
+    def test_trails(self, path):
+        (trail,) = trails_between(path, 0, self.N - 1)
+        assert trail.edges == tuple(range(self.N - 1))
+        assert trail.vertices == tuple(range(self.N))
 
 
 class TestNegativeLabels:

@@ -60,12 +60,14 @@ def _constraint_matrix(g):
 
 
 def _stacked_flow_up(g):
-    """The flow-up basis from the stacked constraint matrix, an independent
-    reference: the Hermite form of its lattice modulo the lcm D of all
+    """The flow-up basis from the stacked constraint matrix, a reference by
+    another route: the Hermite form of its lattice modulo the lcm D of all
     labels (which it contains) is lower triangular, so its vectors with a
     zero edge part are spanned by the pivot columns of the vertex rows, and
     their vertex rows, the trailing n x n block, are the spline module in
-    Hermite form.  Rows are vertices, columns are basis elements."""
+    Hermite form.  Rows are vertices, columns are basis elements.  It
+    shares hermite_form's column step and normalization with
+    flow_up_basis; test_flow_up_matches_sympy_trailing_block shares none."""
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
     full = hermite_form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
     k = len(g.edges)
@@ -100,6 +102,18 @@ def _int_rows(values):
     return [[zz(x) for x in row] for row in values]
 
 
+def _sympy_hermite(values):
+    """sympy's Hermite normal form of a square nonsingular integer matrix,
+    an independent oracle: its pivots run bottom-up, so it is computed on
+    the matrix with row and column order reversed, and reversed back."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    reversed_rows = [row[::-1] for row in values[::-1]]
+    w = hermite_normal_form(Matrix(reversed_rows)).tolist()
+    return [[int(x) for x in row[::-1]] for row in w[::-1]]
+
+
 def _random_matrix(rng, nrows, ncols, bound):
     return [[rng.randint(-bound, bound) for _ in range(ncols)] for _ in range(nrows)]
 
@@ -121,11 +135,8 @@ class TestHermite:
         assert 0 <= h[1][0].value < 6
 
     def test_matches_sympy_hnf(self):
-        # an independent oracle: sympy's Hermite normal form, whose pivots
-        # run bottom-up, equals this one with row and column order reversed
+        # an independent oracle: sympy's Hermite normal form (_sympy_hermite)
         sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import hermite_normal_form
-
         rng = random.Random(61)
         for _ in range(200):
             n = rng.randint(1, 5)
@@ -133,11 +144,8 @@ class TestHermite:
             det = sympy.Matrix(values).det()
             if det == 0:
                 continue
-            reversed_rows = [row[::-1] for row in values[::-1]]
-            w = hermite_normal_form(sympy.Matrix(reversed_rows)).tolist()
-            expected = [[int(x) for x in row[::-1]] for row in w[::-1]]
             h = hermite_form(_int_rows(values), ZZ, zz(abs(int(det))))
-            assert _values(h) == expected, values
+            assert _values(h) == _sympy_hermite(values), values
 
     def test_deterministic_canonical_form(self):
         # the result is canonical for the lattice spanned by the columns and
@@ -173,6 +181,26 @@ class TestHermite:
             assert _basis_rows(flow_up_basis(g)) == _stacked_flow_up(g), spec
         assert coprime >= 30
 
+    def test_flow_up_matches_sympy_trailing_block(self):
+        # flow_up_basis against the trailing n x n block of sympy's Hermite
+        # normal form of the stacked constraint matrix, which is square and
+        # nonsingular; unlike _stacked_flow_up, this reference shares no
+        # code with the flow-up path
+        pytest.importorskip("sympy")
+        rng = random.Random(109)
+        for seed in range(150):
+            spec = InstanceSpec(
+                seed=seed,
+                n=rng.randint(1, 6),
+                edge_density=rng.choice((0.0, 0.3, 0.6, 0.9)),
+                label_bound=rng.choice((6, 30, 100)),
+            )
+            g = random_instance(spec)
+            full = _sympy_hermite(_values(_constraint_matrix(g)))
+            k = len(g.edges)
+            tail = [row[k:] for row in full[k:]]
+            assert _values(_basis_rows(flow_up_basis(g))) == tail, spec
+
     def test_rational_polynomials(self):
         rows = [[qx("x^2-1"), qx("x+1")]]
         for modulus in (qx("x+1"), qx("2*x^2-2")):
@@ -182,6 +210,12 @@ class TestHermite:
         x = parse_element("x", ZX)
         with pytest.raises(UnsupportedRingError):
             hermite_form([[x]], ZX, x)
+
+    def test_rows_of_unequal_length_rejected(self):
+        # a longer row below the first and a shorter one
+        for values in ([[2], [1, 5]], [[2, 3], [1]]):
+            with pytest.raises(ValueError, match="equal length"):
+                hermite_form(_int_rows(values), ZZ, zz(6))
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError):
