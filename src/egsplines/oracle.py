@@ -143,6 +143,11 @@ def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
         if value % p ** m_exp[v2] != 0:
             return False
     assignment = dict(fixed)
+    # (neighbour, edge exponent) of every edge at each vertex, in edge order
+    incident: List[List[Tuple[int, int]]] = [[] for _ in m]
+    for (ea, eb, _), exp in zip(edges, e_exp):
+        incident[ea].append((eb, exp))
+        incident[eb].append((ea, exp))
 
     def candidates(v2: int):
         """The residues left open for v2 by the assigned vertices, in
@@ -151,13 +156,10 @@ def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
         best_val = 0
         constraints = [(0, m_exp[v2])]
         reach = best_exp
-        for idx, (ea, eb, _) in enumerate(edges):
-            if ea == v2 and eb in assignment:
-                constraints.append((assignment[eb], e_exp[idx]))
-            elif eb == v2 and ea in assignment:
-                constraints.append((assignment[ea], e_exp[idx]))
-            if v2 in (ea, eb):
-                reach = max(reach, e_exp[idx])
+        for w, exp in incident[v2]:
+            if w in assignment:
+                constraints.append((assignment[w], exp))
+            reach = max(reach, exp)
         for value, exp in constraints:
             if exp > best_exp:
                 best_exp, best_val = exp, value
@@ -271,7 +273,7 @@ def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
             continue
         values.append(candidate)
         if len(values) == n:
-            out.append(Spline(g, [ZZ.from_int(c) for c in values]))
+            out.append(Spline._raw(g, values))
             values.pop()
         else:
             stack.append(candidates(len(values)))

@@ -208,11 +208,9 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     modulus = lcm_many([*g.vertex_labels, *(e.label for e in g.edges)], ring).value
     H = _intersect_edges(g, modulus)
     _normalize(H, ring, modulus)
-    classes = []
-    for i, col in enumerate(H):
-        components = [RingElement(ring, x) for x in col]
-        classes.append(FlowUpClass(Spline(g, components), i, components[i]))
-    return TriangularBasis(g, tuple(classes))
+    return TriangularBasis(g, tuple(
+        FlowUpClass(Spline._raw(g, col), i, RingElement(ring, col[i])) for i, col in enumerate(H)
+    ))
 
 
 def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
@@ -292,12 +290,12 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
         raise ValueError("splines live on different graphs")
     checks: List[FlowUpCheck] = []
     for cls in basis.classes:
-        i, components = cls.index + 1, cls.spline.components
-        violations = splines.spline_violations(g, components)
+        i, values = cls.index + 1, cls.spline.values
+        violations = splines._violations(g, values)
         checks.append(
             FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
         )
-        ok = all(x.is_zero for x in components[: i - 1]) and not components[i - 1].is_zero
+        ok = not any(values[: i - 1]) and bool(values[i - 1])
         detail = "ok" if ok else "shape violated"
         checks.append(FlowUpCheck(f"column {i} is flow-up at index {i}", ok, detail))
     determinant = splines.spline_determinant(basis.matrix())

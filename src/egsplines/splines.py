@@ -9,6 +9,14 @@ Matrix convention: a set of candidates F_1..F_n is viewed as the n x n
 matrix whose column k is F_k with rows ordered v_n (top) down to v_1
 (bottom).  All determinants below use that fixed convention; associate
 checks absorb the sign.
+
+Values are unwrapped once, at the boundary: Spline checks each component
+to lie in the graph's ring and keeps its raw value, and SplineMatrix
+checks that its columns share one graph.  Spline arithmetic, membership,
+the elimination (_bareiss) and the Cramer divisions run on those raw
+values through the ring's operations.  RingElements are built only for
+Spline.components, on first read, and for results (determinants,
+coefficients, key elements).
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from .rings import (
     RingElement,
     canonical_associate,
     exact_div,
-    try_exact_div,
 )
 
 
@@ -59,71 +66,81 @@ class SpanHypothesisError(SplineError):
 
 
 class Spline:
-    """A vertex labeling of one graph; one component per vertex, in order.
+    """A vertex labeling of one graph; one component per vertex, in order,
+    held as raw values (values) and wrapped on first read (components).
 
     Not self-validating: use is_spline / spline_violations to check the
     membership conditions.
     """
 
-    __slots__ = ("graph", "components")
+    __slots__ = ("graph", "values", "_components")
 
     def __init__(self, graph: LabeledGraph, components: Sequence[RingElement]):
         if len(components) != graph.n:
             raise ValueError(
                 f"expected {graph.n} components, got {len(components)}"
             )
-        for c in components:
-            if c.descriptor is not graph.ring:
-                raise rings.DescriptorMismatchError(
-                    "spline components must live in the graph's ring"
-                )
         self.graph = graph
-        self.components = tuple(components)
+        self.values = tuple(graph.ring.values(components))
+        self._components = tuple(components)
+
+    @classmethod
+    def _raw(cls, graph: LabeledGraph, values) -> "Spline":
+        """The spline of graph with these raw values of its ring, unchecked."""
+        s = object.__new__(cls)
+        s.graph, s.values, s._components = graph, tuple(values), None
+        return s
+
+    @property
+    def components(self) -> Tuple[RingElement, ...]:
+        if self._components is None:
+            ring = self.graph.ring
+            self._components = tuple(RingElement(ring, x) for x in self.values)
+        return self._components
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spline):
             return NotImplemented
-        return self.graph is other.graph and self.components == other.components
+        return self.graph is other.graph and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((id(self.graph), self.components))
+        return hash((id(self.graph), self.values))
 
     def __add__(self, other: "Spline") -> "Spline":
         if other.graph is not self.graph:
             raise ValueError("splines live on different graphs")
-        return Spline(
-            self.graph,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
+        return Spline._raw(self.graph, map(self.graph.ring.add, self.values, other.values))
 
     def __sub__(self, other: "Spline") -> "Spline":
         return self + (-other)
 
     def __neg__(self) -> "Spline":
-        return Spline(self.graph, [-c for c in self.components])
+        return Spline._raw(self.graph, map(self.graph.ring.neg, self.values))
 
     def scale(self, c: RingElement) -> "Spline":
-        return Spline(self.graph, [c * f for f in self.components])
+        (c,), mul = self.graph.ring.values([c]), self.graph.ring.mul
+        return Spline._raw(self.graph, [mul(c, x) for x in self.values])
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
+        return not any(self.values)
 
     def __repr__(self) -> str:
         return "Spline(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 def spline_violations(g: LabeledGraph, components: Sequence[RingElement]) -> List[str]:
-    """All membership conditions the candidate fails (empty = spline).
+    """All membership conditions the candidate fails (empty = spline); the
+    components are unwrapped, each checked to lie in g's ring."""
+    return _violations(g, g.ring.values(components))
 
-    Runs on raw values through the ring's sub and divide; the components
-    are unwrapped, and the labels read unwrapped once per graph
-    (graph._raw_labels), each checked to lie in g's ring.
-    """
-    ring = g.ring
-    values = ring.values(components)
+
+def _violations(g: LabeledGraph, values: Sequence) -> List[str]:
+    """spline_violations on raw values of g's ring, through its sub and
+    divide; the labels are read unwrapped once per graph
+    (graph._raw_labels), each checked to lie in g's ring."""
     labels, edge_labels = graph._raw_labels(g)
-    sub, divide = ring.sub, ring.divide
+    sub, divide = g.ring.sub, g.ring.divide
 
     def divides(a, b):  # with 0 | b only for b = 0
         return divide(b, a) is not None if a else not b
@@ -163,14 +180,6 @@ class SplineMatrix:
                 raise ValueError("all columns must live on the same graph")
         self.graph = graph
         self.columns = tuple(columns)
-
-    def rows(self) -> List[List[RingElement]]:
-        """Matrix rows, v_n at the top down to v_1 at the bottom."""
-        n = self.graph.n
-        return [
-            [self.columns[c].components[n - 1 - r] for c in range(n)]
-            for r in range(n)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +270,9 @@ def h_factor(g: LabeledGraph) -> RingElement:
 
 
 def _bareiss(
-    rows: List[List[RingElement]], rhs: Optional[Sequence[RingElement]] = None
-) -> Tuple[RingElement, Optional[List[RingElement]]]:
-    """(det M, y = adj(M)*f): singleton rows peeled off M, then one
+    ring: rings.RingDescriptor, rows: Sequence[Sequence], rhs: Optional[Sequence] = None
+) -> Tuple[object, Optional[list]]:
+    """(det M, y = adj(M)*f) over ring: singleton rows peeled off M, then one
     fraction-free elimination of what is left.  y is None without f or
     when det = 0.
 
@@ -293,16 +302,13 @@ def _bareiss(
     The true det and y are the unsigned ones times one sign, the product
     of every peel's s and the row-swap sign, applied once at the end.
 
-    The entries of M and f are unwrapped once, each checked to lie in the
-    ring of M's first entry (DescriptorMismatchError otherwise); the
-    elimination runs on raw values through that ring's operations and wraps
-    only det and y.  A failed exact division raises NotDivisibleError.
+    M, f, det and y are raw values of ring, and the elimination runs
+    through its operations; rows is only read.  A failed exact division
+    raises NotDivisibleError.
     """
-    n = len(rows)
-    ring = rows[0][0].descriptor
-    m = [ring.values(row) for row in rows]
-    f = None if rhs is None else ring.values(rhs)
-    sub, mul, neg, divide = ring.sub, ring.mul, ring.neg, ring.divide
+    n, m = len(rows), rows
+    f = None if rhs is None else list(rhs)
+    sub, mul, neg, divide, zero = ring.sub, ring.mul, ring.neg, ring.divide, ring.zero.value
 
     def quotient(a, b):
         q = divide(a, b)
@@ -321,7 +327,7 @@ def _bareiss(
     while singletons:
         r = singletons.pop()
         if not counts[r]:
-            return ring.zero, None
+            return zero, None
         top = m[r]
         c = next(j for j in live_cols if top[j])
         if (live_rows.index(r) + live_cols.index(c)) % 2:
@@ -351,7 +357,7 @@ def _bareiss(
                     sign = -sign
                     break
             else:
-                return ring.zero, None
+                return zero, None
         top = m[p]
         pivot = top[p]
         for row in m[p + 1:]:
@@ -362,7 +368,7 @@ def _bareiss(
         previous = pivot
     det = m[k - 1][k - 1] if k else ring.one.value
     if not det:
-        return ring.zero, None
+        return zero, None
     y: list = [None] * n
     if f is not None and k:
         # the last numerator is the block's last entry of b, undivided
@@ -377,31 +383,30 @@ def _bareiss(
         if f is not None:
             y[c] = mul(det, fr)
         det = mul(a, det)
-    if sign < 0:
-        det = neg(det)
     if f is None:
-        return RingElement(ring, det), None
-    return RingElement(ring, det), [RingElement(ring, v if sign > 0 else neg(v)) for v in y]
+        return det if sign > 0 else neg(det), None
+    return (det, y) if sign > 0 else (neg(det), [neg(v) for v in y])
 
 
 def spline_determinant(ms: SplineMatrix) -> RingElement:
     """Exact determinant under the fixed row convention (v_n top .. v_1 bottom)."""
-    return _bareiss(ms.rows())[0]
+    return RingElement(ms.graph.ring, _solve(ms.graph, ms)[0])
 
 
-def _solve(
-    g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None
-) -> Tuple[RingElement, Optional[List[RingElement]]]:
-    """_bareiss on the matrix of ms and, when given, the target f.
+def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tuple:
+    """_bareiss on the raw values of the matrix of ms and, when given, the
+    target f: the raw (det, numerators).
 
-    The entry of certify_basis, express_in_basis and qhat_span_decomposition:
-    ValueError("splines live on different graphs") unless ms and f live on
-    g, raised before any elimination.  f's components are reversed into the
-    row convention (v_n top .. v_1 bottom).
+    The entry of spline_determinant, certify_basis, express_in_basis and
+    qhat_span_decomposition: ValueError("splines live on different graphs")
+    unless ms and f live on g, raised before any elimination.  The columns'
+    and f's values are reversed into the row convention (v_n top .. v_1
+    bottom).
     """
     if ms.graph is not g or (f is not None and f.graph is not g):
         raise ValueError("splines live on different graphs")
-    return _bareiss(ms.rows(), None if f is None else f.components[::-1])
+    rows = list(zip(*(col.values for col in ms.columns)))[::-1]
+    return _bareiss(g.ring, rows, None if f is None else f.values[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +438,7 @@ class BasisCertificate:
 def coprime_label_violation(g: LabeledGraph) -> Optional[Tuple[str, str]]:
     """A pair of labels with non-unit gcd, or None when pairwise coprime."""
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    ring = g.ring
-    values, gcd, one = ring.values(labels), ring.gcd, ring.one.value
+    values, gcd, one = sum(graph._raw_labels(g), []), g.ring.gcd, g.ring.one.value
     # the gcd is canonical, so a unit gcd is exactly one
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -453,13 +457,9 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     an open question and is never assumed here.
     """
     g.require_valid()
-    determinant = _solve(g, ms)[0]
+    determinant = RingElement(g.ring, _solve(g, ms)[0])
     key = qhat(g)
-    failing = tuple(
-        idx
-        for idx, col in enumerate(ms.columns)
-        if not is_spline(g, col.components)
-    )
+    failing = tuple(idx for idx, col in enumerate(ms.columns) if _violations(g, col.values))
     if failing:
         return BasisCertificate(
             Verdict.REFUTED_NOT_SPLINES, determinant, key, failing_columns=failing
@@ -479,18 +479,16 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _combination(
-    g: LabeledGraph, ms: SplineMatrix, coefficients: Sequence[RingElement]
-) -> list:
-    """The components of sum(c_k F_k) as raw values of g's ring, computed
-    through its mul and add."""
-    ring = g.ring
-    add, mul = ring.add, ring.mul
-    out = [ring.zero.value] * g.n
-    for c, col in zip(ring.values(coefficients), ms.columns):
-        for v, x in enumerate(ring.values(col.components)):
-            out[v] = add(out[v], mul(c, x))
-    return out
+def _combination(g: LabeledGraph, ms: SplineMatrix, coefficients: Sequence) -> tuple:
+    """The values of sum(c_k F_k) for raw coefficients c_k of g's ring,
+    computed through its mul and add."""
+    add, mul = g.ring.add, g.ring.mul
+    out = [g.ring.zero.value] * g.n
+    for c, col in zip(coefficients, ms.columns):
+        for v, x in enumerate(col.values):
+            if x:
+                out[v] = add(out[v], mul(c, x))
+    return tuple(out)
 
 
 def express_in_basis(
@@ -506,15 +504,16 @@ def express_in_basis(
     so an arithmetic fault cannot produce silent garbage.
     """
     determinant, numerators = _solve(g, ms, f)
-    if determinant.is_zero:
+    if not determinant:
         raise ZeroDivisionError("cannot express against a singular matrix")
-    coefficients = [try_exact_div(y, determinant) for y in numerators]
+    ring = g.ring
+    coefficients = [ring.divide(y, determinant) for y in numerators]
     failed = [k for k, c in enumerate(coefficients) if c is None]
     if failed:
         raise NotInSpanError(failed[0], tuple(failed))
-    if _combination(g, ms, coefficients) != g.ring.values(f.components):
+    if _combination(g, ms, coefficients) != f.values:
         raise SplineError("internal error: Cramer reconstruction mismatch")
-    return tuple(coefficients)
+    return tuple(RingElement(ring, c) for c in coefficients)
 
 
 def qhat_span_decomposition(
@@ -526,20 +525,19 @@ def qhat_span_decomposition(
     x_k are the column-replaced determinants (see _bareiss), scaled by the
     inverse of the unit relating determinant and key element.
     """
+    ring = g.ring
     determinant, numerators = _solve(g, ms, f)
     key = qhat(g)
-    unit = rings.associate_unit(determinant, key)
+    unit = rings.associate_unit(RingElement(ring, determinant), key)
     if unit is None:
         raise SpanHypothesisError(
             "determinant is not a unit multiple of the key element"
         )
-    unit_inverse = exact_div(g.ring.one, unit)
-    xs = [unit_inverse * y for y in numerators]
-    mul, k = g.ring.mul, key.value
-    scaled = [mul(k, x) for x in g.ring.values(f.components)]
-    if _combination(g, ms, xs) != scaled:
+    mul, unit_inverse = ring.mul, ring.divide(ring.one.value, unit.value)
+    xs = [mul(unit_inverse, y) for y in numerators]
+    if _combination(g, ms, xs) != tuple(mul(key.value, x) for x in f.values):
         raise SplineError("internal error: span decomposition mismatch")
-    return tuple(xs)
+    return tuple(RingElement(ring, x) for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,83 @@ def _random_combination(rng, g, basis):
     return out
 
 
+class TestSplineArithmetic:
+    """Splines hold raw values: +, - and scale run on them, and components
+    wraps them on first read."""
+
+    def test_arithmetic_matches_components(self):
+        g = random_instance(InstanceSpec(seed=4, n=5, edge_density=0.5, label_bound=20))
+        rng = random.Random(5)
+        a, b = (Spline(g, [ZZ.from_int(rng.randint(-30, 30)) for _ in range(g.n)]) for _ in range(2))
+        c = zz(-7)
+        built = [a + b, a - b, -a, b.scale(c), a + b.scale(c)]
+        expected = [
+            [x + y for x, y in zip(a.components, b.components)],
+            [x - y for x, y in zip(a.components, b.components)],
+            [-x for x in a.components],
+            [c * y for y in b.components],
+            [x + c * y for x, y in zip(a.components, b.components)],
+        ]
+        for got, want in zip(built, expected):
+            from_components = Spline(g, want)
+            assert got == from_components and hash(got) == hash(from_components)
+            assert got.components == tuple(want)
+            assert got.values == tuple(x.value for x in want)
+        # each operand keeps its own components
+        assert a.components == tuple(ZZ.from_int(x) for x in a.values)
+        assert (a - a).is_zero and not a.is_zero
+
+    def test_lazy_components_are_ring_elements(self, t4, t4_basis_b):
+        f, h = t4_basis_b.columns[:2]
+        total = f + h.scale(t4.ring.variable("x"))
+        assert all(
+            isinstance(x, rings.RingElement) and x.descriptor is t4.ring for x in total.components
+        )
+        assert [str(x) for x in total.components] == [
+            "x^3*y^2-x^2*y^2+x^3+x*y", "-x^2*y^2-x*y^3", "-x^2*y^2-x*y^3", "0"
+        ]
+        assert total.components is total.components
+
+    def test_scale_checks_its_scalar(self, p2):
+        f = Spline(p2, [zz(2), zz(6)])
+        with pytest.raises(rings.DescriptorMismatchError):
+            f.scale(rings.QQ.from_int(3))
+        with pytest.raises(rings.DescriptorMismatchError):
+            f.scale(QX.one)
+        with pytest.raises(TypeError):
+            f.scale(3)
+
+    def test_sum_across_graphs_refused(self):
+        g, h, _ = _twin_graphs()
+        f, k = Spline(g, [zz(2), zz(6)]), Spline(h, [zz(2), zz(6)])
+        assert f != k
+        for combine in (lambda: f + k, lambda: f - k, lambda: k + f):
+            with pytest.raises(ValueError, match="^splines live on different graphs$"):
+                combine()
+
+    def test_wraps_only_when_components_are_read(self, monkeypatch):
+        n = 6
+        g = random_instance(InstanceSpec(seed=11, n=n, edge_density=0.5, label_bound=30))
+        a = Spline(g, [ZZ.from_int(3 * v) for v in range(n)])
+        b = Spline(g, [ZZ.from_int(v - 2) for v in range(n)])
+        c = zz(5)
+        built = []
+        original = rings.RingElement.__init__
+
+        def counting(self, descriptor, value):
+            built.append(value)
+            original(self, descriptor, value)
+
+        monkeypatch.setattr(rings.RingElement, "__init__", counting)
+        total = a + b.scale(c)
+        assert built == [] and total.values == tuple(8 * v - 10 for v in range(n))
+        assert total.components == tuple(ZZ.from_int(8 * v - 10) for v in range(n))
+        assert built[:n] == [8 * v - 10 for v in range(n)]
+        count = len(built)
+        total.components
+        assert len(built) == count
+
+
 class TestKeyElement:
     def test_c3_integer_components(self, c3_int):
         assert [c.value for c in qhat_components(c3_int)] == [4, 6, 45]
@@ -371,7 +448,7 @@ class TestDeterminant:
                 for _ in range(n)
             ]
             ms = SplineMatrix(g, cols)
-            assert spline_determinant(ms) == _cofactor_det(ms.rows())
+            assert spline_determinant(ms) == _cofactor_det(_rows(ms))
 
     def test_matches_sympy(self):
         # an independent oracle over ZZ[x,y] and QQ[x]: sympy's determinant
@@ -447,9 +524,9 @@ class TestBareissKernel:
             ]
         else:
             target = [_random_element(rng, ring) for _ in range(n)]
-        det, numerators = _bareiss(rows, target)
+        det, numerators = _wrapped_bareiss(ring, rows, target)
         assert det == _cofactor_det(rows)
-        assert _bareiss(rows)[0] == det
+        assert _wrapped_bareiss(ring, rows)[0] == det
         if det.is_zero:
             seen["singular"] += 1
             assert numerators is None
@@ -477,22 +554,29 @@ class TestBareissKernel:
         return det
 
     def test_foreign_entries_rejected(self):
-        # each foreign entry sits where the elimination never multiplies it:
-        # the right-hand side of a 1x1 system, or past a zero column
-        with pytest.raises(rings.DescriptorMismatchError):
-            _bareiss([[zz(2)]], [rings.QQ.zero])
-        with pytest.raises(rings.DescriptorMismatchError):
-            _bareiss([[ZZ.zero, rings.QQ.zero], [ZZ.zero, zz(1)]])
-        with pytest.raises(rings.DescriptorMismatchError):
-            _bareiss([[ZZ.zero, ZZ.zero], [ZZ.zero, QX.one]], [zz(1), zz(2)])
+        # the kernel takes raw values: foreign entries are refused where
+        # they are unwrapped, by Spline, and a column of another graph by
+        # SplineMatrix, before any elimination
+        g, h, _ = _twin_graphs()
+        for foreign in ([zz(2), rings.QQ.zero], [ZZ.zero, QX.one]):
+            with pytest.raises(rings.DescriptorMismatchError):
+                Spline(g, foreign)
+        with pytest.raises(TypeError):
+            Spline(g, [zz(2), 6])
+        with pytest.raises(ValueError, match="^all columns must live on the same graph$"):
+            SplineMatrix(g, [Spline(g, [zz(2), zz(0)]), Spline(h, [zz(0), zz(3)])])
 
     def test_wraps_only_at_entry_and_exit(self, monkeypatch):
-        # the elimination runs on raw values: elements are built for det and
-        # the numerators only, not per arithmetic step
+        # the elimination runs on raw values: it builds no element, the
+        # determinant is wrapped once and express_in_basis wraps only its
+        # coefficients, not per arithmetic step
         rng = random.Random(101)
         n = 6
         rows = [[ZZ.from_int(rng.randint(-50, 50)) for _ in range(n)] for _ in range(n)]
-        target = [ZZ.from_int(rng.randint(-50, 50)) for _ in range(n)]
+        coefficients = [ZZ.from_int(rng.randint(-50, 50)) for _ in range(n)]
+        target = [sum((a * c for a, c in zip(row, coefficients)), ZZ.zero) for row in rows]
+        g, ms, f = _express_args(rows, target)
+        raw_rows = [ZZ.values(row) for row in rows]
         built = []
         original = rings.RingElement.__init__
 
@@ -501,19 +585,29 @@ class TestBareissKernel:
             original(self, descriptor, value)
 
         monkeypatch.setattr(rings.RingElement, "__init__", counting)
-        det, numerators = _bareiss(rows, target)
-        assert not det.is_zero
-        assert len(built) <= n * n + n + 1 + len(numerators) + 4
+        det, numerators = _bareiss(ZZ, raw_rows, ZZ.values(target))
+        assert det and len(numerators) == n and built == []
+        assert spline_determinant(ms).value == det and len(built) == 1
+        assert list(express_in_basis(g, ms, f)) == coefficients
+        assert len(built) == 1 + n
 
     def test_span_decomposition_numerators(self, p2, p2_basis):
         # qhat * f = sum x_k F_k with x_k = det(M_k) / unit, here unit -1
         f = Spline(p2, [zz(2), zz(6)])
-        rows = p2_basis.rows()
+        rows = _rows(p2_basis)
         literal = [
             _cofactor_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, [zz(6), zz(2)])])
             for k in range(2)
         ]
         assert list(qhat_span_decomposition(p2, p2_basis, f)) == [-y for y in literal]
+
+
+def _wrapped_bareiss(ring, rows, target=None):
+    """_bareiss on the raw values of element rows and target, its results
+    wrapped."""
+    raw = [ring.values(row) for row in rows]
+    det, ys = _bareiss(ring, raw, None if target is None else ring.values(target))
+    return rings.RingElement(ring, det), None if ys is None else [rings.RingElement(ring, y) for y in ys]
 
 
 def _cofactor_det(rows):
@@ -600,6 +694,12 @@ def _shaped_matrix(rng, ring, n, shape, singular=False):
         order[j] > order[i] for order in (row_order, column_order) for i in range(n) for j in range(i)
     )
     return [[rows[i][j] for j in column_order] for i in row_order], inversions % 2 == 1
+
+
+def _rows(ms):
+    """The rows of the matrix of ms, v_n at the top down to v_1 at the
+    bottom."""
+    return [list(row) for row in zip(*(col.components for col in ms.columns))][::-1]
 
 
 def _as_spline_matrix(rows):
@@ -726,9 +826,9 @@ class TestExpress:
         # off by one: the raw-value reconstruction must refuse them
         real = splines._bareiss
 
-        def faulty(rows, rhs=None):
-            det, ys = real(rows, rhs)
-            return det, [y + det for y in ys]
+        def faulty(ring, rows, rhs=None):
+            det, ys = real(ring, rows, rhs)
+            return det, [ring.add(y, det) for y in ys]
 
         monkeypatch.setattr(splines, "_bareiss", faulty)
         with pytest.raises(splines.SplineError, match="^internal error: Cramer reconstruction mismatch$"):
@@ -744,7 +844,7 @@ def _twin_graphs():
     return g, h, flow_up_basis(g).matrix()
 
 
-def _no_elimination(rows, rhs=None):
+def _no_elimination(ring, rows, rhs=None):
     raise AssertionError("_bareiss called on splines of another graph")
 
 
