@@ -441,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force cross-checks (integer instances)")
     p.add_argument("instance")
     p.add_argument("--bound", type=int, default=None,
-                   help="search bound for minimal leading entries (default 4x formula)")
+                   help="cap on the reported minimal leading entry: a larger minimum "
+                        "prints 'bound not reached' (default 4x formula)")
     p.add_argument("--enum-bound", type=int, default=None,
                    help="component bound for exhaustive spline enumeration")
     p.add_argument("--seed", type=int, default=None,

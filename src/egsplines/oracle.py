@@ -1,20 +1,28 @@
 """Brute-force cross-checks and reproducible random instances.
 
 Everything here works at desk scale and is deliberately independent of the
-key-element formula: trails are enumerated literally, and over the integer
-descriptor the existence of flow-up classes is decided by residue search
-(congruence merging plus backtracking over the uncovered residues) and
-small splines are enumerated exhaustively.
+key-element formula: trails are enumerated literally, small splines are
+enumerated exhaustively, and over the integer descriptor minimal leading
+entries are found by residue search (congruence merging plus backtracking
+over the uncovered residues).
+
+The residue search decides one prime at a time.  The values at `index` of
+the splines that vanish below it form an ideal tZ of ZZ, and a system of
+congruences is solvable over ZZ exactly when it is solvable modulo every
+prime power in the labels; so t is the product over those primes p of the
+least p^e admissible modulo the largest power p^a of p in any label.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from . import graph
 from .graph import LabeledGraph
-from .rings import ZZ, RingElement, lcm_many
+from .rings import ZZ, RingElement
 from .splines import Spline
 
 _PRIMES = [
@@ -77,13 +85,6 @@ def trails_between(g: LabeledGraph, source: int, target: int) -> List[Trail]:
 def _require_integers(g: LabeledGraph) -> None:
     if g.ring.kind != "integers":
         raise ValueError("the brute-force oracle works over the integers only")
-
-
-def _int_labels(g: LabeledGraph):
-    """Vertex and edge labels as positive ints: m*ZZ = (-m)*ZZ."""
-    m = [abs(label.value) for label in g.vertex_labels]
-    edges = [(e.u, e.v, abs(e.label.value)) for e in g.edges]
-    return m, edges
 
 
 def _factorize(x: int) -> Dict[int, int]:
@@ -187,54 +188,49 @@ def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
     return False
 
 
-def _flow_up_exists(g: LabeledGraph, index: int, t: int) -> bool:
-    """Is there a spline with zeros below `index` and value t at it?
+def brute_minimal_leading_entry(
+    g: LabeledGraph, index: int, bound: int
+) -> Optional[int]:
+    """Least t >= 1 admitting a flow-up class at `index` when t <= bound,
+    else None (so always None for bound <= 0).
 
-    The constraint system is a conjunction of congruences, so it is
-    solvable over the integers exactly when it is solvable modulo every
-    prime power appearing in the labels; each prime is searched
-    independently, which keeps the residue domains tiny.
+    The admissible t are the values at `index` of the splines that vanish
+    below it, an ideal tZ of ZZ, decided modulo each prime power p^a in
+    the labels independently; modulo p^a they form the ideal generated by
+    the least admissible p^e.  Every admissible t is a multiple of the
+    vertex label and of each label on an edge down to a zeroed vertex
+    (forced by the definition, not by the formula under test), so e starts
+    at the exponent of p in their lcm and rises until the residue search
+    accepts p^e; e = a, t = 0 modulo p^a, is always admissible.  A bound
+    below that lcm returns None without a search.
     """
-    m, edges = _int_labels(g)
-    fixed: Dict[int, int] = {s: 0 for s in range(index)}
-    fixed[index] = t
-    order = _bfs_order(g, fixed)
+    _require_integers(g)
+    g.require_valid()
+    vertex_labels, edge_labels = graph._raw_labels(g)
+    m = [abs(label) for label in vertex_labels]  # m*ZZ = (-m)*ZZ
+    edges = [(e.u, e.v, abs(r)) for e, r in zip(g.edges, edge_labels)]
+    step = m[index]
+    for idx in g.adjacency[index]:
+        if g.edges[idx].other(index) < index:
+            step = math.lcm(step, edges[idx][2])
+    if step > bound:
+        return None
+    zeros: Dict[int, int] = {s: 0 for s in range(index)}
+    order = _bfs_order(g, range(index + 1))
     prime_exponents: Dict[int, int] = {}
     for x in m + [r for (_, _, r) in edges]:
         for p, e in _factorize(x).items():
             prime_exponents[p] = max(prime_exponents.get(p, 0), e)
+    forced = _factorize(step)
+    t = 1
     for p, a in sorted(prime_exponents.items()):
-        reduced = {v: value % p**a for v, value in fixed.items()}
-        if not _exists_mod_prime_power(m, edges, reduced, order, p, a):
-            return False
-    return True
-
-
-def brute_minimal_leading_entry(
-    g: LabeledGraph, index: int, bound: int
-) -> Optional[int]:
-    """Smallest t in 1..bound admitting a flow-up class at `index`, else None.
-
-    Any admissible t is a multiple of the vertex label and of every label on
-    an edge down to the zeroed vertices (both forced by the definition, not
-    by the formula under test), so candidates iterate over the multiples of
-    their lcm; each candidate is then decided by the exhaustive per-prime
-    residue search.
-    """
-    _require_integers(g)
-    g.require_valid()
-    forced = [g.vertex_labels[index]]
-    for e in g.edges:
-        a, b = e.endpoints()
-        if max(a, b) == index and min(a, b) < index:
-            forced.append(e.label)
-    step = lcm_many(forced).value
-    t = step
-    while t <= bound:
-        if _flow_up_exists(g, index, t):
-            return t
-        t += step
-    return None
+        e = forced.get(p, 0)
+        while e < a and not _exists_mod_prime_power(
+            m, edges, {**zeros, index: p**e}, order, p, a
+        ):
+            e += 1
+        t *= p**e
+    return t if t <= bound else None
 
 
 def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
@@ -246,14 +242,14 @@ def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
     """
     _require_integers(g)
     g.require_valid()
-    m, edges = _int_labels(g)
+    vertex_labels, edge_labels = graph._raw_labels(g)
+    m = [abs(label) for label in vertex_labels]  # m*ZZ = (-m)*ZZ
     n = g.n
     out: List[Spline] = []
     values: List[int] = []
     down: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, r in edges:
-        if a != b:
-            down[max(a, b)].append((min(a, b), r))
+    for e, r in zip(g.edges, edge_labels):
+        down[max(e.u, e.v)].append((min(e.u, e.v), abs(r)))
 
     def candidates(v: int):
         """Multiples of m_v in [-bound, bound], ascending, that agree with

@@ -218,7 +218,6 @@ def key_element(g: LabeledGraph) -> KeyElement:
     table = graph._aggregate_table(g)
     one = ring.one.value
     components = []
-    key = ring.one
     qg = h = one
     for i in range(g.n):
         row = table[i]  # the table is symmetric: row[j] = T(j, i)
@@ -234,17 +233,12 @@ def key_element(g: LabeledGraph) -> KeyElement:
         else:
             cofactor = divide(upper, gcd(upper, lower))
             component = canon(mul(cofactor, lower))
-        component = RingElement(ring, component)
-        components.append(component)
-        key = key * component
+        components.append(RingElement(ring, component))
         qg = mul(qg, lower)
         h = mul(h, cofactor)
-    g._key = KeyElement(
-        tuple(components),
-        canonical_associate(key),
-        RingElement(ring, ring.canon(qg)),
-        RingElement(ring, ring.canon(h)),
-    )
+    qg, h = RingElement(ring, canon(qg)), RingElement(ring, canon(h))
+    # each component is canon(cofactor * lower), so Qhat = canon(Q_G * H)
+    g._key = KeyElement(tuple(components), canonical_associate(qg * h), qg, h)
     return g._key
 
 

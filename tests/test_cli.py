@@ -252,6 +252,27 @@ class TestOracle:
             assert "DISAGREE" not in out and line in out
 
 
+    def test_large_prime_power_in_time(self, capsys, tmp_path):
+        # at v2 the least leading entry is 2^40 and nothing below it is forced
+        doc = {
+            "ring": {"kind": "integers"},
+            "vertices": [{"name": f"v{i}", "label": "1"} for i in (1, 2, 3)],
+            "edges": [
+                {"u": "v1", "v": "v3", "label": "2^40"},
+                {"u": "v2", "v": "v3", "label": "2^40"},
+            ],
+        }
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", str(path), "--enum-bound", "0")
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        lines = [line for line in out.splitlines() if line.startswith("index ")]
+        assert len(lines) == 3 and all(line.endswith("(agree)") for line in lines)
+        assert f"index 2: formula {2**40}, brute minimum {2**40} (agree)" in lines
+
+
 class TestExamples:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "examples")

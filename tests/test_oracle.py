@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 
@@ -47,6 +49,62 @@ class TestBruteMinimalLeadingEntry:
             and s.components[2].value == 45
         ]
         assert found
+
+
+class TestLeastEntryByEnumeration:
+    """brute_minimal_leading_entry against its literal definition: the least
+    positive value at `index` among the splines that vanish below it.
+
+    With L the lcm of all labels, L at `index` and 0 elsewhere is a spline,
+    and adding a multiple of L to one component keeps a spline, so a witness
+    with every component in [-L, L] exists: enumeration to L is complete.
+    """
+
+    def test_matches_enumeration(self):
+        checked = beyond_forced = 0
+        for seed in range(100):
+            spec = InstanceSpec(seed=seed, n=3 + seed % 2, edge_density=0.5, label_bound=8)
+            g = random_instance(spec)
+            labels = [x.value for x in g.vertex_labels] + [e.label.value for e in g.edges]
+            bound = math.lcm(*labels)
+            if bound > 60:  # keeps the enumeration small
+                continue
+            small = enumerate_small_splines(g, bound)
+            for index in range(g.n):
+                least = min(
+                    s.values[index]
+                    for s in small
+                    if s.values[index] > 0 and not any(s.values[:index])
+                )
+                assert brute_minimal_leading_entry(g, index, bound) == least
+                assert brute_minimal_leading_entry(g, index, least) == least
+                assert brute_minimal_leading_entry(g, index, least - 1) is None
+                down = [e.label.value for e in g.edges if min(e.u, e.v) < index == max(e.u, e.v)]
+                beyond_forced += least != math.lcm(labels[index], *down)
+                checked += 1
+        # the cases where the answer is not the lcm of the forced labels
+        # are the ones the residue search decides
+        assert (checked, beyond_forced) == (83, 18)
+
+
+class TestLargePrimePower:
+    """Vertex labels 1, 1, 1 and edges v1-v3, v2-v3 labelled 2^40: at v2
+    nothing is forced, and the least leading entry is 2^40."""
+
+    @pytest.fixture
+    def graph(self):
+        return LabeledGraph(ZZ, [zz(1)] * 3, [(0, 2, zz(2**40)), (1, 2, zz(2**40))])
+
+    def test_least_entries(self, graph):
+        assert [brute_minimal_leading_entry(graph, i, 2**40) for i in range(3)] == [
+            1,
+            2**40,
+            2**40,
+        ]
+
+    def test_bound_not_reached(self, graph):
+        assert brute_minimal_leading_entry(graph, 1, 2**40 - 1) is None
+        assert brute_minimal_leading_entry(graph, 1, 0) is None
 
 
 class TestEnumerateSmallSplines:
@@ -110,6 +168,13 @@ class TestLongPath:
 
     def test_residue_search(self, path):
         assert brute_minimal_leading_entry(path, 0, 1) == 1
+
+    def test_bound_below_forced_step(self, path):
+        # past v1 every forced step is 2 or 3, so no search is needed
+        start = time.perf_counter()
+        found = [brute_minimal_leading_entry(path, i, 1) for i in range(self.N)]
+        assert time.perf_counter() - start < 2.0
+        assert found == [1] + [None] * (self.N - 1)
 
     def test_enumeration(self, path):
         (spline,) = enumerate_small_splines(path, 0)
