@@ -8,7 +8,9 @@ can refute non-spline columns.
 Matrix convention: a set of candidates F_1..F_n is viewed as the n x n
 matrix whose column k is F_k with rows ordered v_n (top) down to v_1
 (bottom).  All determinants below use that fixed convention; associate
-checks absorb the sign.
+checks absorb the sign.  The kernel (_bareiss) takes the rows in vertex
+order, where flow-up bases and coprime witness matrices are lower
+triangular, and _solve applies the convention's one sign.
 
 Values are unwrapped once, at the boundary: Spline checks each component
 to lie in the graph's ring and keeps its raw value, and SplineMatrix
@@ -266,41 +268,33 @@ def h_factor(g: LabeledGraph) -> RingElement:
 def _bareiss(
     ring: rings.RingDescriptor, rows: Sequence[Sequence], rhs: Optional[Sequence] = None
 ) -> Tuple[object, Optional[list]]:
-    """(det M, y = adj(M)*f) over ring: singleton rows peeled off M, then one
-    fraction-free elimination of what is left.  y is None without f or
-    when det = 0.
+    """(det M, y = adj(M)*f) over ring: the leading triangle of M peeled
+    off, then one fraction-free elimination of the trailing block.  y is
+    None without f or when det = 0.
 
-    Peel: let a live row r have a as its only nonzero entry in the live
-    columns, in column c, and let M' be the live matrix without row r and
-    column c.  Then det M = s*a*det M', with s = (-1)^(i+j) for the
-    positions i of r among the live rows and j of c among the live
-    columns.  Solving M x = f by row r first, with f' = a*f - f_r*(column
-    c) on the other live rows, gives adj(M)*f = s*(det M' * f_r at c,
-    adj(M')*f' elsewhere), so f' needs no division.  A live row with no
-    nonzero live entry makes det 0.  A permuted triangular matrix, such as
-    a flow-up basis or a coprime witness matrix, empties this way.  Rows
-    are peeled in a loop while any is a singleton, so no recursion depth
-    grows with n.
+    Peel: for s = 0, 1, ... while row s is zero to the right of column s,
+    the block of M from (s, s) on has a = M[s][s] alone in its first row,
+    above M' (rows and columns after s), so its determinant is a*det M'.
+    Solving it for f by row s first, with f' = a*f - f_s*(column s) on the rows below s, gives
+    adj(M)*f = (det M' * f_s at s, adj(M')*f' after s), so f' needs no
+    division and no sign.  a = 0 makes det 0.  A matrix that is lower
+    triangular in the given order, such as a flow-up basis or a coprime
+    witness matrix in vertex order, empties this way; a permuted triangle
+    goes through the elimination.
 
-    Elimination of the remaining block: each Bareiss step divides exactly
+    Elimination of the trailing block: each Bareiss step divides exactly
     by the previous pivot (Sylvester's identity; Bareiss, Math. Comp. 22
     (1968)); the first step's divisor is 1 and is skipped.  The block's
     numerators come from back-substitution on the eliminated [U | b]: y_k =
     (D*b_k - sum_{j>k} U_kj*y_j) / U_kk with D the last pivot, exact since
-    y lies in the ring.
-
-    Signs: both stages run unsigned.  The block's determinant is D times
-    the row-swap sign, and each peel's numerator det M' * f_r takes the
-    unsigned det M', the product of the later peels' pivots a and D; read
-    back in reverse peel order, these products end in the unsigned det M.
-    The true det and y are the unsigned ones times one sign, the product
-    of every peel's s and the row-swap sign, applied once at the end.
+    y lies in the ring.  Its determinant is D times the row-swap sign, the
+    one sign of the kernel, applied once at the end.
 
     M, f, det and y are raw values of ring, and the elimination runs
     through its operations; rows is only read.  A failed exact division
     raises NotDivisibleError.
     """
-    n, m = len(rows), rows
+    n = len(rows)
     f = None if rhs is None else list(rhs)
     sub, mul, neg, divide, zero = ring.sub, ring.mul, ring.neg, ring.divide, ring.zero.value
 
@@ -313,35 +307,21 @@ def _bareiss(
             )
         return q
 
-    sign = 1
-    live_rows, live_cols = list(range(n)), list(range(n))
-    counts = [sum(map(bool, row)) for row in m]  # nonzero live entries
-    singletons = [r for r in live_rows if counts[r] <= 1]
-    peeled = []  # (column, pivot, f at the pivot's row), in peel order
-    while singletons:
-        r = singletons.pop()
-        if not counts[r]:
+    s = 0
+    while s < n and not any(rows[s][s + 1:]):
+        a = rows[s][s]
+        if not a:
             return zero, None
-        top = m[r]
-        c = next(j for j in live_cols if top[j])
-        if (live_rows.index(r) + live_cols.index(c)) % 2:
-            sign = -sign
-        live_rows.remove(r)
-        live_cols.remove(c)
-        a = top[c]
-        fr = None if f is None else f[r]
-        peeled.append((c, a, fr))
-        for i in live_rows:
-            lead = m[i][c]
-            if f is not None:
-                f[i] = sub(mul(a, f[i]), mul(fr, lead)) if lead else mul(a, f[i])
-            if lead:
-                counts[i] -= 1
-                if counts[i] == 1:
-                    singletons.append(i)
+        if f is not None:
+            fs = f[s]
+            for i in range(s + 1, n):
+                lead = rows[i][s]
+                f[i] = sub(mul(a, f[i]), mul(fs, lead)) if lead else mul(a, f[i])
+        s += 1
 
-    k = len(live_rows)
-    m = [[m[i][j] for j in live_cols] + ([] if f is None else [f[i]]) for i in live_rows]
+    k = n - s
+    m = [list(row[s:]) + ([] if f is None else [f[i]]) for i, row in enumerate(rows[s:], s)]
+    sign = 1
     previous = None
     for p in range(k - 1):
         if not m[p][p]:
@@ -366,17 +346,17 @@ def _bareiss(
     y: list = [None] * n
     if f is not None and k:
         # the last numerator is the block's last entry of b, undivided
-        y[live_cols[k - 1]] = m[k - 1][k]
+        y[n - 1] = m[k - 1][k]
         for p in range(k - 2, -1, -1):
             row = m[p]
             acc = mul(det, row[k])
             for j in range(p + 1, k):
-                acc = sub(acc, mul(row[j], y[live_cols[j]]))
-            y[live_cols[p]] = quotient(acc, row[p])
-    for c, a, fr in reversed(peeled):
+                acc = sub(acc, mul(row[j], y[s + j]))
+            y[s + p] = quotient(acc, row[p])
+    for c in range(s - 1, -1, -1):
         if f is not None:
-            y[c] = mul(det, fr)
-        det = mul(a, det)
+            y[c] = mul(det, f[c])
+        det = mul(rows[c][c], det)
     if f is None:
         return det if sign > 0 else neg(det), None
     return (det, y) if sign > 0 else (neg(det), [neg(v) for v in y])
@@ -394,13 +374,19 @@ def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tup
     The entry of spline_determinant, certify_basis, express_in_basis and
     qhat_span_decomposition: ValueError("splines live on different graphs")
     unless ms and f live on g, raised before any elimination.  The columns'
-    and f's values are reversed into the row convention (v_n top .. v_1
-    bottom).
+    and f's values go to _bareiss in vertex order (v_1 first), where flow-up
+    bases and witness matrices are lower triangular.  The row convention
+    (v_n top .. v_1 bottom) reverses the n rows, n(n-1)/2 swaps, so det and
+    the numerators are negated once when that count is odd.
     """
     if ms.graph is not g or (f is not None and f.graph is not g):
         raise ValueError("splines live on different graphs")
-    rows = list(zip(*(col.values for col in ms.columns)))[::-1]
-    return _bareiss(g.ring, rows, None if f is None else f.values[::-1])
+    rows = list(zip(*(col.values for col in ms.columns)))
+    det, y = _bareiss(g.ring, rows, None if f is None else f.values)
+    if det and g.n * (g.n - 1) // 2 % 2:
+        neg = g.ring.neg
+        det, y = neg(det), None if y is None else [neg(v) for v in y]
+    return det, y
 
 
 # ---------------------------------------------------------------------------

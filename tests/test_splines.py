@@ -463,12 +463,11 @@ class TestDeterminant:
                 ).det(method="berkowitz")
                 got = _to_sympy(sympy, spline_determinant(_as_spline_matrix(rows)))
                 assert sympy.expand(got - expected) == 0, (rows, got, expected)
-            # every path of the kernel: full peel, peel then elimination of
-            # a regular or singular block, a zero row, odd row and column
-            # shuffles
+            # every shape of _shaped_matrix: shuffled and in-order
+            # triangles and blocks, regular or singular, a zero row
             for shape in SHAPES:
                 for trial in range(6):
-                    n = rng.randint(3 if shape == "block" else 1, 5)
+                    n = rng.randint(3 if shape.startswith("block") else 1, 5)
                     rows, _ = _shaped_matrix(rng, ring, n, shape, singular=trial % 3 == 2)
                     expected = sympy.Matrix(
                         [[_to_sympy(sympy, e) for e in row] for row in rows]
@@ -492,21 +491,32 @@ class TestBareissKernel:
                 rows = _random_matrix(rng, ring, n, singular=singular)
                 self._check_against_cofactors(rng, ring, rows, seen)
         assert min(seen.values()) >= 10, seen
-        # every path of the kernel: full peel (triangular, with an odd
-        # shuffle for the sign), peel then elimination of a regular or
-        # singular block, and a zero row
-        shaped = {"odd_full_peel": 0, "singular_block": 0, "zero_row": 0}
+        # every path of the kernel: the full peel (an in-order triangle),
+        # the peel up to a regular or singular block and its elimination
+        # (an in-order block), elimination alone with row swaps (a
+        # shuffled triangle, odd or even), and a zero row
+        shaped = {
+            "full_peel": 0,
+            "odd_shuffled_triangle": 0,
+            "singular_block": 0,
+            "in_order_singular_block": 0,
+            "zero_row": 0,
+        }
         for ring in (ZZ, QX, ZXY):
             for shape in SHAPES:
                 for trial in range(8):
-                    n = rng.randint(3 if shape == "block" else 1, 5)
+                    n = rng.randint(3 if shape.startswith("block") else 1, 5)
                     singular = trial % 3 == 2
                     rows, odd = _shaped_matrix(rng, ring, n, shape, singular=singular)
                     det = self._check_against_cofactors(rng, ring, rows, seen)
-                    shaped["odd_full_peel"] += shape == "triangular" and odd
+                    shaped["full_peel"] += shape == "triangular_in_order"
+                    shaped["odd_shuffled_triangle"] += shape == "triangular" and odd
                     shaped["singular_block"] += shape == "block" and singular and det.is_zero
+                    shaped["in_order_singular_block"] += (
+                        shape == "block_in_order" and singular and det.is_zero
+                    )
                     shaped["zero_row"] += shape == "zero_row"
-                    if shape == "triangular":
+                    if shape.startswith("triangular"):
                         assert not det.is_zero
         assert min(shaped.values()) >= 5, shaped
 
@@ -601,6 +611,76 @@ class TestBareissKernel:
         ]
         assert list(qhat_span_decomposition(p2, p2_basis, f)) == [-y for y in literal]
 
+    def test_leading_triangle_needs_no_division(self):
+        # a matrix lower triangular in the given order is peeled whole,
+        # without one exact division; a dense trailing k x k block divides
+        # exactly as often as the block alone does
+        rng = random.Random(211)
+        for ring in (ZZ, QX):
+            for trial in range(24):
+                n = 1 + trial % 8
+                rows, _ = _shaped_matrix(rng, ring, n, "triangular_in_order")
+                target = [_random_element(rng, ring) for _ in range(n)]
+                assert _divisions(ring, rows, target) == 0
+                assert _divisions(ring, rows) == 0
+                if n >= 3:
+                    k = rng.randint(2, n)
+                    for i in range(n - k, n):
+                        rows[i][n - k:] = [_random_element(rng, ring) for _ in range(k)]
+                    block = [row[n - k:] for row in rows[n - k:]]
+                    assert _divisions(ring, rows, target) == _divisions(ring, block, target[n - k:])
+        rows, _ = _shaped_matrix(rng, ZZ, 400, "triangular_in_order")
+        target = [_random_element(rng, ZZ) for _ in range(400)]
+        assert _divisions(ZZ, rows, target) == 0
+
+    def test_flow_up_and_witness_solves_need_no_division(self, monkeypatch):
+        # _solve hands _bareiss the rows in vertex order, where flow-up
+        # bases and coprime witness matrices are lower triangular
+        real, counted = splines._bareiss, []
+
+        def counting(ring, rows, rhs=None):
+            proxy = _CountingRing(ring)
+            out = real(proxy, rows, rhs)
+            counted.append(proxy.divisions)
+            return out
+
+        monkeypatch.setattr(splines, "_bareiss", counting)
+        rng = random.Random(223)
+        pool = [zz(2), zz(3), zz(5), zz(6)]
+        for seed in range(30):
+            g = random_graph(ZZ, pool, seed, 2 + seed % 6)
+            basis = flow_up_basis(g)
+            f = _random_combination(rng, g, basis)
+            express_in_basis(g, basis.matrix(), f)
+            assert not spline_determinant(basis.matrix()).is_zero
+        g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))])
+        for ms in coprime_witness_matrices(g):
+            assert not spline_determinant(ms).is_zero
+        # two solves per flow-up basis, one per witness (3 vertices, 2 edges)
+        assert len(counted) == 30 * 2 + 5 and set(counted) == {0}
+
+
+class _CountingRing:
+    """A proxy of ring that counts its divide calls."""
+
+    def __init__(self, ring):
+        self.ring, self.divisions = ring, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ring, name)
+
+    def divide(self, a, b):
+        self.divisions += 1
+        return self.ring.divide(a, b)
+
+
+def _divisions(ring, rows, target=None):
+    """The number of divide calls of _bareiss on element rows and target."""
+    proxy = _CountingRing(ring)
+    raw = [ring.values(row) for row in rows]
+    _bareiss(proxy, raw, None if target is None else ring.values(target))
+    return proxy.divisions
+
 
 def _wrapped_bareiss(ring, rows, target=None):
     """_bareiss on the raw values of element rows and target, its results
@@ -651,19 +731,30 @@ def _random_matrix(rng, ring, n, singular=False):
     return rows
 
 
-SHAPES = ("sparse", "triangular", "block", "zero_row")
+SHAPES = (
+    "sparse",
+    "triangular",
+    "triangular_in_order",
+    "block",
+    "block_in_order",
+    "zero_row",
+)
 
 
 def _shaped_matrix(rng, ring, n, shape, singular=False):
     """A random n x n matrix of one shape with its rows and columns
-    shuffled, and whether the two shuffles together are odd.
+    shuffled, unless the shape ends in "_in_order", and whether the two
+    shuffles together are odd.
 
     sparse: about 70% of the entries zero.  triangular: lower triangular
-    with a nonzero diagonal, which singleton rows peel whole.  block (n >=
-    3): triangular but for a dense diagonal block of 2 or 3 rows below the
-    first row, so rows peel up to the block and the rest is eliminated; the
-    block's last column is a multiple of its first when singular is set.  zero_row: dense with a row of
-    zeros."""
+    with a nonzero diagonal; in order, the kernel peels it whole, and
+    shuffled, it goes through the elimination.  block (n >= 3): triangular
+    but for a dense diagonal block of 2 or 3 rows below the first row; in
+    order, the kernel peels the rows above the block and eliminates the
+    rest.  The block's last column is a multiple of its first when
+    singular is set.  zero_row: dense with a row of zeros."""
+    in_order = shape.endswith("_in_order")
+    shape = shape.removesuffix("_in_order")
     if shape == "sparse":
         rows = [
             [_random_element(rng, ring) if rng.random() < 0.4 else ring.zero for _ in range(n)]
@@ -687,6 +778,8 @@ def _shaped_matrix(rng, ring, n, shape, singular=False):
                     block_row[-1] = c * block_row[0]
             for i, block_row in enumerate(block):
                 rows[top + i][top:top + size] = block_row
+    if in_order:
+        return rows, False
     row_order, column_order = list(range(n)), list(range(n))
     rng.shuffle(row_order)
     rng.shuffle(column_order)
