@@ -8,9 +8,18 @@ can refute non-spline columns.
 Matrix convention: a set of candidates F_1..F_n is viewed as the n x n
 matrix whose column k is F_k with rows ordered v_n (top) down to v_1
 (bottom).  All determinants below use that fixed convention; associate
-checks absorb the sign.  The kernel (_bareiss) takes the rows in vertex
-order, where flow-up bases and coprime witness matrices are lower
-triangular, and _solve applies the convention's one sign.
+checks absorb the sign, and _solve applies the convention's one sign.
+
+Flow-up bases and coprime witness matrices are lower triangular in vertex
+order: column k is zero at the vertices before v_k and nonzero at v_k
+(_triangular).  Such a matrix is solved without elimination: its
+determinant is the product of the diagonal, and express_in_basis and
+qhat_span_decomposition find the coefficients by exact forward
+substitution (_forward), one division per column.  Every other matrix goes
+through the kernel (_bareiss), which takes the rows in vertex order and
+gives the determinant and every Cramer numerator from one elimination;
+express_in_basis also runs it on a triangle whose forward substitution
+fails, to list every failing column.
 
 Values are unwrapped once, at the boundary: Spline checks each component
 to lie in the graph's ring and keeps its raw value, and SplineMatrix
@@ -147,15 +156,18 @@ def _violations(g: LabeledGraph, values: Sequence) -> List[str]:
     def divides(a, b):  # with 0 | b only for b = 0
         return divide(b, a) is not None if a else not b
 
+    # 0 is a multiple of every label: a zero component and an edge with
+    # equal endpoint values pass without a division
     out: List[str] = []
     for i, f in enumerate(values):
-        if not divides(labels[i], f):
+        if f and not divides(labels[i], f):
             out.append(
                 f"vertex {g.vertex_name(i)}: component is not a multiple "
                 f"of {g.vertex_labels[i]}"
             )
     for idx, e in enumerate(g.edges):
-        if not divides(edge_labels[idx], sub(values[e.u], values[e.v])):
+        a, b = values[e.u], values[e.v]
+        if a != b and not divides(edge_labels[idx], sub(a, b)):
             out.append(
                 f"edge {idx + 1} ({g.vertex_name(e.u)},{g.vertex_name(e.v)}): "
                 f"difference is not a multiple of {e.label}"
@@ -368,25 +380,71 @@ def spline_determinant(ms: SplineMatrix) -> RingElement:
 
 
 def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tuple:
-    """_bareiss on the raw values of the matrix of ms and, when given, the
-    target f: the raw (det, numerators).
+    """The raw (det, numerators) of the matrix of ms and, when given, the
+    target f; numerators is None without f or when det = 0.
 
     The entry of spline_determinant, certify_basis, express_in_basis and
     qhat_span_decomposition: ValueError("splines live on different graphs")
-    unless ms and f live on g, raised before any elimination.  The columns'
-    and f's values go to _bareiss in vertex order (v_1 first), where flow-up
-    bases and witness matrices are lower triangular.  The row convention
-    (v_n top .. v_1 bottom) reverses the n rows, n(n-1)/2 swaps, so det and
-    the numerators are negated once when that count is odd.
+    unless ms and f live on g (_check_graph), raised before any arithmetic.
+    Without f, a matrix lower triangular in vertex order (_triangular) has
+    det = M[c][c]*det for c from n-1 down to 0, with no elimination and no
+    division.  Otherwise the columns' and f's values go to _bareiss in
+    vertex order (v_1 first), where it peels the leading triangle and
+    eliminates the rest.  The row convention (v_n top .. v_1 bottom)
+    reverses the n rows, n(n-1)/2 swaps, so det and the numerators are
+    negated once when that count is odd.
     """
-    if ms.graph is not g or (f is not None and f.graph is not g):
-        raise ValueError("splines live on different graphs")
-    rows = list(zip(*(col.values for col in ms.columns)))
-    det, y = _bareiss(g.ring, rows, None if f is None else f.values)
+    _check_graph(g, ms, f)
+    ring = g.ring
+    if f is None and _triangular(ms):
+        det, y = ring.one.value, None
+        for k in range(g.n - 1, -1, -1):
+            det = ring.mul(ms.columns[k].values[k], det)
+    else:
+        rows = list(zip(*(col.values for col in ms.columns)))
+        det, y = _bareiss(ring, rows, None if f is None else f.values)
     if det and g.n * (g.n - 1) // 2 % 2:
-        neg = g.ring.neg
+        neg = ring.neg
         det, y = neg(det), None if y is None else [neg(v) for v in y]
     return det, y
+
+
+def _check_graph(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> None:
+    if ms.graph is not g or (f is not None and f.graph is not g):
+        raise ValueError("splines live on different graphs")
+
+
+def _triangular(ms: SplineMatrix) -> bool:
+    """Whether each column k is zero at the vertices before v_k and nonzero
+    at v_k: the matrix is lower triangular in vertex order with a nonzero
+    diagonal, as every flow-up basis and coprime witness matrix is."""
+    return all(col.values[k] and not any(col.values[:k]) for k, col in enumerate(ms.columns))
+
+
+def _forward(ring: rings.RingDescriptor, ms: SplineMatrix, target: Sequence) -> Optional[list]:
+    """The raw c with sum(c_k F_k) = target for a matrix ms that is
+    _triangular, by exact forward substitution, or None when a division
+    fails.
+
+    For k = 0 .. n-1: c_k = rest_k / F_k[k], where rest starts as the
+    target, then rest -= c_k*F_k on the nonzero entries of F_k after k.
+    The solution over the fraction field is unique, so a c_k outside the
+    ring proves that the target is not in the span.
+    """
+    sub, mul, divide = ring.sub, ring.mul, ring.divide
+    rest = list(target)
+    out = []
+    for k, col in enumerate(ms.columns):
+        values = col.values
+        c = divide(rest[k], values[k])
+        if c is None:
+            return None
+        out.append(c)
+        if c:
+            for v in range(k + 1, len(rest)):
+                if values[v]:
+                    rest[v] = sub(rest[v], mul(c, values[v]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +536,26 @@ def express_in_basis(
     the span, ZeroDivisionError when the columns are dependent (det 0),
     ValueError when ms or f lives on another graph than g (see _solve).
 
-    Cramer's rule: the column-replaced determinants divided by the matrix
-    determinant, all from one elimination (see _bareiss).  The output is
-    verified by full reconstruction on raw values before it is returned,
-    so an arithmetic fault cannot produce silent garbage.
+    A matrix lower triangular in vertex order (_triangular) is solved by
+    exact forward substitution (_forward), n divisions.  Any other matrix,
+    or a triangle whose forward substitution fails, goes through Cramer's
+    rule: the column-replaced determinants divided by the matrix
+    determinant, all from one elimination (see _bareiss), so that
+    NotInSpanError lists every failing column.  The output is verified by
+    full reconstruction on raw values before it is returned, so an
+    arithmetic fault cannot produce silent garbage.
     """
-    determinant, numerators = _solve(g, ms, f)
-    if not determinant:
-        raise ZeroDivisionError("cannot express against a singular matrix")
+    _check_graph(g, ms, f)
     ring = g.ring
-    coefficients = [ring.divide(y, determinant) for y in numerators]
-    failed = [k for k, c in enumerate(coefficients) if c is None]
-    if failed:
-        raise NotInSpanError(failed[0], tuple(failed))
+    coefficients = _forward(ring, ms, f.values) if _triangular(ms) else None
+    if coefficients is None:
+        determinant, numerators = _solve(g, ms, f)
+        if not determinant:
+            raise ZeroDivisionError("cannot express against a singular matrix")
+        coefficients = [ring.divide(y, determinant) for y in numerators]
+        failed = [k for k, c in enumerate(coefficients) if c is None]
+        if failed:
+            raise NotInSpanError(failed[0], tuple(failed))
     if _combination(g, ms, coefficients) != f.values:
         raise SplineError("internal error: Cramer reconstruction mismatch")
     return tuple(RingElement(ring, c) for c in coefficients)
@@ -499,23 +564,33 @@ def express_in_basis(
 def qhat_span_decomposition(
     g: LabeledGraph, ms: SplineMatrix, f: Spline
 ) -> Tuple[RingElement, ...]:
-    """Ring elements x with sum(x_k F_k) = qhat * f, no division involved.
+    """Ring elements x with sum(x_k F_k) = qhat * f.
 
-    Requires the matrix determinant to be associate to the key element; the
-    x_k are the column-replaced determinants (see _bareiss), scaled by the
-    inverse of the unit relating determinant and key element.
+    Requires the matrix determinant to be associate to the key element, say
+    det = u*qhat.  Then x = u^-1 * adj(F) * f = F^-1 * (qhat * f) lies in
+    the ring: on a matrix lower triangular in vertex order it is the
+    forward substitution (_forward) of qhat * f, and on any other matrix
+    the column-replaced determinants (see _bareiss) scaled by u^-1, with no
+    division.
     """
     ring = g.ring
-    determinant, numerators = _solve(g, ms, f)
+    _check_graph(g, ms, f)
+    triangular = _triangular(ms)
+    determinant, numerators = _solve(g, ms, None if triangular else f)
     key = qhat(g)
     unit = rings.associate_unit(RingElement(ring, determinant), key)
     if unit is None:
         raise SpanHypothesisError(
             "determinant is not a unit multiple of the key element"
         )
-    mul, unit_inverse = ring.mul, ring.divide(ring.one.value, unit.value)
-    xs = [mul(unit_inverse, y) for y in numerators]
-    if _combination(g, ms, xs) != tuple(mul(key.value, x) for x in f.values):
+    mul = ring.mul
+    target = tuple(mul(key.value, x) for x in f.values)
+    if triangular:
+        xs = _forward(ring, ms, target)
+    else:
+        unit_inverse = ring.divide(ring.one.value, unit.value)
+        xs = [mul(unit_inverse, y) for y in numerators]
+    if xs is None or _combination(g, ms, xs) != target:
         raise SplineError("internal error: span decomposition mismatch")
     return tuple(RingElement(ring, x) for x in xs)
 

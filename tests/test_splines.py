@@ -634,30 +634,30 @@ class TestBareissKernel:
         assert _divisions(ZZ, rows, target) == 0
 
     def test_flow_up_and_witness_solves_need_no_division(self, monkeypatch):
-        # _solve hands _bareiss the rows in vertex order, where flow-up
-        # bases and coprime witness matrices are lower triangular
-        real, counted = splines._bareiss, []
-
-        def counting(ring, rows, rhs=None):
-            proxy = _CountingRing(ring)
-            out = real(proxy, rows, rhs)
-            counted.append(proxy.divisions)
-            return out
-
-        monkeypatch.setattr(splines, "_bareiss", counting)
+        # flow-up bases and coprime witness matrices are lower triangular in
+        # vertex order: the determinant is the product of the diagonal,
+        # without a division, and a member is expressed by forward
+        # substitution, one division per column; neither calls _bareiss
+        monkeypatch.setattr(splines, "_bareiss", _no_kernel)
         rng = random.Random(223)
         pool = [zz(2), zz(3), zz(5), zz(6)]
+        cases = []
         for seed in range(30):
             g = random_graph(ZZ, pool, seed, 2 + seed % 6)
             basis = flow_up_basis(g)
-            f = _random_combination(rng, g, basis)
-            express_in_basis(g, basis.matrix(), f)
-            assert not spline_determinant(basis.matrix()).is_zero
+            cases.append((g, basis.matrix(), _random_combination(rng, g, basis)))
         g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))])
         for ms in coprime_witness_matrices(g):
-            assert not spline_determinant(ms).is_zero
-        # two solves per flow-up basis, one per witness (3 vertices, 2 edges)
-        assert len(counted) == 30 * 2 + 5 and set(counted) == {0}
+            cases.append((g, ms, Spline._raw(g, splines._combination(g, ms, [4, -3, 0]))))
+        assert len(cases) == 30 + 5
+        for g, ms, f in cases:
+            ring = _CountingRing(g.ring)
+            monkeypatch.setattr(g, "ring", ring)
+            assert spline_determinant(ms).value and ring.divisions == 0
+            coefficients = express_in_basis(g, ms, f)
+            assert ring.divisions == g.n
+            monkeypatch.setattr(g, "ring", ring.ring)
+            assert splines._combination(g, ms, [c.value for c in coefficients]) == f.values
 
 
 class _CountingRing:
@@ -797,8 +797,7 @@ def _rows(ms):
 
 def _as_spline_matrix(rows):
     n = len(rows)
-    ring = rows[0][0].descriptor
-    g = LabeledGraph(ring, [ring.one] * n, [(i, i + 1, ring.one) for i in range(n - 1)])
+    g = _ones_graph(rows[0][0].descriptor, n)
     columns = [Spline(g, [rows[n - 1 - i][k] for i in range(n)]) for k in range(n)]
     return SplineMatrix(g, columns)
 
@@ -811,6 +810,115 @@ def _express_args(rows, target):
 
 def _to_sympy(sympy, e):
     return sympy.sympify(rings.format_element(e).replace("^", "**"))
+
+
+class TestTriangularPath:
+    """Matrices lower triangular in vertex order skip the elimination: the
+    determinant is the product of the diagonal and express_in_basis and
+    qhat_span_decomposition substitute forward.  Each public result must be
+    the one of the Cramer path, _bareiss and the divisions by det, which
+    every matrix takes when _triangular is switched off."""
+
+    def test_matches_cramer_path(self, monkeypatch):
+        rng = random.Random(3301)
+        seen = {
+            "member": 0,
+            "non_member": 0,
+            "regular": 0,
+            "singular": 0,
+            "unimodular": 0,
+            "flow_up": 0,
+            "witness": 0,
+        }
+        cases = []
+        for ring in (ZZ, QX, ZXY):
+            for trial in range(21):
+                n = 1 + trial % 7
+                kind = ("regular", "singular", "unimodular")[trial % 3]
+                columns = _vertex_order_triangle(rng, ring, n, kind)
+                cases.append((_ones_graph(ring, n), columns, kind))
+        pools = {ZZ: [zz(2), zz(3), zz(5), zz(6)], QX: [qx("x"), qx("x+1"), qx("x^2+1")]}
+        for ring, pool in pools.items():
+            for seed in range(8):
+                g = random_graph(ring, pool, seed, 2 + seed % 4)
+                columns = [list(c.components) for c in flow_up_basis(g).matrix().columns]
+                cases.append((g, columns, "flow_up"))
+        coprime = [
+            LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))]),
+            LabeledGraph(QX, [qx("x"), qx("x+1")], [(0, 1, qx("x+2"))]),
+            LabeledGraph(ZXY, [zxy("x"), zxy("y"), zxy("x+y")], [(0, 1, zxy("x-y")), (0, 2, zxy("x+2"))]),
+        ]
+        for g in coprime:
+            for ms in coprime_witness_matrices(g):
+                cases.append((g, [list(c.components) for c in ms.columns], "witness"))
+        for g, columns, kind in cases:
+            ms = SplineMatrix(g, [Spline(g, col) for col in columns])
+            assert splines._triangular(ms) == (kind != "singular")
+            seen[kind] += 1
+            coefficients = g.ring.values(_random_element(rng, g.ring) for _ in columns)
+            member = Spline._raw(g, splines._combination(g, ms, coefficients))
+            outside = Spline(g, [_random_element(rng, g.ring) for _ in columns])
+            for f in (member, outside):
+                new = _outcomes(g, ms, f)
+                with monkeypatch.context() as patch:
+                    patch.setattr(splines, "_triangular", lambda ms: False)
+                    assert _outcomes(g, ms, f) == new, (g.ring, columns, f)
+                if kind != "singular":
+                    seen["member" if new[1][0] == "ok" else "non_member"] += 1
+                    assert new[0] == _cramer_determinant(g.ring, columns)
+            if kind == "singular":
+                assert new[0].is_zero and new[1] == ("ZeroDivisionError",)
+        assert min(seen.values()) >= 10, seen
+
+
+def _vertex_order_triangle(rng, ring, n, kind):
+    """n random columns, column k zero at the vertices before k, its entry
+    at k nonzero; a unit there in every column when kind is "unimodular",
+    and zero in one column when kind is "singular"."""
+    columns = [[ring.zero] * k + [_random_element(rng, ring) for _ in range(n - k)] for k in range(n)]
+    for k, col in enumerate(columns):
+        while col[k].is_zero:
+            col[k] = _random_element(rng, ring)
+        if kind == "unimodular":
+            col[k] = ring.from_int(rng.choice((-1, 1)))
+    if kind == "singular":
+        k = rng.randrange(n)
+        columns[k][k] = ring.zero
+    return columns
+
+
+def _ones_graph(ring, n):
+    """A path on n vertices with every label one: each vector is a spline."""
+    return LabeledGraph(ring, [ring.one] * n, [(i, i + 1, ring.one) for i in range(n - 1)])
+
+
+def _outcomes(g, ms, f):
+    """The determinant, and what express_in_basis, qhat_span_decomposition
+    and certify_basis return or raise, for an equality check."""
+
+    def run(fn, *args):
+        try:
+            return ("ok", fn(*args))
+        except NotInSpanError as exc:
+            return ("NotInSpanError", exc.index, exc.failed_indices, str(exc))
+        except (ZeroDivisionError, SpanHypothesisError) as exc:
+            return (type(exc).__name__,)
+
+    return (
+        spline_determinant(ms),
+        run(express_in_basis, g, ms, f),
+        run(qhat_span_decomposition, g, ms, f),
+        certify_basis(g, ms),
+    )
+
+
+def _cramer_determinant(ring, columns):
+    """det by _bareiss on the rows in vertex order, with the convention's
+    sign for reversing the n rows."""
+    n = len(columns)
+    rows = [ring.values(row) for row in zip(*columns)]
+    det = rings.RingElement(ring, _bareiss(ring, rows)[0])
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 class TestCertify:
@@ -915,19 +1023,34 @@ class TestExpress:
                 express_in_basis(graph_, basis, Spline(target, [zz(6), zz(42)]))
 
     def test_reconstruction_mismatch_raises(self, monkeypatch, p2, p2_basis):
-        # numerators off by one determinant still divide, into coefficients
-        # off by one: the raw-value reconstruction must refuse them
-        real = splines._bareiss
+        # coefficients off by one: the raw-value reconstruction must refuse
+        # them, from the forward substitution (p2_basis is lower triangular
+        # in vertex order) and from the elimination (its columns reversed)
+        member, target = Spline(p2, [zz(6), zz(42)]), Spline(p2, [zz(2), zz(6)])
+        real_forward, real_bareiss = splines._forward, splines._bareiss
 
-        def faulty(ring, rows, rhs=None):
-            det, ys = real(ring, rows, rhs)
+        def faulty_forward(ring, ms, target):
+            return [ring.add(c, ring.one.value) for c in real_forward(ring, ms, target)]
+
+        # numerators off by one determinant still divide, into coefficients
+        # off by one
+        def faulty_bareiss(ring, rows, rhs=None):
+            det, ys = real_bareiss(ring, rows, rhs)
             return det, [ring.add(y, det) for y in ys]
 
-        monkeypatch.setattr(splines, "_bareiss", faulty)
-        with pytest.raises(splines.SplineError, match="^internal error: Cramer reconstruction mismatch$"):
-            express_in_basis(p2, p2_basis, Spline(p2, [zz(6), zz(42)]))
-        with pytest.raises(splines.SplineError, match="^internal error: span decomposition mismatch$"):
-            qhat_span_decomposition(p2, p2_basis, Spline(p2, [zz(2), zz(6)]))
+        reversed_basis = SplineMatrix(p2, p2_basis.columns[::-1])
+        for ms, name, faulty in [
+            (p2_basis, "_forward", faulty_forward),
+            (reversed_basis, "_bareiss", faulty_bareiss),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(splines, name, faulty)
+                with pytest.raises(splines.SplineError, match="^internal error: Cramer reconstruction mismatch$"):
+                    express_in_basis(p2, ms, member)
+                with pytest.raises(splines.SplineError, match="^internal error: span decomposition mismatch$"):
+                    qhat_span_decomposition(p2, ms, target)
+            assert len(express_in_basis(p2, ms, member)) == 2
+            assert len(qhat_span_decomposition(p2, ms, target)) == 2
 
 
 def _twin_graphs():
@@ -939,6 +1062,10 @@ def _twin_graphs():
 
 def _no_elimination(ring, rows, rhs=None):
     raise AssertionError("_bareiss called on splines of another graph")
+
+
+def _no_kernel(ring, rows, rhs=None):
+    raise AssertionError("_bareiss called on a matrix lower triangular in vertex order")
 
 
 class TestSpanDecomposition:
