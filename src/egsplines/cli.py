@@ -24,7 +24,8 @@ Exit codes (stable contract):
   0  success / certified
   1  refuted, not in span, dependent basis splines (express, determinant 0),
      or a failed check
-  2  parse error (JSON schema, expressions, dimension mismatch)
+  2  parse error (JSON schema, expressions, dimension mismatch, a negative
+     oracle --bound or --enum-bound)
   3  graph validation error
   4  retired, never emitted (formerly: trail cap exceeded)
   5  inconclusive certificate
@@ -262,6 +263,9 @@ def cmd_express(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    for flag, value in (("--bound", args.bound), ("--enum-bound", args.enum_bound)):
+        if value is not None and value < 0:
+            raise CliInputError(f"{flag} must be nonnegative, got {value}")
     g = load_instance(args.instance)
     if g.ring.kind != "integers":
         raise CliInputError("the oracle runs on integer instances only")
@@ -439,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force cross-checks (integer instances)")
     p.add_argument("instance")
     p.add_argument("--bound", type=int, default=None,
-                   help="cap on the reported minimal leading entry: a larger minimum "
-                        "prints 'bound not reached' (default 4x formula)")
+                   help="nonnegative cap on the reported minimal leading entry: a larger "
+                        "minimum prints 'bound not reached' (default 4x formula)")
     p.add_argument("--enum-bound", type=int, default=None,
-                   help="component bound for exhaustive spline enumeration")
+                   help="nonnegative component bound for exhaustive spline enumeration")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the random reconstruction sample")
     p.set_defaults(fn=cmd_oracle)

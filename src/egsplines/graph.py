@@ -10,8 +10,9 @@ trails of the gcd of each trail's edge labels.  Divisibility classes of a
 GCD domain form a distributive lattice, so the aggregate for every pair at
 once is the algebraic-path closure over the semiring (lcm, gcd), computed
 by Floyd-Warshall in O(n^3) ring operations, once per graph.  The closure
-runs on raw values through the ring's own operations (see RingDescriptor)
-and keeps its table raw; trail_constraint wraps the entry it looks up.
+runs on raw values through the ring's pair operations (see
+RingDescriptor.pair_operations) and keeps its table raw; trail_constraint
+wraps the entry it looks up.
 """
 
 from __future__ import annotations
@@ -159,23 +160,27 @@ def _raw_labels(g: LabeledGraph) -> tuple:
     return g._labels
 
 
-def _aggregate_table(g: LabeledGraph) -> list:
+def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
     """The trail aggregate of every vertex pair, as a symmetric n x n table
     of raw values of g.ring.
 
-    Floyd-Warshall over (lcm, gcd), on raw values through the ring's lcm,
-    gcd and divide.  Entries start at 1, the lcm identity, which also
-    absorbs under gcd; each edge seeds its pair with the lcm of the
-    parallel labels, unwrapped once (a label of another ring raises
-    DescriptorMismatchError).  Relaxations that cannot change an entry (a
-    unit gcd, or one that already divides the entry) skip the lcm.  The
-    diagonal is never read.
+    Floyd-Warshall over (lcm, gcd), on raw values, through the gcd and lcm
+    of pairs: the (gcd, lcm, cofactor) of g.ring.pair_operations() that
+    the caller folds with too, or fresh ones when omitted.  Over a
+    polynomial ring they share one cache, so a pair met again, in the
+    closure or in the fold, costs no second gcd.  Entries start at 1, the
+    lcm identity, which also absorbs under gcd; each edge seeds its pair
+    with the lcm of the parallel labels, unwrapped once (a label of
+    another ring raises DescriptorMismatchError).  Relaxations that cannot
+    change an entry (a unit gcd, or one that already divides the entry,
+    that is, is its gcd with the entry) skip the lcm.  The diagonal is
+    never read.
     """
     if g._table is not None:
         return g._table
     n = g.n
     ring = g.ring
-    lcm, gcd, divide = ring.lcm, ring.gcd, ring.divide
+    gcd, lcm, _ = pairs or ring.pair_operations()
     one = ring.one.value
     table = [[one] * n for _ in range(n)]
     edges = [e for e in g.edges if e.u != e.v and 0 <= e.u < n and 0 <= e.v < n]
@@ -195,8 +200,9 @@ def _aggregate_table(g: LabeledGraph) -> list:
                 candidate = gcd(through, onward)
                 if candidate == one:
                     continue
-                # 0 divides only 0, and lcm(entry, 0) = 0
-                if not candidate or divide(row_i[j], candidate) is None:
+                # candidate is canonical, so it divides the entry when it
+                # is their gcd; 0 divides only 0, and lcm(entry, 0) = 0
+                if not candidate or gcd(candidate, row_i[j]) != candidate:
                     row_i[j] = table[j][i] = lcm(row_i[j], candidate)
     g._table = table
     return table

@@ -16,7 +16,9 @@ an explicit length and byte order, never by shifting and adding.
 gcd is the heuristic gcd at xi = 2^(8s): the operands' images are
 evaluations at xi, their integer gcd read back in balanced base-xi digits
 gives a candidate, and the ring's exact division of both operands by it
-makes it the gcd (see gcd).
+makes it the gcd (see gcd).  gcd returns the two quotients of that check
+with the gcd, so a caller that needs the cofactors (an lcm, or a / gcd)
+divides no more.
 """
 
 from __future__ import annotations
@@ -184,31 +186,56 @@ def product(a, b, depth: int, rational: bool, most_pairs: int):
     return _rebuild(flat, dims)
 
 
+def _constant(c, depth: int):
+    """The value with depth variables of the nonzero constant c."""
+    for _ in range(depth):
+        c = (c,)
+    return c
+
+
+def _scale_down(a, depth: int, c: int):
+    """a, a value with depth variables over ZZ, with every coefficient
+    divided exactly by the int c."""
+    if depth == 1:
+        return tuple([x // c for x in a])
+    return tuple([_scale_down(x, depth - 1, c) for x in a])
+
+
 def gcd(a, b, depth: int, rational: bool, divide):
-    """A gcd of nonzero values a and b with depth variables, up to a unit,
-    from one integer gcd of their packed images (heuristic gcd, GCDHEU:
-    Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989)); or None when
-    this path cannot vouch for one, and the caller runs its PRS.
+    """(h, a/h, b/h) with h a gcd of nonzero values a and b with depth
+    variables, up to a unit, from one integer gcd of their packed images
+    (heuristic gcd, GCDHEU: Char, Geddes and Gonnet, J. Symbolic Comput. 7
+    (1989)); or None when this path cannot vouch for one, and the caller
+    runs its PRS.  The cofactors a/h and b/h are the quotients of the
+    check divisions below, or constants, so they cost no further division.
 
     Both operands go into one box with max(deg_i a, deg_i b) + 1 slots for
     each variable i, so the gcd and both cofactors fit it too, and the
     packing K, the Kronecker substitution of t = 2^(8s), is multiplicative
     on them.  Over a rational base each operand is first scaled to integer
-    coefficients, and each is divided by its integer content.  The slot
-    width s makes 2^(8s-1) > max(2 min(|A|, |B|) + 2, |A|, |B|) for the
-    largest coefficient magnitudes |A| and |B| of these primitive
-    operands, so xi = 2^(8s) is at least the 2 min(|A|, |B|) + 2 of the
-    GCDHEU theorem and each operand reads back from its own image.  The
-    balanced base-xi digits of gamma = gcd(A(xi), B(xi)), with their
-    integer content divided out, give a primitive h.  If h divides a and
-    b, checked with divide, the ring's exact division, then K(h) divides
-    K(A) and K(B), so the theorem makes K(h) their gcd in Z[t] up to sign.
-    The primitive gcd G of A and B has K(G) dividing K(h), and h divides
-    G, so h = +-G.  A constant h (gamma below 2^(8s-1)) divides both and
-    needs no check.  Over ZZ, h is returned times the gcd of the two
-    contents.  A failed check retries with wider slots, at most twice.
-    Pairs whose images share a factor that they do not, such as x - y
-    and x^2 - y (both images are multiples of t), always fail the check.
+    coefficients by the lcm d of its denominators, and each is divided by
+    its integer content c.  The slot width s makes
+    2^(8s-1) > max(2 min(|A|, |B|) + 2, |A|, |B|) for the largest
+    coefficient magnitudes |A| and |B| of these primitive operands, so
+    xi = 2^(8s) is at least the 2 min(|A|, |B|) + 2 of the GCDHEU theorem
+    and each operand reads back from its own image.  The balanced base-xi
+    digits of gamma = gcd(A(xi), B(xi)), with their integer content
+    divided out, give a primitive h.  If h divides a and b, checked with
+    divide, the ring's exact division, then K(h) divides K(A) and K(B), so
+    the theorem makes K(h) their gcd in Z[t] up to sign.  The primitive
+    gcd G of A and B has K(G) dividing K(h), and h divides G, so h = +-G.
+    Over ZZ, h is returned times the gcd of the two contents.
+
+    When gamma is an operand's image P = K(A), h is sign(P) A times that
+    common content over ZZ, so the operand needs no check and its
+    cofactor is the constant sign(P) c / common, or sign(P) c / d over a
+    rational base.  A constant h (gamma below 2^(8s-1)) divides both and
+    needs no check either: it is the common content over ZZ, whose
+    cofactors are exact scalings of a and b, and 1 over a rational base,
+    whose cofactors are a and b.  A failed check retries with wider
+    slots, at most twice.  Pairs whose images share a factor that they do
+    not, such as x - y and x^2 - y (both images are multiples of t),
+    always fail the check.
 
     The box is refused, before anything is packed, when it has more slots
     than the operands have term pairs and a packed operand would take more
@@ -221,25 +248,41 @@ def gcd(a, b, depth: int, rational: bool, divide):
         return None
     ia, ib, dims, n = box
     if rational:
-        ia, ib = _integral(ia)[0], _integral(ib)[0]
+        (ia, da), (ib, db) = _integral(ia), _integral(ib)
     ca = math.gcd(*[x for _, x in ia])
     cb = math.gcd(*[x for _, x in ib])
     ia = [(k, x // ca) for k, x in ia]
     ib = [(k, x // cb) for k, x in ib]
-    common = 1 if rational else math.gcd(ca, cb)
+    if rational:
+        common = 1
+    else:
+        # the constant cofactors below are sign * content / common
+        common = da = db = math.gcd(ca, cb)
     na = max(abs(x) for _, x in ia)
     nb = max(abs(x) for _, x in ib)
     s = _slot_width(max(2 * min(na, nb) + 2, na, nb))
     if n > len(ia) * len(ib) and n * s > GCD_BYTES:
         return None
+
+    def cofactor(x, p, c, d):
+        """x / h for the current gamma and h, or None: the constant
+        sign(p) c / d when gamma is x's image p, else the check division."""
+        if gamma != abs(p):
+            return divide(x, h)
+        c = c if p > 0 else -c
+        return _constant(Fraction(c, d) if rational else c // d, depth)
+
     for _ in range(3):
         pa, pb = _pack(ia, ia[-1][0] + 1, s), _pack(ib, ib[-1][0] + 1, s)
         gamma = math.gcd(pa, pb)
         if gamma >> (8 * s - 1) == 0:
-            h = Fraction(1) if rational else common
-            for _ in range(depth):
-                h = (h,)
-            return h
+            if common == 1:
+                return _constant(Fraction(1) if rational else 1, depth), a, b
+            return (
+                _constant(common, depth),
+                _scale_down(a, depth, common),
+                _scale_down(b, depth, common),
+            )
         flat = _unpack(gamma, n, s)
         if flat is not None:
             c = math.gcd(*flat)
@@ -248,11 +291,9 @@ def gcd(a, b, depth: int, rational: bool, divide):
             else:
                 flat = [x // c * common for x in flat]
             h = _rebuild(flat, dims)
-            # h is an operand's primitive part, which divides it, when
-            # gamma is that operand's image
-            if (gamma == abs(pa) or divide(a, h) is not None) and (
-                gamma == abs(pb) or divide(b, h) is not None
-            ):
-                return h
+            qa = cofactor(a, pa, ca, da)
+            qb = None if qa is None else cofactor(b, pb, cb, db)
+            if qb is not None:
+                return h, qa, qb
         s = _slot_width(1 << 8 * s)
     return None

@@ -101,6 +101,8 @@ class RingDescriptor:
 
     - add, sub, mul, neg, gcd and canon (the canonical associate);
     - lcm, the canonical least common multiple (0 when an operand is 0);
+    - cofactors, on polynomial rings (None on ZZ and QQ): (g, a/g, b/g)
+      with g = gcd(a, b), canonical, and both quotients exact;
     - divide, the exact quotient, or None when there is none;
     - terms, the list of (exponents in variable order, scalar coefficient)
       pairs of the nonzero terms (_terms at this ring's depth);
@@ -126,13 +128,19 @@ class RingDescriptor:
     term pairs.  gcd first takes one integer gcd of the packed operands
     (the heuristic gcd, kronecker.gcd) and keeps its candidate only after
     dividing both operands by it; otherwise it runs the primitive
-    pseudo-remainder sequence.  divide always runs long division.
+    pseudo-remainder sequence.  cofactors keeps the quotients of those
+    check divisions, and lcm(a, b) is canon((a/g)*b) from them, so no lcm
+    divides again.  divide always runs long division.
+
+    pair_operations() gives gcd, lcm and a / gcd(a, b) for one
+    computation that meets the same pairs again and again, over a cache
+    of cofactors on polynomial rings.
     """
 
     __slots__ = (
         "kind", "variables", "base", "depth", "rational_coefficients",
         "is_polynomial", "is_pid", "zero", "one", "coefficients",
-        "add", "sub", "mul", "neg", "divide", "gcd", "lcm",
+        "add", "sub", "mul", "neg", "divide", "gcd", "lcm", "cofactors",
         "canon", "terms", "primitive", "divmod", "size", "xgcd",
     )
 
@@ -185,8 +193,6 @@ class RingDescriptor:
             "zero": RingElement(ring, zero),
             "one": RingElement(ring, one),
             "coefficients": coefficients,
-            # a table's own lcm (ZZ's math.lcm) overrides the generic one
-            "lcm": _least_common_multiple(table, zero, one),
             "terms": functools.partial(_terms, depth=depth),
             "xgcd": _extended_gcd(table, zero, one) if table["divmod"] else None,
             **table,
@@ -213,6 +219,32 @@ class RingDescriptor:
                 )
             out.append(e.value)
         return out
+
+    def pair_operations(self) -> tuple:
+        """(gcd, lcm, cofactor) on raw values, with cofactor(a, b) =
+        a / gcd(a, b), for one computation that meets the same pairs of
+        values again and again, such as a key element.
+
+        On a polynomial ring all three read one cache of cofactors, filled
+        on first sight of each pair in either order and dropped with the
+        functions, so each unordered pair costs one cofactors call.  ZZ
+        and QQ, whose gcd costs less than a lookup, get their own gcd and
+        lcm uncached.
+        """
+        cofactors, cache = self.cofactors, {}
+        if cofactors is None:
+            gcd, divide = self.gcd, self.divide
+            return gcd, self.lcm, lambda a, b: divide(a, gcd(a, b))
+
+        def pair(a, b):
+            found = cache.get((a, b))
+            if found is None:
+                g, qa, qb = found = cache[a, b] = cofactors(a, b)
+                cache[b, a] = g, qb, qa
+            return found
+
+        lcm = _least_common_multiple(pair, self.mul, self.canon, self.zero.value, self.one.value)
+        return (lambda a, b: pair(a, b)[0]), lcm, (lambda a, b: pair(a, b)[1])
 
     def coefficient_ring(self) -> "RingDescriptor":
         """Ring of coefficients when the last variable is peeled off."""
@@ -300,12 +332,14 @@ _SCALAR_COMMON = {
 _SCALAR_OPERATIONS = {
     "integers": dict(
         _SCALAR_COMMON, divide=_zz_divide, gcd=math.gcd, lcm=math.lcm,
-        canon=abs, divmod=_zz_divmod, size=abs,
+        cofactors=None, canon=abs, divmod=_zz_divmod, size=abs,
     ),
     "rationals": dict(
         _SCALAR_COMMON,
         divide=lambda a, b: Fraction(a) / b,
         gcd=lambda a, b: Fraction(1) if a or b else 0,
+        lcm=lambda a, b: Fraction(1) if a and b else 0,
+        cofactors=None,
         canon=lambda a: Fraction(1) if a else a,
         divmod=lambda a, b: (Fraction(a) / b, 0),
         size=lambda a: 0,
@@ -313,11 +347,10 @@ _SCALAR_OPERATIONS = {
 }
 
 
-def _least_common_multiple(table: dict, zero, one):
-    """The lcm of the ring with these operations and constants: canonical,
-    0 when an operand is 0, and the other operand's canonical associate
-    when one operand is 1."""
-    gcd, divide, mul, canon = table["gcd"], table["divide"], table["mul"], table["canon"]
+def _least_common_multiple(cofactors, mul, canon, zero, one):
+    """The lcm of a polynomial ring with these operations and constants:
+    canon((a/g)*b) with a/g from cofactors, 0 when an operand is 0, and
+    the other operand's canonical associate when one operand is 1."""
 
     def lcm(a, b):
         if not a or not b:
@@ -326,7 +359,7 @@ def _least_common_multiple(table: dict, zero, one):
             return canon(b)
         if b == one:
             return canon(a)
-        return canon(mul(divide(a, gcd(a, b)), b))
+        return canon(mul(cofactors(a, b)[1], b))
 
     return lcm
 
@@ -369,6 +402,12 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     graded-lex monic over a rational base, with a positive graded-lex
     leading coefficient over an integer one.
 
+    cofactors(a, b) is (g, a/g, b/g) with g the canonical gcd.
+    kronecker.gcd's check divisions give the quotients, times the unit
+    that makes its gcd canonical; equal operands and an operand 1 give
+    them at once, and only after the PRS are both operands divided by g.
+    lcm multiplies a/g by b and divides nothing.
+
     mul packs both operands into integers and makes one bignum product
     (kronecker.product) when they have enough term pairs for its fixed
     cost to pay and their box of exponents has no more slots than they
@@ -383,6 +422,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     cadd, csub, cmul, cneg = c.add, c.sub, c.mul, c.neg
     cdivide, cgcd = c.divide, c.gcd
     czero = c.zero.value
+    one = (c.one.value,)
     field = c is QQ
     depth = c.depth + 1
     rational = c.rational_coefficients
@@ -457,22 +497,25 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
     if c.rational_coefficients:
 
-        def canon(a):
-            """Monic in graded-lex order."""
-            if not a:
-                return a
+        def normal(a):
+            """(canon(a), u) with a = u * canon(a), for nonzero a: monic in
+            graded-lex order, and u the leading coefficient."""
             lead = max(_terms(a, depth), key=_graded_lex)[1]
             if lead == 1:
-                return a
-            return scale(a, _const_value(Fraction(1, 1) / lead, c.depth))
+                return a, lead
+            return scale(a, _const_value(Fraction(1, 1) / lead, c.depth)), lead
 
     else:
 
-        def canon(a):
-            """Positive graded-lex leading coefficient."""
-            if a and max(_terms(a, depth), key=_graded_lex)[1] < 0:
-                return neg(a)
-            return a
+        def normal(a):
+            """(canon(a), u) with a = u * canon(a), for nonzero a: a positive
+            graded-lex leading coefficient, and u its sign."""
+            if max(_terms(a, depth), key=_graded_lex)[1] < 0:
+                return neg(a), -1
+            return a, 1
+
+    def canon(a):
+        return normal(a)[0] if a else a
 
     if field:
 
@@ -509,23 +552,48 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
             u = cmul(u, lead)
         return long_division(scale(a, u), b)[1]
 
-    def gcd(a, b):
-        if not a:
-            return canon(b)
-        if not b:
-            return canon(a)
-        h = kronecker.gcd(a, b, depth, rational, divide)
-        if h is not None:
-            return canon(h)
+    def prs(a, b):
+        """The canonical gcd of nonzero a and b by the primitive PRS."""
         ca, f = primitive(a)
         cb, g = primitive(b)
         while g:
             f, g = g, primitive(pseudo_remainder(f, g))[1]
         return canon(scale(f, cgcd(ca, cb)))
 
+    def gcd(a, b):
+        if not a:
+            return canon(b)
+        if not b:
+            return canon(a)
+        found = kronecker.gcd(a, b, depth, rational, divide)
+        if found is not None:
+            return canon(found[0])
+        return prs(a, b)
+
+    def cofactors(a, b):
+        if a == one or b == one:
+            return one, a, b
+        if a == b or not a or not b:
+            if not a and not b:
+                return a, one, one
+            # a zero operand's cofactor is 0, a nonzero one's the unit u
+            g, u = normal(a or b)
+            u = _const_value(u, depth)
+            return g, u if a else a, u if b else b
+        found = kronecker.gcd(a, b, depth, rational, divide)
+        if found is None:
+            g = prs(a, b)
+            return g, divide(a, g), divide(b, g)
+        g, u = normal(found[0])
+        if u == 1:
+            return g, found[1], found[2]
+        u = _const_value(u, c.depth)
+        return g, scale(found[1], u), scale(found[2], u)
+
     return {
         "add": add, "sub": sub, "mul": mul, "neg": neg, "divide": divide,
-        "gcd": gcd, "canon": canon, "primitive": primitive,
+        "gcd": gcd, "cofactors": cofactors, "canon": canon, "primitive": primitive,
+        "lcm": _least_common_multiple(cofactors, mul, canon, (), one),
         "divmod": long_division if field else None, "size": len if field else None,
     }
 

@@ -222,14 +222,19 @@ def key_element(g: LabeledGraph) -> KeyElement:
 
     The fold runs on raw values through the ring's operations, reading the
     raw aggregate table, and wraps only the components and the results.
+    Its gcd, lcm and cofactor U_i / gcd(U_i, L_i) are the ring's pair
+    operations, shared with the closure and dropped on return, so over a
+    polynomial ring each distinct pair of values costs one gcd.
     """
     if g._key is not None:
         return g._key
     g.require_valid()
     ring = g.ring
-    lcm, gcd, mul, divide, canon = ring.lcm, ring.gcd, ring.mul, ring.divide, ring.canon
+    pairs = ring.pair_operations()
+    gcd, lcm, cofactor_of = pairs
+    mul, canon = ring.mul, ring.canon
     labels = graph._raw_labels(g)[0]
-    table = graph._aggregate_table(g)
+    table = graph._aggregate_table(g, pairs)
     one = ring.one.value
     components = []
     qg = h = one
@@ -245,7 +250,7 @@ def key_element(g: LabeledGraph) -> KeyElement:
         if lower == one:
             cofactor, component = upper, canon(upper)
         else:
-            cofactor = divide(upper, gcd(upper, lower))
+            cofactor = cofactor_of(upper, lower)
             component = canon(mul(cofactor, lower))
         components.append(RingElement(ring, component))
         qg = mul(qg, lower)

@@ -227,6 +227,20 @@ class TestOracle:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("flag", ["--bound", "--enum-bound"])
+    def test_negative_bound_exit_2(self, capsys, flag):
+        # a negative bound checks nothing, so it must not read as a pass
+        code, out, err = run(capsys, "oracle", data("c3_integer.json"), flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be nonnegative, got -1\n"
+
+    def test_zero_bounds_are_legal(self, capsys):
+        code, out, err = run(capsys, "oracle", data("c3_integer.json"), "--bound", "0", "--enum-bound", "0")
+        assert (code, err) == (0, "")
+        assert "index 3: formula 45, brute search bound 0 not reached" in out
+        assert "enumerated 1 splines with components bounded by 0;" in out
+        assert "oracle: all checks passed" in out
+
     def test_rejects_polynomial_instance(self, capsys):
         code, _, err = run(capsys, "oracle", data("t4.json"))
         assert code == 2

@@ -11,6 +11,7 @@ so the checks also exercise rings being one object each: mixing the two
 constructions must never raise.
 """
 
+import contextlib
 import random
 import time
 from fractions import Fraction
@@ -26,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from egsplines import kronecker, rings
 from egsplines.rings import (
     RingDescriptor,
+    RingElement,
     canonical_associate,
     euclidean_divmod,
     euclidean_xgcd,
@@ -226,6 +228,60 @@ def check_lcm(case):
     expected = sympy.lcm(to_sympy(name, terms_a), to_sympy(name, terms_b))
     expected = abs(expected) if name == "ZZ" else graded_lex_normal(expected)
     assert terms_of(lcm(a, b)) == sympy_terms(expected)
+
+
+# an operand that is its gcd with the other up to a negative constant, so
+# that the packed path takes its cofactor from the contents, with no division
+NEGATIVE_DIVISOR = [
+    ("ZZ[x,y]", expanded("ZZ[x,y]", -6 * (X + Y)), expanded("ZZ[x,y]", 4 * (X + Y) * (X - 2))),
+    ("QQ[x,y]", expanded("QQ[x,y]", -(X + Y / 2) / 9), expanded("QQ[x,y]", (X + Y / 2) * (Y + 7) / 4)),
+]
+
+
+@PROPERTY
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
+@example(case=NEGATIVE_DIVISOR[0])
+@example(case=NEGATIVE_DIVISOR[1])
+def test_cofactors_match_sympy(case):
+    check_cofactor_case(case)
+
+
+@PROPERTY
+@given(case=gcd_pairs)
+@example(case=COMMON_FACTOR)
+def test_cofactors_match_sympy_on_the_prs(case):
+    with prs_only():
+        check_cofactor_case(case)
+
+
+def check_cofactor_case(case):
+    name, terms_a, terms_b = case
+    a, b = build(name, terms_a, terms_b)
+    if name == "ZZ":
+        # ZZ keeps math.gcd and math.lcm
+        assert a.descriptor.cofactors is None
+        return
+    check_cofactors(a, b, to_sympy(name, terms_a), to_sympy(name, terms_b))
+
+
+def check_cofactors(a, b, pa, pb):
+    """ring.cofactors(a, b) = (g, a/g, b/g): g is gcd(a, b), which is
+    sympy's gcd in graded-lex normal form, and the quotients are exact, in
+    egsplines and in sympy's division."""
+    ring = a.descriptor
+    g, qa, qb = ring.cofactors(a.value, b.value)
+    assert g == gcd(a, b).value
+    assert ring.mul(g, qa) == a.value and ring.mul(g, qb) == b.value
+    if not g:
+        assert a.is_zero and b.is_zero
+        return
+    expected = graded_lex_normal(sympy.gcd(pa, pb))
+    assert terms_of(RingElement(ring, g)) == sympy_terms(expected)
+    for p, q in ((pa, qa), (pb, qb)):
+        quotient, remainder = sympy.div(p, expected)
+        assert remainder.is_zero
+        assert terms_of(RingElement(ring, q)) == sympy_terms(quotient)
 
 
 # (a, b) over ZZ[x,y] and QQ[x,y] for the PRS; y is the outer variable
@@ -455,6 +511,20 @@ def test_packed_gcd_cases(case, monkeypatch):
     expected = sympy_terms(graded_lex_normal(sympy.gcd(pa, pb)))
     assert terms_of(gcd(a, b)) == terms_of(gcd(b, a)) == expected
     assert terms_of(lcm(a, b)) == sympy_terms(graded_lex_normal(sympy.lcm(pa, pb)))
+
+
+@pytest.mark.parametrize("prs", [False, True], ids=["packed", "prs"])
+@pytest.mark.parametrize("case", range(len(PACKED_GCD_CASES)))
+def test_packed_gcd_case_cofactors(case, prs):
+    # the packed path's cofactors come from its check divisions, from an
+    # operand whose image is the gcd's, or from the contents alone
+    name, ea, eb, _, _ = PACKED_GCD_CASES[case]
+    ring, gens, domain, _ = PACKED[name]
+    pa, pb = (sympy.Poly(e, *gens, domain=domain) for e in (ea, eb))
+    a, b = (parse_element(text(sympy_terms(p), ring), ring) for p in (pa, pb))
+    with prs_only() if prs else contextlib.nullcontext():
+        check_cofactors(a, b, pa, pb)
+        check_cofactors(b, a, pb, pa)
 
 
 def test_packed_gcd_refuses_a_sparse_box(monkeypatch):

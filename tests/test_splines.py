@@ -1,10 +1,12 @@
+import gc
 import math
 import random
 import time
+import weakref
 
 import pytest
 
-from egsplines import graph, rings, splines
+from egsplines import graph, kronecker, rings, splines
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance, trails_between
 from egsplines.pid import flow_up_basis, verify_flow_up
@@ -383,6 +385,45 @@ class TestKeyElement:
             assert verify_flow_up(g, basis).ok
             assert certify_basis(g, basis.matrix()).is_certified
             monkeypatch.undo()
+
+    def test_one_gcd_per_distinct_pair(self, monkeypatch):
+        # labels are products of a few linear weights, as in the GKM
+        # setting, so the closure and the fold meet the same pairs again
+        pool = [zxy(t) for t in ("x", "y", "x+y", "x-y", "2*x+y")]
+        g = random_graph(ZXY, pool, 2, 6)
+        pairs, original = [], kronecker.gcd
+
+        def counting(a, b, depth, *args):
+            if depth == ZXY.depth:  # not a content gcd inside a PRS
+                pairs.append(frozenset((a, b)))
+            return original(a, b, depth, *args)
+
+        def uncached(ring):
+            return ring.gcd, ring.lcm, lambda a, b: ring.divide(a, ring.gcd(a, b))
+
+        monkeypatch.setattr(kronecker, "gcd", counting)
+        monkeypatch.setattr(rings.RingDescriptor, "pair_operations", uncached)
+        expected = key_element(LabeledGraph(g.ring, g.vertex_labels, g.edges))
+        repeated = len(pairs)
+        monkeypatch.undo()
+
+        made, pairs[:] = [], []
+        pair_operations = rings.RingDescriptor.pair_operations
+
+        def tracked(ring):
+            ops = pair_operations(ring)
+            made.append([weakref.ref(f) for f in ops])
+            return ops
+
+        monkeypatch.setattr(kronecker, "gcd", counting)
+        monkeypatch.setattr(rings.RingDescriptor, "pair_operations", tracked)
+        attributes = set(vars(g))
+        assert key_element(g) == expected
+        assert len(pairs) == len(set(pairs)) < repeated
+        # the cache lives in the pair operations, which nothing keeps
+        gc.collect()
+        assert len(made) == 1 and all(ref() is None for ref in made[0])
+        assert set(vars(g)) == attributes
 
     def test_reordering_invariance_over_pids(self):
         rng = random.Random(41)
