@@ -170,8 +170,9 @@ def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
     polynomial ring they share one cache, so a pair met again, in the
     closure or in the fold, costs no second gcd.  Entries start at 1, the
     lcm identity, which also absorbs under gcd; each edge seeds its pair
-    with the lcm of the parallel labels, unwrapped once (a label of
-    another ring raises DescriptorMismatchError).  Relaxations that cannot
+    with the lcm of the parallel labels.  The labels are read through
+    _raw_labels, unwrapped once per graph, so a vertex or edge label of
+    another ring raises DescriptorMismatchError.  Relaxations that cannot
     change an entry (a unit gcd, or one that already divides the entry,
     that is, is its gcd with the entry) skip the lcm.  The diagonal is
     never read.
@@ -183,9 +184,9 @@ def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
     gcd, lcm, _ = pairs or ring.pair_operations()
     one = ring.one.value
     table = [[one] * n for _ in range(n)]
-    edges = [e for e in g.edges if e.u != e.v and 0 <= e.u < n and 0 <= e.v < n]
-    for e, label in zip(edges, ring.values(e.label for e in edges)):
-        table[e.u][e.v] = table[e.v][e.u] = lcm(table[e.u][e.v], label)
+    for e, label in zip(g.edges, _raw_labels(g)[1]):
+        if e.u != e.v and 0 <= e.u < n and 0 <= e.v < n:
+            table[e.u][e.v] = table[e.v][e.u] = lcm(table[e.u][e.v], label)
     for k in range(n):
         row_k = table[k]
         for i in range(n):

@@ -13,13 +13,12 @@ checks absorb the sign, and _solve applies the convention's one sign.
 Flow-up bases and coprime witness matrices are lower triangular in vertex
 order: column k is zero at the vertices before v_k and nonzero at v_k
 (_triangular).  Such a matrix is solved without elimination: its
-determinant is the product of the diagonal, and express_in_basis and
-qhat_span_decomposition find the coefficients by exact forward
-substitution (_forward), one division per column.  Every other matrix goes
-through the kernel (_bareiss), which takes the rows in vertex order and
-gives the determinant and every Cramer numerator from one elimination;
-express_in_basis also runs it on a triangle whose forward substitution
-fails, to list every failing column.
+determinant is the product of the diagonal, and its coefficients come from
+exact forward substitution (_forward), one division per column, which
+decides every column of a target inside or outside the span.  Every other
+matrix goes through the kernel (_bareiss), which takes the rows in vertex
+order and gives the determinant and every Cramer numerator from one
+fraction-free elimination.
 
 Values are unwrapped once, at the boundary: Spline checks each component
 to lie in the graph's ring and keeps its raw value, and SplineMatrix
@@ -54,8 +53,9 @@ class SplineError(Exception):
 class NotInSpanError(SplineError):
     """The target is not an R-linear combination of the given columns.
 
-    index is the first column (0-based) whose Cramer division fails;
-    failed_indices lists every failing column.
+    index is the first column (0-based) whose coefficient over the fraction
+    field lies outside the ring, that is, whose Cramer numerator det does
+    not divide; failed_indices lists every failing column.
     """
 
     def __init__(self, index: int, failed_indices: Tuple[int, ...]):
@@ -285,34 +285,22 @@ def h_factor(g: LabeledGraph) -> RingElement:
 def _bareiss(
     ring: rings.RingDescriptor, rows: Sequence[Sequence], rhs: Optional[Sequence] = None
 ) -> Tuple[object, Optional[list]]:
-    """(det M, y = adj(M)*f) over ring: the leading triangle of M peeled
-    off, then one fraction-free elimination of the trailing block.  y is
-    None without f or when det = 0.
+    """(det M, y = adj(M)*f) over ring from one fraction-free elimination
+    of [M | f] and back-substitution.  y is None without f or when det = 0.
 
-    Peel: for s = 0, 1, ... while row s is zero to the right of column s,
-    the block of M from (s, s) on has a = M[s][s] alone in its first row,
-    above M' (rows and columns after s), so its determinant is a*det M'.
-    Solving it for f by row s first, with f' = a*f - f_s*(column s) on the rows below s, gives
-    adj(M)*f = (det M' * f_s at s, adj(M')*f' after s), so f' needs no
-    division and no sign.  a = 0 makes det 0.  A matrix that is lower
-    triangular in the given order, such as a flow-up basis or a coprime
-    witness matrix in vertex order, empties this way; a permuted triangle
-    goes through the elimination.
-
-    Elimination of the trailing block: each Bareiss step divides exactly
-    by the previous pivot (Sylvester's identity; Bareiss, Math. Comp. 22
-    (1968)); the first step's divisor is 1 and is skipped.  The block's
-    numerators come from back-substitution on the eliminated [U | b]: y_k =
-    (D*b_k - sum_{j>k} U_kj*y_j) / U_kk with D the last pivot, exact since
-    y lies in the ring.  Its determinant is D times the row-swap sign, the
-    one sign of the kernel, applied once at the end.
+    Each Bareiss step divides exactly by the previous pivot (Sylvester's
+    identity; Bareiss, Math. Comp. 22 (1968)); the first step's divisor is
+    1 and is skipped.  The numerators come from back-substitution on the
+    eliminated [U | b]: y_k = (D*b_k - sum_{j>k} U_kj*y_j) / U_kk with D
+    the last pivot, exact since y lies in the ring, and the last numerator
+    is b's last entry, undivided.  The determinant is D times the row-swap
+    sign, the one sign of the kernel, applied once at the end.
 
     M, f, det and y are raw values of ring, and the elimination runs
     through its operations; rows is only read.  A failed exact division
     raises NotDivisibleError.
     """
     n = len(rows)
-    f = None if rhs is None else list(rhs)
     sub, mul, neg, divide, zero = ring.sub, ring.mul, ring.neg, ring.divide, ring.zero.value
 
     def quotient(a, b):
@@ -324,25 +312,12 @@ def _bareiss(
             )
         return q
 
-    s = 0
-    while s < n and not any(rows[s][s + 1:]):
-        a = rows[s][s]
-        if not a:
-            return zero, None
-        if f is not None:
-            fs = f[s]
-            for i in range(s + 1, n):
-                lead = rows[i][s]
-                f[i] = sub(mul(a, f[i]), mul(fs, lead)) if lead else mul(a, f[i])
-        s += 1
-
-    k = n - s
-    m = [list(row[s:]) + ([] if f is None else [f[i]]) for i, row in enumerate(rows[s:], s)]
+    m = [list(row) + ([] if rhs is None else [rhs[i]]) for i, row in enumerate(rows)]
     sign = 1
     previous = None
-    for p in range(k - 1):
+    for p in range(n - 1):
         if not m[p][p]:
-            for i in range(p + 1, k):
+            for i in range(p + 1, n):
                 if m[i][p]:
                     m[p], m[i] = m[i], m[p]
                     sign = -sign
@@ -357,25 +332,19 @@ def _bareiss(
                 numerator = sub(mul(pivot, row[j]), mul(lead, top[j]))
                 row[j] = numerator if previous is None else quotient(numerator, previous)
         previous = pivot
-    det = m[k - 1][k - 1] if k else ring.one.value
+    det = m[n - 1][n - 1]
     if not det:
         return zero, None
-    y: list = [None] * n
-    if f is not None and k:
-        # the last numerator is the block's last entry of b, undivided
-        y[n - 1] = m[k - 1][k]
-        for p in range(k - 2, -1, -1):
-            row = m[p]
-            acc = mul(det, row[k])
-            for j in range(p + 1, k):
-                acc = sub(acc, mul(row[j], y[s + j]))
-            y[s + p] = quotient(acc, row[p])
-    for c in range(s - 1, -1, -1):
-        if f is not None:
-            y[c] = mul(det, f[c])
-        det = mul(rows[c][c], det)
-    if f is None:
+    if rhs is None:
         return det if sign > 0 else neg(det), None
+    y: list = [None] * n
+    y[n - 1] = m[n - 1][n]
+    for p in range(n - 2, -1, -1):
+        row = m[p]
+        acc = mul(det, row[n])
+        for j in range(p + 1, n):
+            acc = sub(acc, mul(row[j], y[j]))
+        y[p] = quotient(acc, row[p])
     return (det, y) if sign > 0 else (neg(det), [neg(v) for v in y])
 
 
@@ -385,33 +354,35 @@ def spline_determinant(ms: SplineMatrix) -> RingElement:
 
 
 def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tuple:
-    """The raw (det, numerators) of the matrix of ms and, when given, the
-    target f; numerators is None without f or when det = 0.
+    """The raw (det, c) of the matrix of ms and, when given, the target f:
+    c_k is the k-th Cramer numerator divided by det, None where that
+    division fails, and c is None without f or when det = 0.
 
-    The entry of spline_determinant, certify_basis, express_in_basis and
-    qhat_span_decomposition: ValueError("splines live on different graphs")
-    unless ms and f live on g (_check_graph), raised before any arithmetic.
-    Without f, a matrix lower triangular in vertex order (_triangular) has
-    det = M[c][c]*det for c from n-1 down to 0, with no elimination and no
-    division.  Otherwise the columns' and f's values go to _bareiss in
-    vertex order (v_1 first), where it peels the leading triangle and
-    eliminates the rest.  The row convention (v_n top .. v_1 bottom)
-    reverses the n rows, n(n-1)/2 swaps, so det and the numerators are
-    negated once when that count is odd.
+    The entry of spline_determinant, certify_basis, qhat_span_decomposition
+    and the non-triangular branch of express_in_basis: ValueError("splines
+    live on different graphs") unless ms and f live on g (_check_graph),
+    raised before any arithmetic.  A matrix lower triangular in vertex
+    order (_triangular) has det = M[c][c]*det for c from n-1 down to 0,
+    with no elimination and no division, and c from _forward.  Otherwise
+    the columns' and f's values go to _bareiss in vertex order (v_1 first).
+    The row convention (v_n top .. v_1 bottom) reverses the n rows,
+    n(n-1)/2 swaps, so det is negated once when that count is odd; c, a
+    quotient of two determinants that share the sign, keeps it.
     """
     _check_graph(g, ms, f)
     ring = g.ring
-    if f is None and _triangular(ms):
-        det, y = ring.one.value, None
+    if _triangular(ms):
+        det = ring.one.value
         for k in range(g.n - 1, -1, -1):
             det = ring.mul(ms.columns[k].values[k], det)
+        c = None if f is None else _forward(ring, ms, f.values)
     else:
         rows = list(zip(*(col.values for col in ms.columns)))
         det, y = _bareiss(ring, rows, None if f is None else f.values)
+        c = None if y is None else [ring.divide(v, det) for v in y]
     if det and g.n * (g.n - 1) // 2 % 2:
-        neg = ring.neg
-        det, y = neg(det), None if y is None else [neg(v) for v in y]
-    return det, y
+        det = ring.neg(det)
+    return det, c
 
 
 def _check_graph(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> None:
@@ -426,29 +397,40 @@ def _triangular(ms: SplineMatrix) -> bool:
     return all(col.values[k] and not any(col.values[:k]) for k, col in enumerate(ms.columns))
 
 
-def _forward(ring: rings.RingDescriptor, ms: SplineMatrix, target: Sequence) -> Optional[list]:
+def _forward(ring: rings.RingDescriptor, ms: SplineMatrix, target: Sequence) -> list:
     """The raw c with sum(c_k F_k) = target for a matrix ms that is
-    _triangular, by exact forward substitution, or None when a division
-    fails.
+    _triangular, by exact forward substitution, one division per column;
+    c_k is None where the coefficient lies outside the ring.
 
-    For k = 0 .. n-1: c_k = rest_k / F_k[k], where rest starts as the
-    target, then rest -= c_k*F_k on the nonzero entries of F_k after k.
-    The solution over the fraction field is unique, so a c_k outside the
-    ring proves that the target is not in the span.
+    The solution x over the fraction field is unique, so the failing
+    columns are those of Cramer's rule.  rest is D*(target - sum_{j<k}
+    x_j F_j), with D the product of the pivots a_j = F_j[j] of the columns
+    that failed so far, so x_k = rest_k / (D*a_k).  A column whose
+    division succeeds subtracts D*c_k*F_k from rest; one that fails sets
+    rest to a_k*rest - rest_k*F_k and D to D*a_k, without a division.
+    Only the entries after k are updated.  D is None while no column has
+    failed, so a member is substituted as over a unit D.
     """
     sub, mul, divide = ring.sub, ring.mul, ring.divide
     rest = list(target)
+    scale = None
     out = []
     for k, col in enumerate(ms.columns):
         values = col.values
-        c = divide(rest[k], values[k])
-        if c is None:
-            return None
+        pivot = values[k]
+        c = divide(rest[k], pivot if scale is None else mul(scale, pivot))
         out.append(c)
-        if c:
+        if c is None:
+            step = rest[k]
+            for v in range(k + 1, len(rest)):
+                grown = mul(pivot, rest[v])
+                rest[v] = sub(grown, mul(step, values[v])) if values[v] else grown
+            scale = pivot if scale is None else mul(scale, pivot)
+        elif c:
+            step = c if scale is None else mul(scale, c)
             for v in range(k + 1, len(rest)):
                 if values[v]:
-                    rest[v] = sub(rest[v], mul(c, values[v]))
+                    rest[v] = sub(rest[v], mul(step, values[v]))
     return out
 
 
@@ -542,25 +524,25 @@ def express_in_basis(
     ValueError when ms or f lives on another graph than g (see _solve).
 
     A matrix lower triangular in vertex order (_triangular) is solved by
-    exact forward substitution (_forward), n divisions.  Any other matrix,
-    or a triangle whose forward substitution fails, goes through Cramer's
-    rule: the column-replaced determinants divided by the matrix
-    determinant, all from one elimination (see _bareiss), so that
-    NotInSpanError lists every failing column.  The output is verified by
-    full reconstruction on raw values before it is returned, so an
-    arithmetic fault cannot produce silent garbage.
+    exact forward substitution (_forward), n divisions, without computing
+    its determinant.  Any other matrix goes through Cramer's rule: the
+    column-replaced determinants divided by the matrix determinant, all
+    from one elimination (see _solve).  Either way NotInSpanError lists
+    every failing column.  The output is verified by full reconstruction
+    on raw values before it is returned, so an arithmetic fault cannot
+    produce silent garbage.
     """
     _check_graph(g, ms, f)
     ring = g.ring
-    coefficients = _forward(ring, ms, f.values) if _triangular(ms) else None
-    if coefficients is None:
-        determinant, numerators = _solve(g, ms, f)
+    if _triangular(ms):
+        coefficients = _forward(ring, ms, f.values)
+    else:
+        determinant, coefficients = _solve(g, ms, f)
         if not determinant:
             raise ZeroDivisionError("cannot express against a singular matrix")
-        coefficients = [ring.divide(y, determinant) for y in numerators]
-        failed = [k for k, c in enumerate(coefficients) if c is None]
-        if failed:
-            raise NotInSpanError(failed[0], tuple(failed))
+    if None in coefficients:
+        failed = tuple(k for k, c in enumerate(coefficients) if c is None)
+        raise NotInSpanError(failed[0], failed)
     if _combination(g, ms, coefficients) != f.values:
         raise SplineError("internal error: Cramer reconstruction mismatch")
     return tuple(RingElement(ring, c) for c in coefficients)
@@ -573,29 +555,18 @@ def qhat_span_decomposition(
 
     Requires the matrix determinant to be associate to the key element, say
     det = u*qhat.  Then x = u^-1 * adj(F) * f = F^-1 * (qhat * f) lies in
-    the ring: on a matrix lower triangular in vertex order it is the
-    forward substitution (_forward) of qhat * f, and on any other matrix
-    the column-replaced determinants (see _bareiss) scaled by u^-1, with no
-    division.
+    the ring, and it is what _solve gives for the target qhat * f.
     """
-    ring = g.ring
     _check_graph(g, ms, f)
-    triangular = _triangular(ms)
-    determinant, numerators = _solve(g, ms, None if triangular else f)
+    ring = g.ring
     key = qhat(g)
-    unit = rings.associate_unit(RingElement(ring, determinant), key)
-    if unit is None:
+    target = Spline._raw(g, [ring.mul(key.value, x) for x in f.values])
+    determinant, xs = _solve(g, ms, target)
+    if rings.associate_unit(RingElement(ring, determinant), key) is None:
         raise SpanHypothesisError(
             "determinant is not a unit multiple of the key element"
         )
-    mul = ring.mul
-    target = tuple(mul(key.value, x) for x in f.values)
-    if triangular:
-        xs = _forward(ring, ms, target)
-    else:
-        unit_inverse = ring.divide(ring.one.value, unit.value)
-        xs = [mul(unit_inverse, y) for y in numerators]
-    if xs is None or _combination(g, ms, xs) != target:
+    if None in xs or _combination(g, ms, xs) != target.values:
         raise SplineError("internal error: span decomposition mismatch")
     return tuple(RingElement(ring, x) for x in xs)
 

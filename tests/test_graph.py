@@ -179,9 +179,14 @@ class TestTrailConstraint:
         assert trail_constraint(c3_int, 0, 2) == zz(5)
 
     def test_foreign_label_rejected(self):
-        g = LabeledGraph(ZZ, [zz(2), zz(3)], [(0, 1, QQ.from_int(2))])
-        with pytest.raises(DescriptorMismatchError):
-            trail_constraint(g, 0, 1)
+        # an edge label or a vertex label of another ring
+        for vertex_labels, edge_label in [
+            ([zz(2), zz(3)], QQ.from_int(2)),
+            ([QQ.from_int(2), zz(3)], zz(4)),
+        ]:
+            g = LabeledGraph(ZZ, vertex_labels, [(0, 1, edge_label)])
+            with pytest.raises(DescriptorMismatchError):
+                trail_constraint(g, 0, 1)
 
     def test_zero_label_unvalidated(self):
         # a zero edge label seeds its pair with 0, and 0 divides only 0

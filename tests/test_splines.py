@@ -3,6 +3,7 @@ import math
 import random
 import time
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +137,13 @@ class TestIsSpline:
             ]
         # the components on every call; the 3 vertex and 2 edge labels once
         assert unwrapped == [3, 3, 2, 3, 3, 3]
+        # the key element's fold and closure read the same unwrapped labels
+        key_element(g)
+        assert unwrapped == [3, 3, 2, 3, 3, 3]
+        h = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(6)), (1, 2, zz(4))])
+        unwrapped.clear()
+        assert key_element(h).qhat == qhat(g)
+        assert unwrapped == [3, 2]
 
     def test_module_closure(self):
         rng = random.Random(31)
@@ -520,7 +528,9 @@ class TestDeterminant:
 class TestBareissKernel:
     """_bareiss against the literal definition: the determinant by Laplace
     expansion, and each Cramer numerator as the determinant of the matrix
-    with that column replaced by the target."""
+    with that column replaced by the target.  Matrices lower triangular in
+    vertex order must not reach it: their determinant makes no division,
+    and express_in_basis one per column, for a member or a non-member."""
 
     def test_matches_cofactor_definition(self):
         rng = random.Random(2024)
@@ -652,34 +662,14 @@ class TestBareissKernel:
         ]
         assert list(qhat_span_decomposition(p2, p2_basis, f)) == [-y for y in literal]
 
-    def test_leading_triangle_needs_no_division(self):
-        # a matrix lower triangular in the given order is peeled whole,
-        # without one exact division; a dense trailing k x k block divides
-        # exactly as often as the block alone does
-        rng = random.Random(211)
-        for ring in (ZZ, QX):
-            for trial in range(24):
-                n = 1 + trial % 8
-                rows, _ = _shaped_matrix(rng, ring, n, "triangular_in_order")
-                target = [_random_element(rng, ring) for _ in range(n)]
-                assert _divisions(ring, rows, target) == 0
-                assert _divisions(ring, rows) == 0
-                if n >= 3:
-                    k = rng.randint(2, n)
-                    for i in range(n - k, n):
-                        rows[i][n - k:] = [_random_element(rng, ring) for _ in range(k)]
-                    block = [row[n - k:] for row in rows[n - k:]]
-                    assert _divisions(ring, rows, target) == _divisions(ring, block, target[n - k:])
-        rows, _ = _shaped_matrix(rng, ZZ, 400, "triangular_in_order")
-        target = [_random_element(rng, ZZ) for _ in range(400)]
-        assert _divisions(ZZ, rows, target) == 0
-
     def test_flow_up_and_witness_solves_need_no_division(self, monkeypatch):
         # flow-up bases and coprime witness matrices are lower triangular in
         # vertex order: the determinant is the product of the diagonal,
-        # without a division, and a member is expressed by forward
-        # substitution, one division per column; neither calls _bareiss
-        monkeypatch.setattr(splines, "_bareiss", _no_kernel)
+        # without a division, and express_in_basis substitutes forward, one
+        # division per column for a member and a non-member alike; neither
+        # calls _bareiss.  A non-member raises NotInSpanError with the
+        # failing columns of the Cramer path, drawn before _bareiss is
+        # patched out
         rng = random.Random(223)
         pool = [zz(2), zz(3), zz(5), zz(6)]
         cases = []
@@ -690,15 +680,71 @@ class TestBareissKernel:
         g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))])
         for ms in coprime_witness_matrices(g):
             cases.append((g, ms, Spline._raw(g, splines._combination(g, ms, [4, -3, 0]))))
-        assert len(cases) == 30 + 5
-        for g, ms, f in cases:
+        g = random_graph(ZZ, pool, 40, 40)
+        basis = flow_up_basis(g)
+        cases.append((g, basis.matrix(), _random_combination(rng, g, basis)))
+        assert len(cases) == 30 + 5 + 1
+        outside = [_cramer_non_member(rng, g, ms) for g, ms, _ in cases]
+        monkeypatch.setattr(splines, "_bareiss", _no_kernel)
+        for (g, ms, f), (h, failed) in zip(cases, outside):
             ring = _CountingRing(g.ring)
             monkeypatch.setattr(g, "ring", ring)
             assert spline_determinant(ms).value and ring.divisions == 0
             coefficients = express_in_basis(g, ms, f)
             assert ring.divisions == g.n
+            with pytest.raises(NotInSpanError) as exc:
+                express_in_basis(g, ms, h)
+            assert ring.divisions == 2 * g.n
+            assert (exc.value.index, exc.value.failed_indices) == (failed[0], failed)
             monkeypatch.setattr(g, "ring", ring.ring)
             assert splines._combination(g, ms, [c.value for c in coefficients]) == f.values
+        # a 400-column triangle, unimodular but for three pivots, and a
+        # member pushed off the span at two vertices; at this size the
+        # Cramer reference is the solution over QQ (a numerator divides by
+        # det exactly when the coefficient is an integer)
+        n = 400
+        columns = _vertex_order_triangle(rng, ZZ, n, "unimodular")
+        for k, pivot in [(100, 2), (180, 3), (250, 6)]:
+            columns[k][k] = zz(pivot)
+        g = _ones_graph(ZZ, n)
+        ms = SplineMatrix(g, [Spline(g, col) for col in columns])
+        member = splines._combination(g, ms, [rng.randint(-9, 9) for _ in range(n)])
+        h = Spline._raw(g, [x + (k in (100, 250)) for k, x in enumerate(member)])
+        failed = _rational_failures(ms, h)
+        assert failed[0] == 100 and len(failed) < n - 100
+        ring = _CountingRing(ZZ)
+        monkeypatch.setattr(g, "ring", ring)
+        with pytest.raises(NotInSpanError) as exc:
+            express_in_basis(g, ms, h)
+        assert ring.divisions == n and exc.value.failed_indices == failed
+
+
+def _cramer_non_member(rng, g, ms):
+    """A random target outside the span of ms and its failing columns by
+    the Cramer path: _bareiss on the rows in vertex order, then each
+    numerator divided by det."""
+    ring = g.ring
+    rows = list(zip(*(col.values for col in ms.columns)))
+    while True:
+        f = Spline(g, [_random_element(rng, ring) for _ in range(g.n)])
+        det, numerators = _bareiss(ring, rows, f.values)
+        failed = tuple(k for k, y in enumerate(numerators) if ring.divide(y, det) is None)
+        if failed:
+            return f, failed
+
+
+def _rational_failures(ms, f):
+    """The columns whose coefficient of f is not an integer, by forward
+    substitution over QQ on a ZZ matrix lower triangular in vertex order."""
+    rest = [Fraction(x) for x in f.values]
+    failed = []
+    for k, col in enumerate(ms.columns):
+        x = rest[k] / col.values[k]
+        if x.denominator != 1:
+            failed.append(k)
+        for v in range(k + 1, len(rest)):
+            rest[v] -= x * col.values[v]
+    return tuple(failed)
 
 
 class _CountingRing:
@@ -713,14 +759,6 @@ class _CountingRing:
     def divide(self, a, b):
         self.divisions += 1
         return self.ring.divide(a, b)
-
-
-def _divisions(ring, rows, target=None):
-    """The number of divide calls of _bareiss on element rows and target."""
-    proxy = _CountingRing(ring)
-    raw = [ring.values(row) for row in rows]
-    _bareiss(proxy, raw, None if target is None else ring.values(target))
-    return proxy.divisions
 
 
 def _wrapped_bareiss(ring, rows, target=None):
@@ -788,12 +826,11 @@ def _shaped_matrix(rng, ring, n, shape, singular=False):
     shuffles together are odd.
 
     sparse: about 70% of the entries zero.  triangular: lower triangular
-    with a nonzero diagonal; in order, the kernel peels it whole, and
-    shuffled, it goes through the elimination.  block (n >= 3): triangular
-    but for a dense diagonal block of 2 or 3 rows below the first row; in
-    order, the kernel peels the rows above the block and eliminates the
-    rest.  The block's last column is a multiple of its first when
-    singular is set.  zero_row: dense with a row of zeros."""
+    with a nonzero diagonal.  block (n >= 3): triangular but for a dense
+    diagonal block of 2 or 3 rows below the first row; the block's last
+    column is a multiple of its first when singular is set.  zero_row:
+    dense with a row of zeros.  Shuffled, a triangle is no longer
+    triangular in the given order, and the elimination may swap rows."""
     in_order = shape.endswith("_in_order")
     shape = shape.removesuffix("_in_order")
     if shape == "sparse":
@@ -856,9 +893,10 @@ def _to_sympy(sympy, e):
 class TestTriangularPath:
     """Matrices lower triangular in vertex order skip the elimination: the
     determinant is the product of the diagonal and express_in_basis and
-    qhat_span_decomposition substitute forward.  Each public result must be
-    the one of the Cramer path, _bareiss and the divisions by det, which
-    every matrix takes when _triangular is switched off."""
+    qhat_span_decomposition substitute forward, which also decides every
+    column of a target outside the span.  Each public result must be the
+    one of the Cramer path, _bareiss and the divisions by det, which every
+    matrix takes when _triangular is switched off."""
 
     def test_matches_cramer_path(self, monkeypatch):
         rng = random.Random(3301)
@@ -1130,6 +1168,25 @@ class TestSpanDecomposition:
     def test_p2_hand_value(self, p2, p2_basis):
         xs = qhat_span_decomposition(p2, p2_basis, Spline(p2, [zz(2), zz(6)]))
         assert [x.value for x in xs] == [24, 0]
+
+    def test_non_triangular_basis_matches_scaled_numerators(self, t4, t4_basis_b, t4_target):
+        # t4_basis_b is not lower triangular in vertex order, so x comes
+        # from _bareiss's numerators divided by det = u*qhat; it must be
+        # u^-1 times those numerators, and sum x_k F_k must be qhat * f
+        assert not splines._triangular(t4_basis_b)
+        xs = qhat_span_decomposition(t4, t4_basis_b, t4_target)
+        key = qhat(t4)
+        assert splines._combination(t4, t4_basis_b, ZXY.values(xs)) == tuple(
+            ZXY.values(key * c for c in t4_target.components)
+        )
+        rows = [list(row) for row in zip(*(col.components for col in t4_basis_b.columns))]
+        det, numerators = _wrapped_bareiss(ZXY, rows, list(t4_target.components))
+        # reversing four rows is six swaps: the convention keeps the sign
+        assert spline_determinant(t4_basis_b) == det
+        unit = rings.associate_unit(det, key)
+        assert unit == ZXY.from_int(-1)
+        inverse = exact_div(ZXY.one, unit)
+        assert list(xs) == [inverse * y for y in numerators]
 
     def test_hypothesis_enforced(self, p2):
         ms = SplineMatrix(
