@@ -41,7 +41,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import oracle, pid, rings, splines
-from .graph import GraphValidationError, LabeledGraph
+from .graph import LabeledGraph
 from .rings import ParseError, RingDescriptor, RingElement, UnsupportedRingError
 from .splines import Spline, SplineMatrix, Verdict
 
@@ -465,12 +465,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except GraphValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except UnsupportedRingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_PID

@@ -18,7 +18,8 @@ evaluations at xi, their integer gcd read back in balanced base-xi digits
 gives a candidate, and the ring's exact division of both operands by it
 makes it the gcd (see gcd).  gcd returns the two quotients of that check
 with the gcd, so a caller that needs the cofactors (an lcm, or a / gcd)
-divides no more.
+divides no more.  Its one caller is the cofactors routine of each
+polynomial ring, through which every polynomial gcd of the package runs.
 """
 
 from __future__ import annotations
@@ -193,14 +194,6 @@ def _constant(c, depth: int):
     return c
 
 
-def _scale_down(a, depth: int, c: int):
-    """a, a value with depth variables over ZZ, with every coefficient
-    divided exactly by the int c."""
-    if depth == 1:
-        return tuple([x // c for x in a])
-    return tuple([_scale_down(x, depth - 1, c) for x in a])
-
-
 def gcd(a, b, depth: int, rational: bool, divide):
     """(h, a/h, b/h) with h a gcd of nonzero values a and b with depth
     variables, up to a unit, from one integer gcd of their packed images
@@ -229,13 +222,13 @@ def gcd(a, b, depth: int, rational: bool, divide):
     When gamma is an operand's image P = K(A), h is sign(P) A times that
     common content over ZZ, so the operand needs no check and its
     cofactor is the constant sign(P) c / common, or sign(P) c / d over a
-    rational base.  A constant h (gamma below 2^(8s-1)) divides both and
-    needs no check either: it is the common content over ZZ, whose
-    cofactors are exact scalings of a and b, and 1 over a rational base,
-    whose cofactors are a and b.  A failed check retries with wider
-    slots, at most twice.  Pairs whose images share a factor that they do
-    not, such as x - y and x^2 - y (both images are multiples of t),
-    always fail the check.
+    rational base.  A constant gamma (below 2^(8s-1)) with common content
+    1, always the case over a rational base, gives h = 1, whose cofactors
+    are a and b with no check; a constant h above 1, the common content
+    over ZZ, takes the check divisions like any other candidate.  A
+    failed check retries with wider slots, at most twice.  Pairs whose
+    images share a factor that they do not, such as x - y and x^2 - y
+    (both images are multiples of t), always fail the check.
 
     The box is refused, before anything is packed, when it has more slots
     than the operands have term pairs and a packed operand would take more
@@ -275,14 +268,8 @@ def gcd(a, b, depth: int, rational: bool, divide):
     for _ in range(3):
         pa, pb = _pack(ia, ia[-1][0] + 1, s), _pack(ib, ib[-1][0] + 1, s)
         gamma = math.gcd(pa, pb)
-        if gamma >> (8 * s - 1) == 0:
-            if common == 1:
-                return _constant(Fraction(1) if rational else 1, depth), a, b
-            return (
-                _constant(common, depth),
-                _scale_down(a, depth, common),
-                _scale_down(b, depth, common),
-            )
+        if common == 1 and gamma >> (8 * s - 1) == 0:
+            return _constant(Fraction(1) if rational else 1, depth), a, b
         flat = _unpack(gamma, n, s)
         if flat is not None:
             c = math.gcd(*flat)

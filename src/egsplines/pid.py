@@ -18,12 +18,13 @@ checks a basis against the key element.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
 from .graph import LabeledGraph, _raw_labels
-from .rings import RingDescriptor, RingElement, UnsupportedRingError, lcm_many
+from .rings import RingDescriptor, RingElement, UnsupportedRingError
 from .splines import Spline, SplineMatrix
 
 
@@ -205,7 +206,8 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
             f"got {ring}; over general GCD domains a free spline module "
             f"may have no flow-up basis at all"
         )
-    modulus = lcm_many([*g.vertex_labels, *(e.label for e in g.edges)], ring).value
+    vertex_labels, edge_labels = _raw_labels(g)
+    modulus = ring.canon(functools.reduce(ring.lcm, vertex_labels + edge_labels))
     H = _intersect_edges(g, modulus)
     _normalize(H, ring, modulus)
     return TriangularBasis(g, tuple(

@@ -102,7 +102,8 @@ class RingDescriptor:
     - add, sub, mul, neg, gcd and canon (the canonical associate);
     - lcm, the canonical least common multiple (0 when an operand is 0);
     - cofactors, on polynomial rings (None on ZZ and QQ): (g, a/g, b/g)
-      with g = gcd(a, b), canonical, and both quotients exact;
+      with g = gcd(a, b), canonical, and both quotients exact; on a
+      polynomial ring gcd(a, b) is cofactors(a, b)[0];
     - divide, the exact quotient, or None when there is none;
     - terms, the list of (exponents in variable order, scalar coefficient)
       pairs of the nonzero terms (_terms at this ring's depth);
@@ -125,12 +126,12 @@ class RingDescriptor:
     product (see the kronecker module).  That is exact, since every slot is
     wider than the largest possible product coefficient, and it is skipped
     when the dense box of exponents has more slots than the operands have
-    term pairs.  gcd first takes one integer gcd of the packed operands
-    (the heuristic gcd, kronecker.gcd) and keeps its candidate only after
-    dividing both operands by it; otherwise it runs the primitive
-    pseudo-remainder sequence.  cofactors keeps the quotients of those
-    check divisions, and lcm(a, b) is canon((a/g)*b) from them, so no lcm
-    divides again.  divide always runs long division.
+    term pairs.  cofactors, and so gcd, first takes one integer gcd of the
+    packed operands (the heuristic gcd, kronecker.gcd) and keeps its
+    candidate only after dividing both operands by it; otherwise it runs
+    the primitive pseudo-remainder sequence.  cofactors keeps the quotients
+    of those check divisions, and lcm(a, b) is canon((a/g)*b) from them, so
+    no lcm divides again.  divide always runs long division.
 
     pair_operations() gives gcd, lcm and a / gcd(a, b) for one
     computation that meets the same pairs again and again, over a cache
@@ -393,20 +394,22 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     A value is the tuple of its coefficients, lowest degree first, each a
     value of c, with no trailing zero.  Over a field c (QQ) the ring is
     Euclidean, and the content is the leading coefficient; over ZZ and
-    polynomial rings c it is the gcd of the coefficients.  gcd first tries
-    kronecker.gcd, the heuristic gcd on packed integers, which answers only
-    after divide shows that its candidate divides both operands.  When it
-    refuses, gcd runs the primitive pseudo-remainder sequence on every c:
-    each remainder is the primitive part of a pseudo-remainder, so over QQ
-    each Euclidean remainder is made monic.  The canonical associate is
-    graded-lex monic over a rational base, with a positive graded-lex
-    leading coefficient over an integer one.
+    polynomial rings c it is the gcd of the coefficients.  The canonical
+    associate is graded-lex monic over a rational base, with a positive
+    graded-lex leading coefficient over an integer one.
 
-    cofactors(a, b) is (g, a/g, b/g) with g the canonical gcd.
-    kronecker.gcd's check divisions give the quotients, times the unit
-    that makes its gcd canonical; equal operands and an operand 1 give
-    them at once, and only after the PRS are both operands divided by g.
-    lcm multiplies a/g by b and divides nothing.
+    cofactors(a, b) is (g, a/g, b/g) with g the canonical gcd, and the
+    ring's one gcd routine: gcd(a, b) is its first item, so contents, the
+    PRS and lcm all reach it.  A zero operand, equal operands and an
+    operand 1 give the answer at once.  Otherwise cofactors tries
+    kronecker.gcd, the heuristic gcd on packed integers, which answers only
+    after divide shows that its candidate divides both operands; its check
+    divisions give the quotients, times the unit that makes its gcd
+    canonical.  When it refuses, cofactors runs the primitive
+    pseudo-remainder sequence on every c (each remainder is the primitive
+    part of a pseudo-remainder, so over QQ each Euclidean remainder is made
+    monic) and divides both operands by g.  lcm multiplies a/g by b and
+    divides nothing.
 
     mul packs both operands into integers and makes one bignum product
     (kronecker.product) when they have enough term pairs for its fixed
@@ -560,16 +563,6 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
             f, g = g, primitive(pseudo_remainder(f, g))[1]
         return canon(scale(f, cgcd(ca, cb)))
 
-    def gcd(a, b):
-        if not a:
-            return canon(b)
-        if not b:
-            return canon(a)
-        found = kronecker.gcd(a, b, depth, rational, divide)
-        if found is not None:
-            return canon(found[0])
-        return prs(a, b)
-
     def cofactors(a, b):
         if a == one or b == one:
             return one, a, b
@@ -592,7 +585,8 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
     return {
         "add": add, "sub": sub, "mul": mul, "neg": neg, "divide": divide,
-        "gcd": gcd, "cofactors": cofactors, "canon": canon, "primitive": primitive,
+        "gcd": lambda a, b: cofactors(a, b)[0], "cofactors": cofactors,
+        "canon": canon, "primitive": primitive,
         "lcm": _least_common_multiple(cofactors, mul, canon, (), one),
         "divmod": long_division if field else None, "size": len if field else None,
     }

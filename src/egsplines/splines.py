@@ -31,19 +31,14 @@ coefficients, key elements).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from . import graph, rings
 from .graph import LabeledGraph
-from .rings import (
-    NotDivisibleError,
-    RingElement,
-    canonical_associate,
-    exact_div,
-)
+from .rings import NotDivisibleError, RingElement, canonical_associate
 
 
 class SplineError(Exception):
@@ -594,16 +589,17 @@ def coprime_witness_matrices(g: LabeledGraph) -> List[SplineMatrix]:
         raise CoprimalityError(
             f"labels {violation[0]} and {violation[1]} are not coprime"
         )
-    n = g.n
-    labels = list(g.vertex_labels) + [e.label for e in g.edges]
+    n, ring = g.n, g.ring
+    vertex_labels, edge_labels = graph._raw_labels(g)
+    labels = vertex_labels + edge_labels
     positions = [(i, i) for i in range(n)] + [e.endpoints() for e in g.edges]
-    key = qhat(g)
-    product = math.prod(labels, start=g.ring.one)
+    key, zero = qhat(g).value, ring.zero.value
+    product = functools.reduce(ring.mul, labels, ring.one.value)
     out: List[SplineMatrix] = []
     for label, (a, b) in zip(labels, positions):
-        lhat = exact_div(product, label)
-        columns = [[lhat if v == j else g.ring.zero for v in range(n)] for j in range(n)]
+        lhat = ring.divide(product, label)
+        columns = [[lhat if v == j else zero for v in range(n)] for j in range(n)]
         columns[a][b] = lhat
         columns[b][b] = key
-        out.append(SplineMatrix(g, [Spline(g, comp) for comp in columns]))
+        out.append(SplineMatrix(g, [Spline._raw(g, comp) for comp in columns]))
     return out

@@ -378,6 +378,58 @@ class TestErrors:
         assert code == 2
         assert "nested too deeply" in err
 
+    def test_edges_not_a_list_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "ring": {"kind": "integers"},
+                    "vertices": [{"name": "v1", "label": "2"}],
+                    "edges": {"u": "v1", "v": "v1", "label": "3"},
+                }
+            )
+        )
+        code, out, err = run(capsys, "qhat", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: 'edges' must be a list\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([["2", "6"]], "expected an object with a 'splines' list"),
+            ({"splines": "2, 6"}, "expected an object with a 'splines' list"),
+            ({"splines": []}, "no splines given"),
+        ],
+    )
+    def test_malformed_spline_file_exit_2(self, capsys, tmp_path, doc, message):
+        bad = tmp_path / "splines.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", data("p2.json"), "--splines", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "basis, target, message",
+        [
+            ([["2", "6"]], [["2", "6"]], "need exactly 2 basis splines, got 1"),
+            (
+                [["2", "6"], ["0", "12"]],
+                [["2", "6"], ["0", "12"]],
+                "the target file must contain exactly one spline",
+            ),
+        ],
+    )
+    def test_express_sizes_exit_2(self, capsys, tmp_path, basis, target, message):
+        basis_path, target_path = tmp_path / "basis.json", tmp_path / "target.json"
+        basis_path.write_text(json.dumps({"splines": basis}))
+        target_path.write_text(json.dumps({"splines": target}))
+        code, out, err = run(
+            capsys, "express", data("p2.json"),
+            "--splines", str(basis_path), "--target", str(target_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "qhat", "/nonexistent/instance.json")
         assert code == 2

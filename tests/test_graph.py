@@ -35,6 +35,14 @@ class TestValidate:
         g = LabeledGraph(ZZ, [zz(1), zxy("x")], [(0, 1, zz(2))])
         assert any("ring mismatch" in v for v in g.validate())
 
+    def test_edge_endpoint_out_of_range(self):
+        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2)), (0, 5, zz(3))])
+        assert g.validate() == ["edge 2: endpoint out of range"]
+
+    def test_edge_ring_mismatch(self):
+        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zxy("x"))])
+        assert g.validate() == ["edge 1: label ring mismatch"]
+
     def test_duplicate_names(self):
         g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a", "a"))
         assert any("unique" in v for v in g.validate())

@@ -547,6 +547,25 @@ class TestGcdLcm:
                 if not d.is_zero:
                     assert rings.divides(d, g)
 
+    @pytest.mark.parametrize("a", [zxy("-2*x^2*y+4*y-6"), qx("2*x^2-3/2*x+4")], ids=str)
+    def test_gcd_is_the_first_cofactor_and_pays_no_packed_gcd(self, a, monkeypatch):
+        # a polynomial ring's gcd reads cofactors, whose zero, one and
+        # equal-operand shortcuts answer these pairs without packing them
+        ring = a.descriptor
+        calls = _spy(monkeypatch, "gcd")
+        a, one, zero = a.value, ring.one.value, ring.zero.value
+        canon = ring.canon(a)
+        assert canon != a
+        for x, y, expected in [
+            (a, one, one), (one, a, one), (a, a, canon), (zero, a, canon), (a, zero, canon),
+        ]:
+            assert ring.gcd(x, y) == expected == ring.cofactors(x, y)[0]
+        assert calls == []
+        # a pair that needs a gcd packs it once, in cofactors
+        b = ring.mul(a, ring.add(a, one))
+        assert ring.gcd(a, b) == canon
+        assert len(calls) == 1
+
     def test_gcd_lcm_product_identity(self):
         rng = random.Random(5)
         for ring in (ZZ, ZX, QXY):

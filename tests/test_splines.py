@@ -140,10 +140,23 @@ class TestIsSpline:
         # the key element's fold and closure read the same unwrapped labels
         key_element(g)
         assert unwrapped == [3, 3, 2, 3, 3, 3]
+        # and so does the flow-up basis's modulus, the lcm of the labels
+        basis = flow_up_basis(g)
+        assert unwrapped == [3, 3, 2, 3, 3, 3]
+        assert [c.leading_term for c in basis.classes] == list(qhat_components(g))
         h = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(6)), (1, 2, zz(4))])
         unwrapped.clear()
         assert key_element(h).qhat == qhat(g)
         assert unwrapped == [3, 2]
+        # the witnesses of a coprime graph are built on raw values: its
+        # labels are unwrapped once and no column is unwrapped again
+        coprime = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))])
+        unwrapped.clear()
+        witnesses = coprime_witness_matrices(coprime)
+        assert unwrapped == [3, 2]
+        assert [[col.values for col in ms.columns] for ms in witnesses][3] == [
+            (330, 330, 0), (0, 2310, 0), (0, 0, 330),
+        ]
 
     def test_module_closure(self):
         rng = random.Random(31)
@@ -542,12 +555,14 @@ class TestBareissKernel:
                 rows = _random_matrix(rng, ring, n, singular=singular)
                 self._check_against_cofactors(rng, ring, rows, seen)
         assert min(seen.values()) >= 10, seen
-        # every path of the kernel: the full peel (an in-order triangle),
-        # the peel up to a regular or singular block and its elimination
-        # (an in-order block), elimination alone with row swaps (a
-        # shuffled triangle, odd or even), and a zero row
+        # every path of _bareiss: elimination without a row swap (an
+        # in-order triangle, which express_in_basis hands to _forward
+        # instead), elimination with row swaps (a shuffled triangle, odd
+        # or even), a singular block that ends in a pivot column with no
+        # nonzero entry or a zero last pivot (shuffled or in order), and a
+        # zero row
         shaped = {
-            "full_peel": 0,
+            "in_order_triangle": 0,
             "odd_shuffled_triangle": 0,
             "singular_block": 0,
             "in_order_singular_block": 0,
@@ -560,7 +575,7 @@ class TestBareissKernel:
                     singular = trial % 3 == 2
                     rows, odd = _shaped_matrix(rng, ring, n, shape, singular=singular)
                     det = self._check_against_cofactors(rng, ring, rows, seen)
-                    shaped["full_peel"] += shape == "triangular_in_order"
+                    shaped["in_order_triangle"] += shape == "triangular_in_order"
                     shaped["odd_shuffled_triangle"] += shape == "triangular" and odd
                     shaped["singular_block"] += shape == "block" and singular and det.is_zero
                     shaped["in_order_singular_block"] += (
