@@ -14,6 +14,8 @@ Spline-set file (the output of flowup --json is one):
   {"splines": [[EXPR, ...], ...]}    one component per vertex, vertex order
 EXPR is a string over integers, p/q (rational bases only), the ring's
 variables, + - * ^ (exponent a nonnegative integer) and parentheses.
+Each file parses each distinct EXPR text once, and its repeats share that
+element (a witness set repeats lhat in n-1 columns).
 Limits: a polynomial ring has at most 90 variables; parentheses and unary
 minus signs nest at most 100 levels deep; an integer literal has at most
 100,000 digits; a power a^k has at most 2^20 bits, estimated before it is
@@ -98,13 +100,14 @@ def load_instance(path: str) -> LabeledGraph:
         raise CliInputError(f"{path}: 'vertices' must be a nonempty list")
     if not isinstance(edges, list):
         raise CliInputError(f"{path}: 'edges' must be a list")
+    parse = _expression_parser(ring, path, "labels")
     names: List[str] = []
     labels: List[RingElement] = []
     for entry in vertices:
         if not isinstance(entry, dict) or "name" not in entry or "label" not in entry:
             raise CliInputError(f"{path}: each vertex needs 'name' and 'label'")
         names.append(str(entry["name"]))
-        labels.append(_parse_expr(entry["label"], ring, path))
+        labels.append(parse(entry["label"]))
     if len(set(names)) != len(names):
         raise CliInputError(f"{path}: vertex names must be unique")
     index = {name: i for i, name in enumerate(names)}
@@ -115,9 +118,7 @@ def load_instance(path: str) -> LabeledGraph:
         for endpoint in (entry["u"], entry["v"]):
             if not isinstance(endpoint, str) or endpoint not in index:
                 raise CliInputError(f"{path}: edge endpoint {endpoint!r} is not a declared vertex")
-        built.append(
-            (index[entry["u"]], index[entry["v"]], _parse_expr(entry["label"], ring, path))
-        )
+        built.append((index[entry["u"]], index[entry["v"]], parse(entry["label"])))
     graph = LabeledGraph(ring, labels, built, names)
     violations = graph.validate()
     if violations:
@@ -127,19 +128,31 @@ def load_instance(path: str) -> LabeledGraph:
     return graph
 
 
-def _parse_expr(text, ring: RingDescriptor, path: str) -> RingElement:
-    if not isinstance(text, str):
-        raise CliInputError(f"{path}: labels must be expression strings")
-    try:
-        return rings.parse_element(text, ring)
-    except ParseError as exc:
-        raise CliInputError(f"{path}: bad expression {text!r}: {exc}")
+def _expression_parser(ring: RingDescriptor, path: str, what: str):
+    """The parser of one file's expressions, what naming them in errors.
+    Elements are immutable, so a text met again returns the element parsed
+    the first time; the table lives only as long as the returned function."""
+    parsed = {}
+
+    def parse(text) -> RingElement:
+        if not isinstance(text, str):
+            raise CliInputError(f"{path}: {what} must be expression strings")
+        element = parsed.get(text)
+        if element is None:
+            try:
+                element = parsed[text] = rings.parse_element(text, ring)
+            except ParseError as exc:
+                raise CliInputError(f"{path}: bad expression {text!r}: {exc}")
+        return element
+
+    return parse
 
 
 def load_spline_set(path: str, g: LabeledGraph) -> List[Spline]:
     doc = _load_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("splines"), list):
         raise CliInputError(f"{path}: expected an object with a 'splines' list")
+    parse = _expression_parser(g.ring, path, "spline components")
     out = []
     for row in doc["splines"]:
         if not isinstance(row, list) or len(row) != g.n:
@@ -147,7 +160,7 @@ def load_spline_set(path: str, g: LabeledGraph) -> List[Spline]:
                 f"{path}: each spline needs exactly {g.n} components "
                 f"(one per vertex, in vertex order)"
             )
-        out.append(Spline(g, [_parse_expr(text, g.ring, path) for text in row]))
+        out.append(Spline(g, [parse(text) for text in row]))
     if not out:
         raise CliInputError(f"{path}: no splines given")
     return out

@@ -228,7 +228,9 @@ def gcd(a, b, depth: int, rational: bool, divide):
     over ZZ, takes the check divisions like any other candidate.  A
     failed check retries with wider slots, at most twice.  Pairs whose
     images share a factor that they do not, such as x - y and x^2 - y
-    (both images are multiples of t), always fail the check.
+    (both images are multiples of t), always fail the check, and a wider
+    slot most often reads back the same candidate: a candidate equal to
+    the previous one would fail the same check, so it returns None at once.
 
     The box is refused, before anything is packed, when it has more slots
     than the operands have term pairs and a packed operand would take more
@@ -265,6 +267,7 @@ def gcd(a, b, depth: int, rational: bool, divide):
         c = c if p > 0 else -c
         return _constant(Fraction(c, d) if rational else c // d, depth)
 
+    previous = None
     for _ in range(3):
         pa, pb = _pack(ia, ia[-1][0] + 1, s), _pack(ib, ib[-1][0] + 1, s)
         gamma = math.gcd(pa, pb)
@@ -277,6 +280,9 @@ def gcd(a, b, depth: int, rational: bool, divide):
                 flat = [Fraction(x // c) if x else 0 for x in flat]
             else:
                 flat = [x // c * common for x in flat]
+            if flat == previous:
+                return None
+            previous = flat
             h = _rebuild(flat, dims)
             qa = cofactor(a, pa, ca, da)
             qb = None if qa is None else cofactor(b, pb, cb, db)

@@ -301,11 +301,6 @@ def _const_value(c, depth: int):
     return v
 
 
-def _graded_lex(term):
-    exps = term[0]
-    return sum(exps), exps
-
-
 def _terms(value, depth: int) -> list:
     """The (exponents in variable order, scalar coefficient) pairs of the
     nonzero terms of a raw value with depth variables, by outer exponent
@@ -314,6 +309,27 @@ def _terms(value, depth: int) -> list:
     for _ in range(depth):
         items = [((i,) + exps, x) for exps, v in items for i, x in enumerate(v) if x]
     return items
+
+
+def _lead(value, depth: int) -> tuple:
+    """(total degree, exponents in variable order, scalar coefficient) of
+    the graded-lex leading term of a nonzero raw value with depth > 0
+    variables.  value[i] is the coefficient of the last variable's i-th
+    power, so its own leading term, shifted by i in total degree and with
+    i appended to its exponents, is the best of that coefficient's terms;
+    each nested tuple is visited once."""
+    if depth == 1:
+        top = len(value) - 1
+        return top, (top,), value[top]
+    best = None
+    for i, x in enumerate(value):
+        if x:
+            t, e, c = _lead(x, depth - 1)
+            term = (t + i, e + (i,), c)
+            # two terms never tie on (degree, exponents), so c is never compared
+            if best is None or term > best:
+                best = term
+    return best
 
 
 def _zz_divide(a, b):
@@ -503,7 +519,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         def normal(a):
             """(canon(a), u) with a = u * canon(a), for nonzero a: monic in
             graded-lex order, and u the leading coefficient."""
-            lead = max(_terms(a, depth), key=_graded_lex)[1]
+            lead = _lead(a, depth)[2]
             if lead == 1:
                 return a, lead
             return scale(a, _const_value(Fraction(1, 1) / lead, c.depth)), lead
@@ -513,7 +529,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         def normal(a):
             """(canon(a), u) with a = u * canon(a), for nonzero a: a positive
             graded-lex leading coefficient, and u its sign."""
-            if max(_terms(a, depth), key=_graded_lex)[1] < 0:
+            if _lead(a, depth)[2] < 0:
                 return neg(a), -1
             return a, 1
 
@@ -919,6 +935,8 @@ _MAX_POWER_BITS = 1 << 20
 # Decimal conversions go through pieces of at most this many digits, below
 # the interpreter's default limit of 4300 on int <-> str conversion.
 _DIGIT_CHUNK = 4000
+# Nonnegative ints below this (machine words) are printed by str directly.
+_WORD = 1 << 63
 
 
 def _int_from_digits(digits: str) -> int:
@@ -1148,26 +1166,24 @@ def format_element(a: RingElement) -> str:
     Terms appear in descending graded-lex order on the variable list.
     """
     d = a.descriptor
-    terms = sorted(d.terms(a.value), key=_graded_lex, reverse=True)
+    # the exponents differ between terms, so coefficients are never compared
+    terms = sorted(
+        ((sum(exps), exps, c) for exps, c in d.terms(a.value)), reverse=True
+    )
     if not terms:
         return "0"
     parts = []
-    for exps, c in terms:
-        factors = []
-        for name, e in zip(d.variables, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body: str
-        if not factors:
-            body = _format_scalar(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_format_scalar(abs(c))] + factors)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts)
+    for _, exps, c in terms:
+        negative = c < 0
+        m = -c if negative else c
+        factors = [
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(d.variables, exps)
+            if e
+        ]
+        if m != 1 or not factors:
+            scalar = str(m) if type(m) is int and m < _WORD else _format_scalar(m)
+            factors.insert(0, scalar)
+        parts.append(("-" if negative else "+") + "*".join(factors))
+    text = "".join(parts)
+    return text[1:] if text[0] == "+" else text

@@ -76,6 +76,31 @@ class TestCertify:
         doc = json.loads(out)
         assert doc["verdict"] == "certified" and doc["unit"] == "2"
 
+    def test_each_distinct_text_parsed_once_per_file(self, capsys, monkeypatch):
+        # t4_basis_b repeats "0", "-x*y^2-y^3" and "x^2*y+x*y^2"; "x*y" is in
+        # both files, so it is parsed once for each
+        from collections import Counter
+
+        from egsplines import rings
+
+        parsed, parse = Counter(), rings.parse_element
+        monkeypatch.setattr(
+            rings, "parse_element", lambda text, ring: parsed.update([text]) or parse(text, ring)
+        )
+        instance, basis = data("t4.json"), data("t4_basis_b.json")
+        with open(instance, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        labels = {entry["label"] for entry in doc["vertices"] + doc["edges"]}
+        with open(basis, encoding="utf-8") as handle:
+            texts = [text for row in json.load(handle)["splines"] for text in row]
+        expected = Counter(labels) + Counter(set(texts))
+        assert len(texts) > len(set(texts))
+        first = run(capsys, "certify", instance, "--splines", basis)
+        assert first[0] == 0 and parsed == expected
+        # nothing is kept between calls: a second call parses again
+        assert run(capsys, "certify", instance, "--splines", basis) == first
+        assert parsed == expected + expected
+
     def test_dimension_mismatch_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps({"splines": [["2", "6"]]}))
@@ -429,6 +454,37 @@ class TestErrors:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("vertex", "labels must be expression strings"),
+            ("edge", "labels must be expression strings"),
+            ("spline", "spline components must be expression strings"),
+        ],
+    )
+    def test_non_string_expression_exit_2(self, capsys, tmp_path, where, message):
+        instance = {
+            "ring": {"kind": "integers"},
+            "vertices": [{"name": "v1", "label": "2"}, {"name": "v2", "label": "3"}],
+            "edges": [{"u": "v1", "v": "v2", "label": "5"}],
+        }
+        columns = [["2", "0"], ["0", "3"]]
+        if where == "vertex":
+            instance["vertices"][1]["label"] = 3
+        elif where == "edge":
+            instance["edges"][0]["label"] = ["5"]
+        else:
+            columns[1][1] = 3
+        instance_path, splines_path = tmp_path / "instance.json", tmp_path / "splines.json"
+        instance_path.write_text(json.dumps(instance))
+        splines_path.write_text(json.dumps({"splines": columns}))
+        code, out, err = run(
+            capsys, "certify", str(instance_path), "--splines", str(splines_path)
+        )
+        bad = splines_path if where == "spline" else instance_path
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {message}\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "qhat", "/nonexistent/instance.json")

@@ -497,6 +497,114 @@ class TestTerms:
         assert QQ.terms(Fraction(1, 2)) == [((), Fraction(1, 2))] and QQ.terms(Fraction(0)) == []
 
 
+def _graded_lex_key(term):
+    return sum(term[0]), term[0]
+
+
+class TestLeadingTerm:
+    def test_canon_matches_the_term_list_definition(self):
+        # canon(a) is a over its graded-lex leading coefficient over a
+        # rational base and over that coefficient's sign over an integer
+        # one, the leading term being the largest (total degree, exponents)
+        # in the list of all terms
+        rng = random.Random(67)
+        zxyz, qxyz = polynomial_ring("x", "y", "z"), polynomial_ring("x", "y", "z", base=QQ)
+        for ring in (ZX, QX, ZXY, QXY, zxyz, qxyz):
+            negative = fractional = 0
+            for _ in range(80):
+                value = _random_value(rng, ring, 4, rng.choice([0.3, 0.7, 1.0]))
+                if not value:
+                    continue
+                terms = _literal_terms(value, ring.depth)
+                exps, lead = max(terms, key=_graded_lex_key)
+                assert rings._lead(value, ring.depth) == (sum(exps), exps, lead)
+                if ring.rational_coefficients:
+                    expected = [(e, c / lead) for e, c in terms]
+                    fractional += lead.denominator != 1
+                else:
+                    expected = [(e, c if lead > 0 else -c) for e, c in terms]
+                negative += lead < 0
+                assert ring.terms(ring.canon(value)) == expected
+            assert negative >= 10
+            assert fractional >= 10 or not ring.rational_coefficients
+
+
+def _decimal(n):
+    """Decimal text of an int in 1000-digit pieces, clear of the
+    interpreter's limit on int to str conversion."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    pieces = []
+    while n >= 10**1000:
+        n, low = divmod(n, 10**1000)
+        pieces.append(str(low).zfill(1000))
+    return str(n) + "".join(reversed(pieces))
+
+
+def _format_by_term_sort(a):
+    """format_element by its earlier algorithm: every term, sorted by the
+    graded-lex key, each coefficient printed from its absolute value."""
+    d = a.descriptor
+    terms = sorted(d.terms(a.value), key=_graded_lex_key, reverse=True)
+    if not terms:
+        return "0"
+
+    def scalar(c):
+        c = Fraction(c)
+        if c.denominator == 1:
+            return _decimal(c.numerator)
+        return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+    parts = []
+    for exps, c in terms:
+        factors = []
+        for name, e in zip(d.variables, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            body = scalar(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([scalar(abs(c))] + factors)
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("-" if c < 0 else "+") + body)
+    return "".join(parts)
+
+
+class TestFormatReference:
+    def test_matches_the_term_sort(self):
+        rng = random.Random(71)
+        zxyz, qxyz = polynomial_ring("x", "y", "z"), polynomial_ring("x", "y", "z", base=QQ)
+        long_int = "1" + "0" * 4399 + "7"
+        texts = [
+            "0", "1", "-1", "7", "-7", "3/2", "-1/3", long_int, "-" + long_int,
+            "x", "-x", "x-1", "-x^2*y+1", "y^2+x*y+x^2+y+x+1", "-1/2*x*y+2/3",
+            f"{long_int}*x*y-{long_int}", f"x-{long_int}/3*y^2",
+        ]
+        elements = []
+        for ring in (ZZ, QQ, ZX, QX, ZXY, QXY, zxyz, qxyz):
+            for text in texts:
+                if ("y" in text and ring.depth < 2) or ("x" in text and not ring.depth):
+                    continue
+                if "/" in text and not ring.rational_coefficients:
+                    continue
+                elements.append(parse_element(text, ring))
+            if ring.depth:
+                for _ in range(60):
+                    value = _random_value(rng, ring, 4, rng.choice([0.3, 0.7, 1.0]))
+                    elements.append(rings.RingElement(ring, value))
+        for element in elements:
+            text = format_element(element)
+            assert text == _format_by_term_sort(element)
+            assert parse_element(text, element.descriptor) == element
+        assert any(len(format_element(e)) > 4400 for e in elements)
+
+
 class TestGcdLcm:
     def test_integer_examples(self):
         assert gcd(zz(12), zz(18)) == zz(6)

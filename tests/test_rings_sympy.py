@@ -487,9 +487,10 @@ def test_power_of_a_trinomial_is_fast():
 # (ring, a, b, integer gcds that kronecker.gcd takes, whether it answers)
 PACKED_GCD_CASES = [
     # with x -> t and y -> t^2 the images share a factor that the operands
-    # do not, t for the first pair and t - 1 for the second: refused
-    ("ZZ[x,y]", X - Y, X**2 - Y, 3, False),
-    ("ZZ[x,y]", X * Y - 1, X - Y, 3, False),
+    # do not, t for the first pair and t - 1 for the second: the second
+    # slot width reads back the first candidate, so refused after 2
+    ("ZZ[x,y]", X - Y, X**2 - Y, 2, False),
+    ("ZZ[x,y]", X * Y - 1, X - Y, 2, False),
     # gcd 13x+4: xi = 2^8 gives x^2+17x+84, xi = 2^16 gives 3*(13x+4)
     ("ZZ[x]", -26 * X**3 - 47 * X**2 + 14 * X + 8, 13 * X**3 + 30 * X**2 - 31 * X - 12, 2, True),
     # integer contents 3*2^100 and 5*2^90
@@ -525,6 +526,25 @@ def test_packed_gcd_case_cofactors(case, prs):
     with prs_only() if prs else contextlib.nullcontext():
         check_cofactors(a, b, pa, pb)
         check_cofactors(b, a, pb, pa)
+
+
+def test_repeated_candidate_takes_one_check_division():
+    # the images of 3x+y-4 and x+3y-4 share a factor that the operands do
+    # not, and every slot width reads back the same candidate: after its
+    # one failed check the pair goes to the PRS (three checks before)
+    ring, gens, domain, _ = PACKED["ZZ[x,y]"]
+    pa, pb = (sympy.Poly(e, *gens, domain=domain) for e in (3 * X + Y - 4, X + 3 * Y - 4))
+    a, b = (parse_element(text(sympy_terms(p), ring), ring) for p in (pa, pb))
+    divisions = []
+
+    def divide(x, y):
+        divisions.append(y)
+        return ring.divide(x, y)
+
+    assert kronecker.gcd(a.value, b.value, ring.depth, False, divide) is None
+    assert len(divisions) == 1
+    check_cofactors(a, b, pa, pb)
+    check_cofactors(b, a, pb, pa)
 
 
 def test_packed_gcd_refuses_a_sparse_box(monkeypatch):
