@@ -32,15 +32,18 @@ from typing import Optional
 # Fewest term pairs, counted with interior zeros, for which a product is
 # packed, keyed by (rational base, more than one variable).  The packed
 # path costs about 20 us even on tiny operands.  Dense random operands
-# with coefficients up to 50 (over QQ, a third of them with denominator 2
-# or 3), 2-core x86-64, CPython 3.11, schoolbook against packed: ZZ[x]
-# 9x9 terms 20 against 29 us, 12x12 33 against 30 us; ZZ[x,y] 4x4 22
-# against 31 us, 9x9 63 against 42 us; QQ[x] 2x2 24 against 28 us, 3x3 52
-# against 37 us (every rational schoolbook step takes a gcd).  In several
-# variables the count with interior zeros overstates small operands:
-# (x+1/2*y)*(x*y-3) counts 9 pairs for 4 and takes 45 us by schoolbook
-# against 57 us packed.
-MIN_PAIRS = {(False, False): 128, (False, True): 36, (True, False): 9, (True, True): 16}
+# with coefficients up to 50, 2-core x86-64, CPython 3.11, schoolbook
+# against packed: ZZ[x] 9x9 terms 20 against 29 us, 12x12 33 against
+# 30 us; ZZ[x,y] 4x4 22 against 31 us, 9x9 63 against 42 us.  Over QQ an
+# integral coefficient is an int, so a rational schoolbook step takes a
+# gcd only on a true fraction; all coefficients integral, or a third of
+# them with denominator 2 or 3: QQ[x] 3x3 7 against 28 us, or 23 against
+# 33 us; 4x4 10 against 29 us, or 45 against 38 us; 6x6 20 against 34 us,
+# or 103 against 49 us.  QQ[x,y] with 2x2 boxes (16 pairs) 28 against
+# 41 us, or 66 against 52 us; 2x3 boxes (36 pairs) 59 against 47 us, or
+# 143 against 66 us.  In several variables the count with interior zeros
+# overstates small operands: (x+1/2*y)*(x*y-3) counts 9 pairs for 4.
+MIN_PAIRS = {(False, False): 128, (False, True): 36, (True, False): 16, (True, True): 16}
 # Most bytes of a packed gcd operand whose box has more slots than the
 # operands have term pairs.  Sparse pairs, packed gcd against the PRS,
 # 2-core x86-64, CPython 3.11: x^k against y^k+1 over ZZ[x,y] (1-byte
@@ -150,8 +153,9 @@ def _flatten(a, b, depth: int, cap: int, slots):
 
 
 def _integral(items: list):
-    """Rational (slot, coefficient) pairs scaled by the lcm of their
-    denominators, as ints, and that lcm."""
+    """Rational (slot, coefficient) pairs, each coefficient an int or a
+    Fraction, scaled by the lcm of their denominators, as ints, and that
+    lcm (1 when every coefficient is an int)."""
     den = math.lcm(*[x.denominator for _, x in items])
     return [(k, x.numerator * (den // x.denominator)) for k, x in items], den
 
@@ -166,8 +170,11 @@ def product(a, b, depth: int, rational: bool, most_pairs: int):
     levels stops as soon as the box outgrows it.
 
     Over a rational base each operand is scaled by the lcm of its
-    denominators first.  A product coefficient sums at most min(#terms)
-    products of one coefficient of each operand, which sizes the slots.
+    denominators first, and each slot read back is divided by the product
+    of the two lcms: an int where that division is exact, else a Fraction,
+    so operands with integral coefficients give ints throughout.  A
+    product coefficient sums at most min(#terms) products of one
+    coefficient of each operand, which sizes the slots.
     """
     # slots per level: the product's degree in that variable, plus one
     box = _flatten(a, b, depth, most_pairs, lambda la, lb: la + lb - 1)
@@ -181,10 +188,17 @@ def product(a, b, depth: int, rational: bool, most_pairs: int):
     bound = max(abs(x) for _, x in ia) * max(abs(x) for _, x in ib) * min(len(ia), len(ib))
     s = _slot_width(bound)
     flat = _unpack(_pack(ia, ia[-1][0] + 1, s) * _pack(ib, ib[-1][0] + 1, s), n, s)
-    if rational:
-        den = da * db
-        flat = [Fraction(x, den) if x else 0 for x in flat]
+    den = da * db if rational else 1
+    if den > 1:
+        flat = [quotient(x, den) for x in flat]
     return _rebuild(flat, dims)
+
+
+def quotient(x: int, d: int):
+    """x / d for ints x and d != 0: an int when d divides x, else a
+    Fraction, the form of a rational scalar."""
+    q, r = divmod(x, d)
+    return Fraction(x, d) if r else q
 
 
 def _constant(c, depth: int):
@@ -217,15 +231,17 @@ def gcd(a, b, depth: int, rational: bool, divide):
     divide, the ring's exact division, then K(h) divides K(A) and K(B), so
     the theorem makes K(h) their gcd in Z[t] up to sign.  The primitive
     gcd G of A and B has K(G) dividing K(h), and h divides G, so h = +-G.
-    Over ZZ, h is returned times the gcd of the two contents.
+    Over ZZ, h is returned times the gcd of the two contents.  On either
+    base h has int coefficients.
 
     When gamma is an operand's image P = K(A), h is sign(P) A times that
     common content over ZZ, so the operand needs no check and its
     cofactor is the constant sign(P) c / common, or sign(P) c / d over a
-    rational base.  A constant gamma (below 2^(8s-1)) with common content
-    1, always the case over a rational base, gives h = 1, whose cofactors
-    are a and b with no check; a constant h above 1, the common content
-    over ZZ, takes the check divisions like any other candidate.  A
+    rational base: an int where the division is exact, else a Fraction.
+    A constant gamma (below 2^(8s-1)) with common content 1, always the
+    case over a rational base, gives h = 1, whose cofactors are a and b
+    with no check; a constant h above 1, the common content over ZZ,
+    takes the check divisions like any other candidate.  A
     failed check retries with wider slots, at most twice.  Pairs whose
     images share a factor that they do not, such as x - y and x^2 - y
     (both images are multiples of t), always fail the check, and a wider
@@ -265,21 +281,18 @@ def gcd(a, b, depth: int, rational: bool, divide):
         if gamma != abs(p):
             return divide(x, h)
         c = c if p > 0 else -c
-        return _constant(Fraction(c, d) if rational else c // d, depth)
+        return _constant(quotient(c, d), depth)
 
     previous = None
     for _ in range(3):
         pa, pb = _pack(ia, ia[-1][0] + 1, s), _pack(ib, ib[-1][0] + 1, s)
         gamma = math.gcd(pa, pb)
         if common == 1 and gamma >> (8 * s - 1) == 0:
-            return _constant(Fraction(1) if rational else 1, depth), a, b
+            return _constant(1, depth), a, b
         flat = _unpack(gamma, n, s)
         if flat is not None:
             c = math.gcd(*flat)
-            if rational:
-                flat = [Fraction(x // c) if x else 0 for x in flat]
-            else:
-                flat = [x // c * common for x in flat]
+            flat = [x // c * common for x in flat]
             if flat == previous:
                 return None
             previous = flat

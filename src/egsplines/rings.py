@@ -4,18 +4,22 @@ Supported rings: the integers, the rationals, and polynomial rings in named
 variables with integer or rational coefficients.  A RingElement pairs its
 ring's descriptor with a raw value:
 
-- an int over ZZ, a Fraction over QQ (zero may be the int 0);
+- an int over ZZ; over QQ an int when the rational is integral and a
+  Fraction only when its denominator is above 1;
 - over R[v1,...,vk], the tuple of coefficients of a polynomial in vk, lowest
   degree first, each a value of R[v1,...,v_{k-1}] (of R when k = 1), with
   no trailing zero; the zero polynomial is ().
 
 All values are canonical (no trailing zero coefficients, rationals in lowest
-terms) and immutable, so equality is structural and every operation is a
-pure function.  There is one RingDescriptor object per ring: constructing a
-ring again returns the same object, and rings are compared with ``is``.
-Each ring's operations on raw values are fixed when it is constructed, as
-attributes of its descriptor built from those of its coefficient ring, so
-no operation decides at call time which ring it is working in.
+terms, integral rationals as ints) and immutable, so equality is structural
+and every operation is a pure function.  Python compares and hashes an int
+and a Fraction of equal value alike, so a value written with integral
+Fractions still equals, and hashes as, its canonical form.  There is one
+RingDescriptor object per ring: constructing a ring again returns the same
+object, and rings are compared with ``is``.  Each ring's operations on raw
+values are fixed when it is constructed, as attributes of its descriptor
+built from those of its coefficient ring, so no operation decides at call
+time which ring it is working in.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import kronecker
-from .kronecker import strip as _strip
+from .kronecker import quotient as _quotient, strip as _strip
 
 
 class RingError(Exception):
@@ -117,10 +121,16 @@ class RingDescriptor:
     that a loop can run on the operations above and wrap only its results.
     A polynomial ring has at most 90 variables (_MAX_VARIABLES).
 
-    ZZ and QQ use Python's own int and Fraction arithmetic.  A polynomial
-    ring binds one set of univariate routines to the operations of its
-    coefficient ring, ``coefficients``, so ZZ[x,y]'s mul runs ZZ[x]'s mul on
-    its coefficients, and that runs int multiplication.  Products with
+    ZZ uses Python's int arithmetic.  QQ uses int and Fraction arithmetic,
+    and its add, sub, mul and divide return an int whenever the result is
+    integral, so a scalar of QQ, or a coefficient of a polynomial over QQ,
+    is a Fraction only when its denominator is above 1; gcd, lcm and canon
+    return the int 1 (0 on zero).  Rational values with integral
+    coefficients, such as products of x - a for integers a, thus run on
+    int arithmetic throughout.  A polynomial ring binds one set of
+    univariate routines to the operations of its coefficient ring,
+    ``coefficients``, so ZZ[x,y]'s mul runs ZZ[x]'s mul on its
+    coefficients, and that runs int multiplication.  Products with
     enough term pairs to pay a fixed cost of about 20 us instead pack both
     operands into integers by Kronecker substitution and make one bignum
     product (see the kronecker module).  That is exact, since every slot is
@@ -180,7 +190,7 @@ class RingDescriptor:
             coefficients = RingDescriptor(base)
         table = _polynomial_operations(coefficients) if depth else _SCALAR_OPERATIONS[kind]
         zero = _zero_value(depth)
-        one = _const_value(Fraction(1) if rational else 1, depth)
+        one = _const_value(1, depth)
         facts = {
             "kind": kind,
             "variables": variables,
@@ -254,16 +264,14 @@ class RingDescriptor:
         return self.coefficients
 
     def from_int(self, k: int) -> "RingElement":
-        c = Fraction(k) if self.rational_coefficients else int(k)
-        return RingElement(self, _const_value(c, self.depth))
+        return RingElement(self, _const_value(int(k), self.depth))
 
     def variable(self, name: str) -> "RingElement":
         if name not in self.variables:
             raise UnsupportedRingError(f"no variable {name!r} in {self}")
         pos = self.variables.index(name)
-        one = Fraction(1) if self.rational_coefficients else 1
         # X^1 at nesting level pos, wrapped as a degree-0 coefficient above it
-        value = (_zero_value(pos), _const_value(one, pos))
+        value = (_zero_value(pos), _const_value(1, pos))
         for _ in range(pos + 1, self.depth):
             value = (value,)
         return RingElement(self, value)
@@ -342,23 +350,45 @@ def _zz_divmod(a, b):
     return (a - r) // b, r
 
 
-_SCALAR_COMMON = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-    "neg": operator.neg, "primitive": None,
-}
+def _qq(c):
+    """The rational c as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _qq_add(a, b):
+    return _qq(a + b)
+
+
+def _qq_sub(a, b):
+    return _qq(a - b)
+
+
+def _qq_mul(a, b):
+    return _qq(a * b)
+
+
+def _qq_divide(a, b):
+    """a / b for nonzero b: an int when it is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        return _quotient(a, b)
+    return _qq(a / b)
+
+
 _SCALAR_OPERATIONS = {
     "integers": dict(
-        _SCALAR_COMMON, divide=_zz_divide, gcd=math.gcd, lcm=math.lcm,
-        cofactors=None, canon=abs, divmod=_zz_divmod, size=abs,
+        add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
+        divide=_zz_divide, gcd=math.gcd, lcm=math.lcm, cofactors=None,
+        canon=abs, primitive=None, divmod=_zz_divmod, size=abs,
     ),
     "rationals": dict(
-        _SCALAR_COMMON,
-        divide=lambda a, b: Fraction(a) / b,
-        gcd=lambda a, b: Fraction(1) if a or b else 0,
-        lcm=lambda a, b: Fraction(1) if a and b else 0,
+        add=_qq_add, sub=_qq_sub, mul=_qq_mul, neg=operator.neg,
+        divide=_qq_divide,
+        gcd=lambda a, b: 1 if a or b else 0,
+        lcm=lambda a, b: 1 if a and b else 0,
         cofactors=None,
-        canon=lambda a: Fraction(1) if a else a,
-        divmod=lambda a, b: (Fraction(a) / b, 0),
+        canon=lambda a: 1 if a else 0,
+        primitive=None,
+        divmod=lambda a, b: (_qq_divide(a, b), 0),
         size=lambda a: 0,
     ),
 }
@@ -522,7 +552,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
             lead = _lead(a, depth)[2]
             if lead == 1:
                 return a, lead
-            return scale(a, _const_value(Fraction(1, 1) / lead, c.depth)), lead
+            return scale(a, _const_value(_qq_divide(1, lead), c.depth)), lead
 
     else:
 
@@ -1135,10 +1165,8 @@ class _Parser:
             denominator = self.integer(denom)
             if denominator == 0:
                 raise ParseError("zero denominator", denom[2])
-            frac = Fraction(numerator, denominator)
-            return RingElement(
-                self.ring, _const_value(frac, self.ring.depth)
-            )
+            c = _qq_divide(numerator, denominator)
+            return RingElement(self.ring, _const_value(c, self.ring.depth))
         return self.ring.from_int(numerator)
 
 

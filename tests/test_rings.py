@@ -98,7 +98,10 @@ class TestDescriptor:
         assert ZZ.one is ZZ.one
 
     def test_operations_fixed_at_construction(self):
-        assert (ZZ.add, ZZ.mul, ZZ.gcd, QQ.mul) == (operator.add, operator.mul, math.gcd, operator.mul)
+        assert (ZZ.add, ZZ.mul, ZZ.gcd, QQ.mul) == (operator.add, operator.mul, math.gcd, rings._qq_mul)
+        # a whole rational is an int, a true fraction a Fraction
+        assert type(QQ.mul(Fraction(2, 3), 3)) is int and QQ.mul(Fraction(2, 3), 3) == 2
+        assert type(QQ.mul(Fraction(2, 3), 2)) is Fraction
         assert ZXY.coefficients is ZX and ZX.coefficients is ZZ and ZZ.coefficients is None
         for ring in (ZZ, QQ, QX):
             assert ring.is_pid and callable(ring.divmod) and callable(ring.size)
@@ -367,10 +370,10 @@ def _random_value(rng, ring, degree, density):
 
 
 def _is_canonical(value, depth):
-    """No trailing zero at any level, and zero coefficients of polynomial
-    coefficients written as ()."""
+    """No trailing zero at any level, zero coefficients of polynomial
+    coefficients written as (), and integral scalars written as ints."""
     if depth == 0:
-        return True
+        return not isinstance(value, Fraction) or value.denominator > 1
     return (
         isinstance(value, tuple)
         and (not value or bool(value[-1]))
