@@ -201,8 +201,11 @@ def quotient(x: int, d: int):
     return Fraction(x, d) if r else q
 
 
-def _constant(c, depth: int):
-    """The value with depth variables of the nonzero constant c."""
+def constant(c, depth: int):
+    """The value with depth variables of the constant c: () or 0 for zero,
+    else c nested in depth one-coefficient tuples."""
+    if not c:
+        return () if depth else 0
     for _ in range(depth):
         c = (c,)
     return c
@@ -281,14 +284,14 @@ def gcd(a, b, depth: int, rational: bool, divide):
         if gamma != abs(p):
             return divide(x, h)
         c = c if p > 0 else -c
-        return _constant(quotient(c, d), depth)
+        return constant(quotient(c, d), depth)
 
     previous = None
     for _ in range(3):
         pa, pb = _pack(ia, ia[-1][0] + 1, s), _pack(ib, ib[-1][0] + 1, s)
         gamma = math.gcd(pa, pb)
         if common == 1 and gamma >> (8 * s - 1) == 0:
-            return _constant(1, depth), a, b
+            return constant(1, depth), a, b
         flat = _unpack(gamma, n, s)
         if flat is not None:
             c = math.gcd(*flat)

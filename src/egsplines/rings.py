@@ -20,6 +20,11 @@ object, and rings are compared with ``is``.  Each ring's operations on raw
 values are fixed when it is constructed, as attributes of its descriptor
 built from those of its coefficient ring, so no operation decides at call
 time which ring it is working in.
+
+Text becomes an element through parse_element, which evaluates the
+expression on raw values by those operations and wraps only its result.
+Its tokens come from one regular expression, whose name part is the
+pattern that every variable name of a ring must match.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import kronecker
-from .kronecker import quotient as _quotient, strip as _strip
+from .kronecker import constant as _constant, quotient as _quotient, strip as _strip
 
 
 class RingError(Exception):
@@ -71,17 +77,10 @@ class IncompatibleCongruencesError(RingError):
         self.j = j
 
 
-_DIGITS = set("0123456789")
-_IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_REST = _IDENT_FIRST | _DIGITS | {"_"}
-
-
-def _is_identifier(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0] in _IDENT_FIRST
-        and all(ch in _IDENT_REST for ch in name[1:])
-    )
+# A variable name: an ASCII letter, then ASCII letters, digits and "_".
+# The parser's name token is the same pattern.
+_NAME = "[A-Za-z][A-Za-z0-9_]*"
+_is_identifier = re.compile(_NAME).fullmatch
 
 
 # Most variables of a polynomial ring.  Its operations recurse once per
@@ -189,8 +188,8 @@ class RingDescriptor:
         elif depth:
             coefficients = RingDescriptor(base)
         table = _polynomial_operations(coefficients) if depth else _SCALAR_OPERATIONS[kind]
-        zero = _zero_value(depth)
-        one = _const_value(1, depth)
+        zero = _constant(0, depth)
+        one = _constant(1, depth)
         facts = {
             "kind": kind,
             "variables": variables,
@@ -264,17 +263,12 @@ class RingDescriptor:
         return self.coefficients
 
     def from_int(self, k: int) -> "RingElement":
-        return RingElement(self, _const_value(int(k), self.depth))
+        return RingElement(self, _constant(int(k), self.depth))
 
     def variable(self, name: str) -> "RingElement":
         if name not in self.variables:
             raise UnsupportedRingError(f"no variable {name!r} in {self}")
-        pos = self.variables.index(name)
-        # X^1 at nesting level pos, wrapped as a degree-0 coefficient above it
-        value = (_zero_value(pos), _const_value(1, pos))
-        for _ in range(pos + 1, self.depth):
-            value = (value,)
-        return RingElement(self, value)
+        return RingElement(self, _variable_value(self, name))
 
     def __str__(self) -> str:
         if self.kind == "integers":
@@ -296,17 +290,24 @@ class RingDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _zero_value(depth: int):
-    return () if depth else 0
+def _variable_value(ring: RingDescriptor, name: str):
+    """The raw value of one of ring's variables: X^1 at the variable's
+    nesting level, a constant of the levels above it."""
+    pos = ring.variables.index(name)
+    return _constant((_constant(0, pos), _constant(1, pos)), ring.depth - pos - 1)
 
 
-def _const_value(c, depth: int):
-    if not c:
-        return _zero_value(depth)
-    v = c
-    for _ in range(depth):
-        v = (v,)
-    return v
+def _power(ring: RingDescriptor, a, k: int):
+    """a^k for a raw value a of ring and an int k >= 0, by repeated
+    squaring."""
+    mul, result = ring.mul, ring.one.value
+    while k:
+        if k & 1:
+            result = mul(result, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return result
 
 
 def _terms(value, depth: int) -> list:
@@ -552,7 +553,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
             lead = _lead(a, depth)[2]
             if lead == 1:
                 return a, lead
-            return scale(a, _const_value(_qq_divide(1, lead), c.depth)), lead
+            return scale(a, _constant(_qq_divide(1, lead), c.depth)), lead
 
     else:
 
@@ -617,7 +618,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
                 return a, one, one
             # a zero operand's cofactor is 0, a nonzero one's the unit u
             g, u = normal(a or b)
-            u = _const_value(u, depth)
+            u = _constant(u, depth)
             return g, u if a else a, u if b else b
         found = kronecker.gcd(a, b, depth, rational, divide)
         if found is None:
@@ -626,7 +627,7 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         g, u = normal(found[0])
         if u == 1:
             return g, found[1], found[2]
-        u = _const_value(u, c.depth)
+        u = _constant(u, c.depth)
         return g, scale(found[1], u), scale(found[2], u)
 
     return {
@@ -707,14 +708,7 @@ class RingElement:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         d = self.descriptor
-        a, result = self.value, d.one.value
-        while k:  # repeated squaring
-            if k & 1:
-                result = d.mul(result, a)
-            k >>= 1
-            if k:
-                a = d.mul(a, a)
-        return RingElement(d, result)
+        return RingElement(d, _power(d, self.value, k))
 
     def __str__(self) -> str:
         return format_element(self)
@@ -921,27 +915,27 @@ def crt(congruences: Sequence[Congruence]):
     for c in congruences:
         if c.residue.descriptor is not ring:
             raise DescriptorMismatchError("congruences must share one ring")
+    residues = [c.residue.value for c in congruences]
+    moduli = [c.modulus.value for c in congruences]
+    add, sub, mul, gcd_ = ring.add, ring.sub, ring.mul, ring.gcd
+    canon, divide, divmod_ = ring.canon, ring.divide, ring.divmod
 
     # pairwise solvability criterion; reported pairs refer to input positions
+    # (moduli are nonzero, so each gcd is too)
     n = len(congruences)
     for i in range(n):
         for j in range(i + 1, n):
-            g = gcd(congruences[i].modulus, congruences[j].modulus)
-            diff = congruences[i].residue - congruences[j].residue
-            if not g.is_zero and not divides(g, diff):
+            if divide(sub(residues[i], residues[j]), gcd_(moduli[i], moduli[j])) is None:
                 raise IncompatibleCongruencesError(i, j)
 
-    # merge on raw values
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    canon, divide, divmod_ = ring.canon, ring.divide, ring.divmod
-    m = canon(congruences[0].modulus.value)
-    x = divmod_(congruences[0].residue.value, m)[1]
-    for c in congruences[1:]:
-        b = canon(c.modulus.value)
+    m = canon(moduli[0])
+    x = divmod_(residues[0], m)[1]
+    for r, b in zip(residues[1:], moduli[1:]):
+        b = canon(b)
         g, s, _ = ring.xgcd(m, b)
         # pairwise compatibility of the merged class is implied by the
         # pairwise checks above (Euclidean CRT), so both divisions are exact
-        step = divide(sub(c.residue.value, x), g)
+        step = divide(sub(r, x), g)
         x = add(x, mul(mul(m, s), step))
         m = canon(divide(mul(m, b), g))
         x = divmod_(x, m)[1]
@@ -952,7 +946,10 @@ def crt(congruences: Sequence[Congruence]):
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-_TOKEN_OPS = set("+-*^()/")
+# One token: an ASCII integer literal, a variable name, an operator, or any
+# other character that is not white space, which _tokenize refuses.  White
+# space (str.isspace) between tokens is skipped.
+_TOKEN = re.compile(rf"(?P<int>[0-9]+)|(?P<name>{_NAME})|(?P<op>[-+*^()/])|\S")
 
 # Deepest accepted nesting of parentheses and unary minus signs together;
 # deeper input raises ParseError instead of exhausting the Python stack.
@@ -978,11 +975,9 @@ def _int_from_digits(digits: str) -> int:
 
 
 def _int_to_digits(n: int) -> str:
-    """Decimal text of an int of any size."""
+    """Decimal text of an int n >= 0 of any size."""
     if n.bit_length() <= _DIGIT_CHUNK * 3:  # fewer than _DIGIT_CHUNK digits
         return str(n)
-    if n < 0:
-        return "-" + _int_to_digits(-n)
     low = n.bit_length() * 3 // 20  # about half the digits
     high, rest = divmod(n, 10**low)
     return _int_to_digits(high) + _int_to_digits(rest).zfill(low)
@@ -1009,35 +1004,16 @@ def _power_bits(a, k: int, ring: RingDescriptor) -> int:
     return bits * min(dense, math.comb(k + len(terms) - 1, len(terms) - 1))
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The (kind, text, position) tokens of text, ending in ("end", "",
+    len(text)); an operator's kind is its character."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch in _IDENT_FIRST:
-            j = i
-            while j < n and text[j] in _IDENT_REST:
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind is None:
+            raise ParseError(f"unexpected character {token!r}", m.start())
+        tokens.append((token if kind == "op" else kind, token, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -1049,6 +1025,9 @@ class _Parser:
     factor := base ('^' nonneg-int)?
     base   := int | int '/' int (rational bases only) | variable
               | '(' expr ')' | '-' factor
+
+    Every rule returns a raw value of the ring, computed by the ring's own
+    operations on raw values.
     """
 
     def __init__(self, text: str, ring: RingDescriptor):
@@ -1071,38 +1050,39 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> RingElement:
+    def parse(self):
         result = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
         return result
 
-    def expr(self) -> RingElement:
+    def expr(self):
+        ring = self.ring
         result = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
+            result = ring.add(result, rhs) if op == "+" else ring.sub(result, rhs)
         return result
 
-    def term(self) -> RingElement:
+    def term(self):
         result = self.factor()
         while self.peek()[0] == "*":
             self.advance()
-            result = result * self.factor()
+            result = self.ring.mul(result, self.factor())
         return result
 
-    def factor(self) -> RingElement:
+    def factor(self):
         base = self.base()
         if self.peek()[0] == "^":
             caret = self.advance()
             exponent = self.exponent()
-            if _power_bits(base.value, exponent, self.ring) > _MAX_POWER_BITS:
+            if _power_bits(base, exponent, self.ring) > _MAX_POWER_BITS:
                 raise ParseError(
                     f"power larger than {_MAX_POWER_BITS} bits", caret[2]
                 )
-            base = base ** exponent
+            base = _power(self.ring, base, exponent)
         return base
 
     def exponent(self) -> int:
@@ -1129,13 +1109,13 @@ class _Parser:
             )
         return _int_from_digits(tok[1])
 
-    def base(self) -> RingElement:
+    def base(self):
         tok = self.advance()
         if tok[0] == "int":
             return self.int_or_rational(tok)
         if tok[0] == "name":
-            if self.ring.is_polynomial and tok[1] in self.ring.variables:
-                return self.ring.variable(tok[1])
+            if tok[1] in self.ring.variables:
+                return _variable_value(self.ring, tok[1])
             raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
         if tok[0] in ("(", "-"):
             self.nesting += 1
@@ -1148,13 +1128,13 @@ class _Parser:
                 result = self.expr()
                 self.expect(")")
             else:
-                result = -self.factor()
+                result = self.ring.neg(self.factor())
             self.nesting -= 1
             return result
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
-    def int_or_rational(self, tok) -> RingElement:
-        numerator = self.integer(tok)
+    def int_or_rational(self, tok):
+        c = self.integer(tok)
         if self.peek()[0] == "/":
             slash = self.advance()
             if not self.ring.rational_coefficients:
@@ -1165,13 +1145,17 @@ class _Parser:
             denominator = self.integer(denom)
             if denominator == 0:
                 raise ParseError("zero denominator", denom[2])
-            c = _qq_divide(numerator, denominator)
-            return RingElement(self.ring, _const_value(c, self.ring.depth))
-        return self.ring.from_int(numerator)
+            c = _qq_divide(c, denominator)
+        return _constant(c, self.ring.depth)
 
 
 def parse_element(text: str, ring: RingDescriptor) -> RingElement:
     """Parse expression text into a canonical element of the given ring.
+
+    The text is split into tokens by one regular expression, whose variable
+    names are those that RingDescriptor accepts, and evaluated on raw
+    values by the ring's add, sub, mul and neg, with powers by repeated
+    squaring; only the result is wrapped, as one RingElement.
 
     Parentheses and unary minus signs may nest at most 100 levels deep
     (counted together), an integer literal may have at most 100,000 digits,
@@ -1179,7 +1163,7 @@ def parse_element(text: str, ring: RingDescriptor) -> RingElement:
     computed as k times the coefficient bits of a times the number of
     monomials a^k can have.  Input past a limit raises ParseError.
     """
-    return _Parser(text, ring).parse()
+    return RingElement(ring, _Parser(text, ring).parse())
 
 
 def _format_scalar(c) -> str:

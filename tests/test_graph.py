@@ -2,9 +2,22 @@ import random
 
 import pytest
 
-from egsplines.graph import LabeledGraph, _aggregate_table, trail_constraint
-from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.graph import GraphValidationError, LabeledGraph, _aggregate_table, trail_constraint
+from egsplines.oracle import (
+    InstanceSpec,
+    brute_minimal_leading_entry,
+    random_instance,
+    trails_between,
+)
+from egsplines.pid import flow_up_basis
 from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingElement, gcd_many, lcm_many
+from egsplines.splines import (
+    Spline,
+    SplineMatrix,
+    certify_basis,
+    coprime_witness_matrices,
+    key_element,
+)
 
 from conftest import QX, ZXY, qx, random_graph, zxy, zz
 
@@ -46,6 +59,28 @@ class TestValidate:
     def test_duplicate_names(self):
         g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a", "a"))
         assert any("unique" in v for v in g.validate())
+
+    def test_name_count_mismatch(self):
+        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a",))
+        assert g.validate() == ["vertex name count does not match vertex count"]
+        with pytest.raises(GraphValidationError) as info:
+            g.require_valid()
+        assert info.value.violations == ("vertex name count does not match vertex count",)
+
+    def test_entry_points_raise_the_violations(self):
+        g = LabeledGraph(ZZ, [zz(1), zz(2)], [])
+        basis = SplineMatrix(g, [Spline(g, [zz(1), zz(0)]), Spline(g, [zz(0), zz(2)])])
+        calls = {
+            "key_element": lambda: key_element(g),
+            "flow_up_basis": lambda: flow_up_basis(g),
+            "certify_basis": lambda: certify_basis(g, basis),
+            "coprime_witness_matrices": lambda: coprime_witness_matrices(g),
+            "brute_minimal_leading_entry": lambda: brute_minimal_leading_entry(g, 0, 5),
+        }
+        for name, call in calls.items():
+            with pytest.raises(GraphValidationError) as info:
+                call()
+            assert info.value.violations == ("disconnected: no path from v1 to v2",), name
 
     def test_no_vertices(self):
         g = LabeledGraph(ZZ, [], [])

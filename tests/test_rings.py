@@ -257,6 +257,15 @@ class TestParseFormat:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_element("\u0663+1", ZZ)
 
+    def test_parenthesized_exponent(self):
+        assert parse_element("x^(3)", ZX) == parse_element("x^3", ZX)
+        assert parse_element("(x+1)^( 2 )", QX) == qx("x^2+2*x+1")
+
+    def test_zero_denominator_at_its_position(self):
+        with pytest.raises(ParseError, match="zero denominator") as info:
+            parse_element("1/0", QQ)
+        assert info.value.position == 2
+
     def test_precedence_and_unary_minus(self):
         assert parse_element("2+3*4", ZZ) == zz(14)
         assert parse_element("-2^2", ZZ) == zz(-4)  # '-' factor, factor = 2^2
@@ -292,6 +301,128 @@ def _random_element(rng, ring):
             term = term * ring.variable(name) ** rng.randint(0, 3)
         out = out + term
     return out
+
+
+# The character-loop tokenizer that one regular expression replaced, with
+# the character sets it read, verbatim: the reference of TestTokenizer.
+_DIGITS = set("0123456789")
+_IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_IDENT_REST = _IDENT_FIRST | _DIGITS | {"_"}
+_TOKEN_OPS = set("+-*^()/")
+
+
+def _loop_tokenize(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _TOKEN_OPS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch in _IDENT_FIRST:
+            j = i
+            while j < n and text[j] in _IDENT_REST:
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenizer:
+    # characters the grammar reads, and ASCII and Unicode white space
+    TOKEN_CHARS = "0123456789" "abcxyzXYZ_" "+-*^()/" " \t\n" "\u00a0\u2003\x1c"
+    # non-ASCII letters, Unicode digits and other symbols, each refused
+    OTHER_CHARS = "\u00e9\u00df\u03a9\u0436\u0663\u00b2\u00bd.,$#!~=\u20ac\U0001f600"
+
+    def test_matches_the_character_loop(self):
+        rng = random.Random("tokenizer")
+        outcomes = {True: 0, False: 0}
+        for _ in range(2400):
+            text = "".join(
+                rng.choice(self.OTHER_CHARS if rng.random() < 0.04 else self.TOKEN_CHARS)
+                for _ in range(rng.randint(0, 24))
+            )
+            expected = _tokens_or_error(_loop_tokenize, text)
+            assert _tokens_or_error(rings._tokenize, text) == expected, text
+            outcomes[isinstance(expected, list)] += 1
+        # both token lists and refusals are compared, many of each
+        assert min(outcomes.values()) >= 600, outcomes
+
+    def test_variable_names_are_name_tokens(self):
+        for name in ("x", "X1", "y_2", "abc_DEF_09"):
+            assert rings._is_identifier(name)
+            assert rings._tokenize(name) == [("name", name, 0), ("end", "", len(name))]
+        for name in ("", "_x", "1x", "x-y", "x ", "\u00e9", "x\n"):
+            assert not rings._is_identifier(name)
+
+
+class TestRawEvaluation:
+    """The parser and crt run on raw values and wrap only their results."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        values = []
+        init = rings.RingElement.__init__
+
+        def counting_init(self, descriptor, value):
+            values.append(value)
+            init(self, descriptor, value)
+
+        monkeypatch.setattr(rings.RingElement, "__init__", counting_init)
+        return values
+
+    def test_parse_builds_one_element(self, built):
+        cases = [
+            ("-(2+3)*4^2-7", ZZ),
+            ("3/4-1/4*(2/3)^3", QQ),
+            ("(x+1)^5-x*(-x)", ZX),
+            ("1/2*x^(2)-(x-1/3)^3", QX),
+            ("(x-y)^(3)*(x+2*y)-y^2", ZXY),
+            ("1/2*x*y^2-(x+1/3)^2*y", QXY),
+            ("0", ZXY),
+        ]
+        for text, ring in cases:
+            built.clear()
+            element = parse_element(text, ring)
+            assert built == [element.value], text
+
+    def test_crt_builds_only_its_results(self, built):
+        systems = [
+            [Congruence(zz(1), zz(4)), Congruence(zz(3), zz(6)), Congruence(zz(7), zz(10))],
+            [Congruence(qx("1"), qx("x")), Congruence(qx("2"), qx("x-1"))],
+            [Congruence(QQ.from_int(3), QQ.from_int(5))],
+        ]
+        for congruences in systems:
+            built.clear()
+            x, modulus = crt(congruences)
+            assert built == [x.value, modulus.value]
+        incompatible = [Congruence(zz(1), zz(4)), Congruence(zz(2), zz(6))]
+        built.clear()
+        with pytest.raises(IncompatibleCongruencesError):
+            crt(incompatible)
+        assert built == []
 
 
 class TestArithmetic:

@@ -557,6 +557,28 @@ def test_packed_gcd_refuses_a_sparse_box(monkeypatch):
     assert time.perf_counter() - start < 0.05
 
 
+def test_packed_gcd_refuses_past_gcd_bytes(monkeypatch):
+    # x^50+100 and y^50+100 fill a box of 51^2 = 2,601 slots, which
+    # _flatten accepts, but need 2-byte slots: 5,202 bytes, past GCD_BYTES
+    # for 4 term pairs, so the packed gcd refuses before it packs; the
+    # same after multiplying both by x+y (52^2 slots, 16 term pairs)
+    # (the PRS that follows packs gcds of univariate contents)
+    ring, gens, domain, _ = PACKED["ZZ[x,y]"]
+    flatten = kronecker._flatten
+    for slots, common in ((51, 1), (52, X + Y)):
+        pa, pb = (sympy.Poly(e * common, *gens, domain=domain) for e in (X**50 + 100, Y**50 + 100))
+        a, b = (parse_element(text(sympy_terms(p), ring), ring) for p in (pa, pb))
+        boxes = []
+        with monkeypatch.context() as patch:
+            patch.setattr(kronecker, "_flatten", lambda *args: boxes.append(flatten(*args)) or boxes[-1])
+            patch.setattr(kronecker, "_pack", lambda *args: pytest.fail("packed past GCD_BYTES"))
+            assert kronecker.gcd(a.value, b.value, 2, False, ring.divide) is None
+        assert [box[3] for box in boxes] == [slots**2]
+        assert slots**2 * 2 > kronecker.GCD_BYTES
+        check_cofactors(a, b, pa, pb)
+        check_cofactors(b, a, pb, pa)
+
+
 def test_rational_gcd_with_a_common_factor_is_fast():
     # operands of degrees (6, 7) and (12, 16) in (x, y) with a common factor
     # of degree (3, 4), coefficients up to 9 over denominators 2 or 3: the
