@@ -11,9 +11,17 @@ modulo a lattice exponent, inserts its columns one at a time into
 modulus*I and normalizes the same way.  Both build their triangle with
 one 2x2 unimodular column step (_merger) and run on raw values through
 the ring's own operations (add, mul, divmod, xgcd, ...), wrapping
-RingElements only at exit.  The tests check both against sympy's
-hermite_normal_form, which shares no code with them.  verify_flow_up
-checks a basis against the key element.
+RingElements only at exit; ZZ's xgcd runs on ints.  _merger and
+_normalize reduce an entry modulo the lcm of all labels in place, once
+its size reaches the modulus's.  The tests check both against sympy's
+hermite_normal_form, which shares no code with them.
+
+verify_flow_up checks a basis against the key element on raw values:
+spline membership and shape per column, the determinant against Qhat,
+and each leading term against its canonical key-element component by
+comparing canonical associates.  Its FlowUpReport keeps the outcomes;
+ok reads them, and the FlowUpCheck records that egs flowup prints are
+built on the first read of checks.
 """
 
 from __future__ import annotations
@@ -83,29 +91,19 @@ def hermite_form(
     return [[RingElement(ring, col[r]) for col in H] for r in range(nrows)]
 
 
-def _reducer(ring: RingDescriptor, modulus):
-    """x -> its remainder modulo the raw modulus, taken only once the size
-    of x reaches the modulus's."""
-    divmod_, size = ring.divmod, ring.size
-    bound = size(modulus)
-
-    def reduced(x):
-        return divmod_(x, modulus)[1] if size(x) >= bound else x
-
-    return reduced
-
-
 def _merger(ring: RingDescriptor, modulus):
     """The one column step, merge(x, y, p, q, j), modulo the raw modulus D.
 
     With (d, s, t) = xgcd(p, q), it sets (x, y) to (s*x + t*y, (p/d)*y -
     (q/d)*x) in place on rows >= j and returns d.  The 2x2 transform has
-    determinant 1.  Rows below j are reduced modulo D (_reducer); row j is
-    not, since it holds the pivot.  When p is 1 the step is y -= q*x.
+    determinant 1.  An entry below row j is reduced modulo D once its size
+    reaches D's; row j is not, since it holds the pivot.  When p is 1 the
+    step is y -= q*x.
     """
     add, sub, mul, divide, xgcd = ring.add, ring.sub, ring.mul, ring.divide, ring.xgcd
+    divmod_, size = ring.divmod, ring.size
+    bound = size(modulus)
     one = ring.one.value
-    reduced = _reducer(ring, modulus)
 
     def merge(x, y, p, q, j):
         n = len(x)
@@ -114,7 +112,8 @@ def _merger(ring: RingDescriptor, modulus):
                 y[j] = sub(y[j], mul(q, x[j]))
             for r in range(j + 1, n):
                 if x[r]:
-                    y[r] = reduced(sub(y[r], mul(q, x[r])))
+                    w = sub(y[r], mul(q, x[r]))
+                    y[r] = divmod_(w, modulus)[1] if size(w) >= bound else w
             return one
         d, s, t = xgcd(p, q)
         a, b = divide(p, d), divide(q, d)
@@ -123,8 +122,9 @@ def _merger(ring: RingDescriptor, modulus):
         for r in range(j + 1, n):
             u, w = x[r], y[r]
             if u or w:
-                x[r] = reduced(add(mul(s, u), mul(t, w)))
-                y[r] = reduced(sub(mul(a, w), mul(b, u)))
+                u, w = add(mul(s, u), mul(t, w)), sub(mul(a, w), mul(b, u))
+                x[r] = divmod_(u, modulus)[1] if size(u) >= bound else u
+                y[r] = divmod_(w, modulus)[1] if size(w) >= bound else w
         return d
 
     return merge
@@ -137,16 +137,17 @@ def _normalize(H: List[list], ring: RingDescriptor, modulus) -> None:
     Pivot p_i generates {x_i : x in the lattice, x_<i = 0}, which contains
     D; so p_i divides D and is never 0.  For i = 0 .. n-1, column i is
     scaled by the unit that makes its pivot p_i canonical, then each column
-    j < i takes q, H_j[i] = divmod(H_j[i], p_i) and loses q*H_i below row i.
-    Those column operations are unimodular, and reducing an entry below the
-    diagonal modulo D subtracts a multiple of D*e_r, which lies in the
-    lattice; so the columns stay a triangular basis of it.  Row i is final
-    after step i, since later steps touch only the rows below, and the
-    result is the unique Hermite form.
+    j < i takes q, H_j[i] = divmod(H_j[i], p_i) and loses q*H_i below row i,
+    each entry reduced modulo D once its size reaches D's.  Those column
+    operations are unimodular, and reducing an entry below the diagonal
+    modulo D subtracts a multiple of D*e_r, which lies in the lattice; so
+    the columns stay a triangular basis of it.  Row i is final after step
+    i, since later steps touch only the rows below, and the result is the
+    unique Hermite form.
     """
-    sub, mul, divide, divmod_ = ring.sub, ring.mul, ring.divide, ring.divmod
+    sub, mul, divide, divmod_, size = ring.sub, ring.mul, ring.divide, ring.divmod, ring.size
     canon, one = ring.canon, ring.one.value
-    reduced = _reducer(ring, modulus)
+    bound = size(modulus)
     n = len(H)
     for i, col in enumerate(H):
         unit = divide(canon(col[i]), col[i])
@@ -161,7 +162,8 @@ def _normalize(H: List[list], ring: RingDescriptor, modulus) -> None:
             if q:
                 for r in range(i + 1, n):
                     if col[r]:
-                        left[r] = reduced(sub(left[r], mul(q, col[r])))
+                        w = sub(left[r], mul(q, col[r]))
+                        left[r] = divmod_(w, modulus)[1] if size(w) >= bound else w
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +249,11 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
     H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(vertex_labels)]
     for e, r in zip(g.edges, edge_labels):
         u, v = e.endpoints()
-        G, V = r, [zero] * n
+        G, V, bound = r, [zero] * n, size(r)
         for j in range(v, -1, -1):
             col = H[j]
             c = sub(col[u], col[v])
-            if size(c) >= size(r):
+            if size(c) >= bound:
                 c = divmod_(c, r)[1]
             if c:
                 G = merge(V, col, G, c, j)
@@ -267,14 +269,53 @@ class FlowUpCheck:
 
 @dataclass(frozen=True)
 class FlowUpReport:
-    checks: Tuple[FlowUpCheck, ...]
+    """The outcome of verify_flow_up: the determinant, key element and unit
+    it compared (unit is None when they do not match), and the outcome of
+    every check on raw values.  Per class of the basis, violations holds
+    its spline violations (empty for a spline), shapes whether it is
+    flow-up at its index and leads whether its leading term matches its
+    key-element component, in components.
+
+    ok reads those outcomes.  checks, the FlowUpCheck records, is built on
+    its first read: per class its spline and flow-up checks, then the
+    determinant check, then per class its leading-term check.
+    """
+
     determinant: RingElement
     key: RingElement
     unit: Optional[RingElement]
+    classes: Tuple[FlowUpClass, ...]
+    components: Tuple[RingElement, ...]
+    violations: Tuple[Tuple[str, ...], ...]
+    shapes: Tuple[bool, ...]
+    leads: Tuple[bool, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return (
+            self.unit is not None and all(self.shapes) and all(self.leads)
+            and not any(self.violations)
+        )
+
+    @functools.cached_property
+    def checks(self) -> Tuple[FlowUpCheck, ...]:
+        out: List[FlowUpCheck] = []
+        for cls, violations, shape in zip(self.classes, self.violations, self.shapes):
+            i = cls.index + 1
+            out.append(
+                FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
+            )
+            detail = "ok" if shape else "shape violated"
+            out.append(FlowUpCheck(f"column {i} is flow-up at index {i}", shape, detail))
+        ok = self.unit is not None
+        detail = "ok" if ok else f"det = {self.determinant}, key element = {self.key}"
+        out.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
+        for cls, expected, ok in zip(self.classes, self.components, self.leads):
+            detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
+            out.append(
+                FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
+            )
+        return tuple(out)
 
 
 def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
@@ -283,33 +324,27 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     Columns must be splines of triangular shape, the determinant must be a
     unit multiple of the key element, and each leading term must be
     associate to the corresponding key-element component (over a PID, the
-    minimal leading term at that index).  The report keeps the determinant,
-    key element and unit it compared; unit is None when they do not match.
-    ValueError("splines live on different graphs") unless the basis and
-    its splines live on g itself, raised before any check.
+    minimal leading term at that index).  Every check runs on raw values.
+    The components are canonical, so a leading term is associate to its
+    component exactly when its canonical associate equals it, which needs
+    no division; a leading term of another ring raises
+    DescriptorMismatchError.  The report keeps the outcomes and builds its
+    FlowUpCheck records only when they are read.  ValueError("splines live
+    on different graphs") unless the basis and its splines live on g
+    itself, raised before any check.
     """
-    if basis.graph is not g or any(c.spline.graph is not g for c in basis.classes):
+    classes = basis.classes
+    if basis.graph is not g or any(c.spline.graph is not g for c in classes):
         raise ValueError("splines live on different graphs")
-    checks: List[FlowUpCheck] = []
-    for cls in basis.classes:
-        i, values = cls.index + 1, cls.spline.values
-        violations = splines._violations(g, values)
-        checks.append(
-            FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
-        )
-        ok = not any(values[: i - 1]) and bool(values[i - 1])
-        detail = "ok" if ok else "shape violated"
-        checks.append(FlowUpCheck(f"column {i} is flow-up at index {i}", ok, detail))
+    violations = tuple(tuple(splines._violations(g, c.spline.values)) for c in classes)
+    shapes = tuple(
+        not any(c.spline.values[: c.index]) and bool(c.spline.values[c.index]) for c in classes
+    )
     determinant = splines.spline_determinant(basis.matrix())
     key = splines.key_element(g)
     unit = rings.associate_unit(determinant, key.qhat)
-    ok = unit is not None
-    detail = "ok" if ok else f"det = {determinant}, key element = {key.qhat}"
-    checks.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
-    for cls, expected in zip(basis.classes, key.components):
-        ok = rings.is_associate(cls.leading_term, expected)
-        detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
-        checks.append(
-            FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
-        )
-    return FlowUpReport(tuple(checks), determinant, key.qhat, unit)
+    canon, terms = g.ring.canon, g.ring.values(c.leading_term for c in classes)
+    leads = tuple(canon(t) == expected.value for t, expected in zip(terms, key.components))
+    return FlowUpReport(
+        determinant, key.qhat, unit, classes, key.components, violations, shapes, leads
+    )

@@ -115,6 +115,9 @@ class RingDescriptor:
     - divmod, the quotient and canonical remainder, size, the Euclidean
       size, and xgcd, the extended gcd (g, s, t) with s*a + t*b = g and g
       canonical, on the Euclidean rings ZZ, QQ and QQ[x] (None elsewhere).
+      QQ and QQ[x] run the generic Euclidean loop (_extended_gcd) through
+      their operations; ZZ runs the same loop on ints (_zz_xgcd), which
+      gives the same (g, s, t) on every pair.
 
     values(elements) unwraps elements of the ring to their raw values, so
     that a loop can run on the operations above and wrap only its results.
@@ -205,7 +208,7 @@ class RingDescriptor:
             "coefficients": coefficients,
             "terms": functools.partial(_terms, depth=depth),
             "xgcd": _extended_gcd(table, zero, one) if table["divmod"] else None,
-            **table,
+            **table,  # ZZ's table brings its own xgcd
         }
         for name, value in facts.items():
             object.__setattr__(ring, name, value)
@@ -351,6 +354,21 @@ def _zz_divmod(a, b):
     return (a - r) // b, r
 
 
+def _zz_xgcd(a, b):
+    """ZZ's xgcd on ints: the (g, s, t) of _extended_gcd over ZZ, step for
+    step, with the nonnegative remainders of _zz_divmod, but with no call
+    through the ring's operations."""
+    s, t, s2, t2 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        if r < 0:  # only for b < 0, where _zz_divmod's remainder is r - b
+            q, r = q + 1, r - b
+        a, b, s, s2, t, t2 = b, r, s2, s - q * s2, t2, t - q * t2
+    if a < 0:
+        return -a, -s, -t
+    return (a, s, t) if a else (0, 0, 0)
+
+
 def _qq(c):
     """The rational c as an int when it is integral."""
     return c if type(c) is int or c.denominator != 1 else c.numerator
@@ -379,7 +397,7 @@ _SCALAR_OPERATIONS = {
     "integers": dict(
         add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
         divide=_zz_divide, gcd=math.gcd, lcm=math.lcm, cofactors=None,
-        canon=abs, primitive=None, divmod=_zz_divmod, size=abs,
+        canon=abs, primitive=None, divmod=_zz_divmod, size=abs, xgcd=_zz_xgcd,
     ),
     "rationals": dict(
         add=_qq_add, sub=_qq_sub, mul=_qq_mul, neg=operator.neg,
@@ -458,13 +476,17 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
     monic) and divides both operands by g.  lcm multiplies a/g by b and
     divides nothing.
 
-    mul packs both operands into integers and makes one bignum product
-    (kronecker.product) when they have enough term pairs for its fixed
-    cost to pay and their box of exponents has no more slots than they
-    have term pairs; otherwise it runs the schoolbook product, whose
-    coefficient products go through c's mul and so dispatch again one
-    level down.  The packed product is exact: its slots are wide enough
-    for any product coefficient.
+    mul with an operand of one coefficient (a constant in the outer
+    variable) is a scaling: scale multiplies each nonzero coefficient of
+    the other operand by it, with no zero list, no addition and no strip.
+    Otherwise mul packs both operands into integers and makes one bignum
+    product (kronecker.product) when they have enough term pairs for its
+    fixed cost to pay and their box of exponents has no more slots than
+    they have term pairs, and else runs the schoolbook product.  The
+    scaling and the schoolbook product make their coefficient products
+    through c's mul, which dispatches again one level down.  The packed
+    product is exact: its slots are wide enough for any product
+    coefficient.
 
     long_division is the package's one polynomial division loop: divide,
     divmod over QQ and the PRS pseudo-remainder all run it.
@@ -502,12 +524,15 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
             return ()
         # a product with a single coefficient in the outer variable is a
         # scaling, whose coefficient products dispatch on their own
-        if len(a) > 1 and len(b) > 1:
-            most = dense(a, depth) * dense(b, depth)
-            if most >= min_pairs:
-                product = kronecker.product(a, b, depth, rational, most)
-                if product is not None:
-                    return product
+        if len(b) == 1:
+            return scale(a, b[0])
+        if len(a) == 1:
+            return scale(b, a[0])
+        most = dense(a, depth) * dense(b, depth)
+        if most >= min_pairs:
+            product = kronecker.product(a, b, depth, rational, most)
+            if product is not None:
+                return product
         out = [czero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
@@ -518,8 +543,9 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
         return _strip(out)
 
     def scale(a, s):
-        """a times the nonzero coefficient s."""
-        return _strip([cmul(x, s) for x in a])
+        """a times the nonzero coefficient s: zero coefficients stay, and
+        no other product is zero, so there is nothing to strip."""
+        return tuple([cmul(x, s) if x else x for x in a])
 
     def long_division(a, b):
         """(q, r) with a = q*b + r and deg r < deg b, dividing each leading

@@ -147,22 +147,21 @@ def _violations(g: LabeledGraph, values: Sequence) -> List[str]:
     (graph._raw_labels), each checked to lie in g's ring."""
     labels, edge_labels = graph._raw_labels(g)
     sub, divide = g.ring.sub, g.ring.divide
-
-    def divides(a, b):  # with 0 | b only for b = 0
-        return divide(b, a) is not None if a else not b
-
     # 0 is a multiple of every label: a zero component and an edge with
-    # equal endpoint values pass without a division
+    # equal endpoint values pass without a division.  A nonzero value is a
+    # multiple of a label m when m is nonzero and divides it (0 | b only
+    # for b = 0, on a graph not yet validated).
     out: List[str] = []
     for i, f in enumerate(values):
-        if f and not divides(labels[i], f):
+        m = labels[i]
+        if f and (not m or divide(f, m) is None):
             out.append(
                 f"vertex {g.vertex_name(i)}: component is not a multiple "
                 f"of {g.vertex_labels[i]}"
             )
-    for idx, e in enumerate(g.edges):
+    for idx, (e, r) in enumerate(zip(g.edges, edge_labels)):
         a, b = values[e.u], values[e.v]
-        if a != b and not divides(edge_labels[idx], sub(a, b)):
+        if a != b and (not r or divide(sub(a, b), r) is None):
             out.append(
                 f"edge {idx + 1} ({g.vertex_name(e.u)},{g.vertex_name(e.v)}): "
                 f"difference is not a multiple of {e.label}"

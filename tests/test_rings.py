@@ -602,6 +602,39 @@ class TestPackedKernels:
         assert terms[(0, 0, 0, 0, 0, 0, 0, 4)] == 1
 
 
+def _term_product(ring, a, b):
+    """The product of two raw values of ring term by term: its nonzero
+    terms as a dict from exponents to coefficients."""
+    out = {}
+    for ea, ca in ring.terms(a):
+        for eb, cb in ring.terms(b):
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + Fraction(ca) * cb
+    return {e: c for e, c in out.items() if c}
+
+
+class TestScalingProduct:
+    """A product with an operand of one coefficient in the outer variable
+    is a scaling of the other operand, in either order."""
+
+    @pytest.mark.parametrize("ring", [ZX, QX, ZXY, QXY], ids=str)
+    def test_matches_the_schoolbook_product(self, ring):
+        rng = random.Random(f"scaling:{ring}")
+        scaled = 0
+        for trial in range(80):
+            # every other operand has interior zeros; QQ bases draw true fractions
+            a = _random_value(rng, ring, 6, (1.0, 0.5)[trial % 2])
+            c = ring.coefficients.zero.value
+            while not c:
+                c = _random_value(rng, ring.coefficients, 4, (1.0, 0.6)[trial % 2])
+            for x, y in ((a, (c,)), ((c,), a)):
+                got = ring.mul(x, y)
+                assert dict(ring.terms(got)) == _term_product(ring, x, y)
+                assert _is_canonical(got, ring.depth)
+            scaled += bool(a)
+        assert scaled > 60
+
+
 def _literal_terms(value, depth):
     """The nonzero terms by recursion on the outer variable, whose exponent
     goes last."""
