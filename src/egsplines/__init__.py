@@ -7,7 +7,7 @@ congruence at a time into a triangular basis and normalizing it into
 Hermite form, with brute-force oracles for integer instances.
 """
 
-from .graph import LabeledGraph, trail_constraint
+from .graph import LabeledGraph
 from .oracle import Trail, trails_between
 from .pid import (
     FlowUpClass,
@@ -23,14 +23,7 @@ from .rings import (
     RingDescriptor,
     RingElement,
     crt,
-    exact_div,
     format_element,
-    gcd,
-    gcd_many,
-    is_associate,
-    is_unit,
-    lcm,
-    lcm_many,
     parse_element,
     polynomial_ring,
 )
@@ -49,7 +42,6 @@ from .splines import (
     key_element,
     qhat,
     qhat_components,
-    qhat_span_decomposition,
     spline_determinant,
 )
 
@@ -74,27 +66,18 @@ __all__ = [
     "classical_qg",
     "coprime_witness_matrices",
     "crt",
-    "exact_div",
     "express_in_basis",
     "flow_up_basis",
     "format_element",
-    "gcd",
-    "gcd_many",
     "h_factor",
     "hermite_form",
-    "is_associate",
     "is_spline",
-    "is_unit",
     "key_element",
-    "lcm",
-    "lcm_many",
     "parse_element",
     "polynomial_ring",
     "qhat",
     "qhat_components",
-    "qhat_span_decomposition",
     "spline_determinant",
-    "trail_constraint",
     "trails_between",
     "verify_flow_up",
 ]

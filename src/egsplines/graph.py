@@ -11,8 +11,8 @@ GCD domain form a distributive lattice, so the aggregate for every pair at
 once is the algebraic-path closure over the semiring (lcm, gcd), computed
 by Floyd-Warshall in O(n^3) ring operations, once per graph.  The closure
 runs on raw values through the ring's pair operations (see
-RingDescriptor.pair_operations) and keeps its table raw; trail_constraint
-wraps the entry it looks up.
+RingDescriptor.pair_operations) and keeps its table raw; the key element
+(splines.key_element) reads it.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class LabeledGraph:
         return len(self.vertex_labels)
 
     def vertex_name(self, i: int) -> str:
-        return self.names[i]
+        """The name of vertex i, or v{i+1} when names is too short."""
+        return self.names[i] if i < len(self.names) else f"v{i + 1}"
 
     def validate(self) -> List[str]:
         """Return all invariant violations (empty list when valid)."""
@@ -107,7 +108,7 @@ class LabeledGraph:
         elif len(set(self.names)) != n:
             v.append("vertex names are not unique")
         for i, label in enumerate(self.vertex_labels):
-            name = self.names[i] if i < len(self.names) else f"v{i + 1}"
+            name = self.vertex_name(i)
             if label.descriptor is not self.ring:
                 v.append(f"vertex {name}: label ring mismatch")
             elif label.is_zero:
@@ -118,7 +119,7 @@ class LabeledGraph:
                 v.append(f"{where}: endpoint out of range")
                 continue
             if e.u == e.v:
-                v.append(f"{where}: self-loop at {self.names[e.u]}")
+                v.append(f"{where}: self-loop at {self.vertex_name(e.u)}")
             if e.label.descriptor is not self.ring:
                 v.append(f"{where}: label ring mismatch")
             elif e.label.is_zero:
@@ -160,13 +161,15 @@ def _raw_labels(g: LabeledGraph) -> tuple:
     return g._labels
 
 
-def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
+def _aggregate_table(g: LabeledGraph, pairs: tuple) -> list:
     """The trail aggregate of every vertex pair, as a symmetric n x n table
-    of raw values of g.ring.
+    of raw canonical values of g.ring.
 
-    Floyd-Warshall over (lcm, gcd), on raw values, through the gcd and lcm
-    of pairs: the (gcd, lcm, cofactor) of g.ring.pair_operations() that
-    the caller folds with too, or fresh ones when omitted.  Over a
+    Every trail contains a simple path whose gcd it divides, so the
+    aggregate equals the lcm over simple paths, which is what the closure
+    computes: Floyd-Warshall over (lcm, gcd), on raw values, through the
+    gcd and lcm of pairs, the (gcd, lcm, cofactor) of
+    g.ring.pair_operations() that the caller folds with too.  Over a
     polynomial ring they share one cache, so a pair met again, in the
     closure or in the fold, costs no second gcd.  Entries start at 1, the
     lcm identity, which also absorbs under gcd; each edge seeds its pair
@@ -181,7 +184,7 @@ def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
         return g._table
     n = g.n
     ring = g.ring
-    gcd, lcm, _ = pairs or ring.pair_operations()
+    gcd, lcm, _ = pairs
     one = ring.one.value
     table = [[one] * n for _ in range(n)]
     for e, label in zip(g.edges, _raw_labels(g)[1]):
@@ -208,18 +211,3 @@ def _aggregate_table(g: LabeledGraph, pairs: Optional[tuple] = None) -> list:
     g._table = table
     return table
 
-
-def trail_constraint(g: LabeledGraph, source: int, target: int) -> RingElement:
-    """lcm over source-to-target trails of the gcd of each trail's edge labels.
-
-    Canonical.  A lookup in the graph's aggregate table, which the first
-    call builds in O(n^3) ring operations.  Every trail contains a simple
-    path whose gcd it divides, so the aggregate equals the lcm over simple
-    paths, which is what the closure computes.  The endpoints are vertex
-    indices in 0..n-1 and must differ; ValueError otherwise.
-    """
-    if not (0 <= source < g.n and 0 <= target < g.n):
-        raise ValueError(f"trail endpoints must lie in 0..{g.n - 1}")
-    if source == target:
-        raise ValueError("trail endpoints must differ")
-    return RingElement(g.ring, _aggregate_table(g)[source][target])

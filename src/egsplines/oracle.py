@@ -54,8 +54,12 @@ def trails_between(g: LabeledGraph, source: int, target: int) -> List[Trail]:
     result order is deterministic.  Trails passing through the target and
     returning later are all reported.  The count grows exponentially with
     the edges: this is the literal definition that the key element's
-    aggregate table is tested against, for small graphs only.
+    aggregate table is tested against, for small graphs only.  The
+    endpoints are vertex indices in 0..n-1 and must differ; ValueError
+    otherwise.
     """
+    if not (0 <= source < g.n and 0 <= target < g.n):
+        raise ValueError(f"trail endpoints must lie in 0..{g.n - 1}")
     if source == target:
         raise ValueError("trail endpoints must differ")
     out: List[Trail] = []
@@ -202,10 +206,13 @@ def brute_minimal_leading_entry(
     (forced by the definition, not by the formula under test), so e starts
     at the exponent of p in their lcm and rises until the residue search
     accepts p^e; e = a, t = 0 modulo p^a, is always admissible.  A bound
-    below that lcm returns None without a search.
+    below that lcm returns None without a search.  index is a vertex index
+    in 0..n-1; ValueError otherwise.
     """
     _require_integers(g)
     g.require_valid()
+    if not 0 <= index < g.n:
+        raise ValueError(f"index must lie in 0..{g.n - 1}")
     vertex_labels, edge_labels = graph._raw_labels(g)
     m = [abs(label) for label in vertex_labels]  # m*ZZ = (-m)*ZZ
     edges = [(e.u, e.v, abs(r)) for e, r in zip(g.edges, edge_labels)]

@@ -259,12 +259,6 @@ class RingDescriptor:
         lcm = _least_common_multiple(pair, self.mul, self.canon, self.zero.value, self.one.value)
         return (lambda a, b: pair(a, b)[0]), lcm, (lambda a, b: pair(a, b)[1])
 
-    def coefficient_ring(self) -> "RingDescriptor":
-        """Ring of coefficients when the last variable is peeled off."""
-        if self.coefficients is None:
-            raise UnsupportedRingError(f"{self} has no coefficient ring")
-        return self.coefficients
-
     def from_int(self, k: int) -> "RingElement":
         return RingElement(self, _constant(int(k), self.depth))
 
@@ -771,34 +765,8 @@ class Congruence:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic operations
+# Associates
 # ---------------------------------------------------------------------------
-
-
-def try_exact_div(a: RingElement, b: RingElement) -> Optional[RingElement]:
-    """Quotient a/b if b divides a exactly, else None.  Raises on b = 0."""
-    a._check(b)
-    if b.is_zero:
-        raise ZeroDivisionError("exact division by zero")
-    d = a.descriptor
-    q = d.divide(a.value, b.value)
-    return None if q is None else RingElement(d, q)
-
-
-def exact_div(a: RingElement, b: RingElement) -> RingElement:
-    """Quotient a/b; raises NotDivisibleError when a is not a multiple of b."""
-    q = try_exact_div(a, b)
-    if q is None:
-        raise NotDivisibleError(f"{a} is not divisible by {b} in {a.descriptor}")
-    return q
-
-
-def divides(a: RingElement, b: RingElement) -> bool:
-    """True when a divides b (with 0 | 0)."""
-    if a.is_zero:
-        a._check(b)
-        return b.is_zero
-    return try_exact_div(b, a) is not None
 
 
 def canonical_associate(a: RingElement) -> RingElement:
@@ -809,57 +777,6 @@ def canonical_associate(a: RingElement) -> RingElement:
     """
     d = a.descriptor
     return RingElement(d, d.canon(a.value))
-
-
-def gcd(a: RingElement, b: RingElement) -> RingElement:
-    a._check(b)
-    d = a.descriptor
-    return RingElement(d, d.gcd(a.value, b.value))
-
-
-def lcm(a: RingElement, b: RingElement) -> RingElement:
-    a._check(b)
-    d = a.descriptor
-    return RingElement(d, d.lcm(a.value, b.value))
-
-
-def _fold(operation: str, elements: list) -> RingElement:
-    """The canonical fold of one of a ring's raw operations over a nonempty
-    list of elements of the first element's ring.  A value equal to an
-    earlier one cannot change the fold of gcd or lcm, so it is dropped."""
-    d = elements[0].descriptor
-    values = list(dict.fromkeys(d.values(elements)))
-    op = getattr(d, operation)
-    out = values[0]
-    for v in values[1:]:
-        out = op(out, v)
-    return RingElement(d, d.canon(out))
-
-
-def gcd_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> RingElement:
-    """Fold gcd over a sequence; the empty gcd is 0 (needs ring to type it)."""
-    elements = list(elements)
-    if not elements:
-        if ring is None:
-            raise ValueError("gcd of an empty sequence needs an explicit ring")
-        return ring.zero
-    return _fold("gcd", elements)
-
-
-def lcm_many(elements: Sequence[RingElement], ring: RingDescriptor = None) -> RingElement:
-    """Fold lcm over a sequence; the empty lcm is 1 (needs ring to type it)."""
-    elements = list(elements)
-    if not elements:
-        if ring is None:
-            raise ValueError("lcm of an empty sequence needs an explicit ring")
-        return ring.one
-    return _fold("lcm", elements)
-
-
-def is_unit(a: RingElement) -> bool:
-    """True when a divides 1: a is nonzero and its canonical associate is 1."""
-    d = a.descriptor
-    return not a.is_zero and d.canon(a.value) == d.one.value
 
 
 def associate_unit(a: RingElement, b: RingElement) -> Optional[RingElement]:
@@ -877,25 +794,8 @@ def associate_unit(a: RingElement, b: RingElement) -> Optional[RingElement]:
     return RingElement(d, d.divide(a.value, b.value))
 
 
-def is_associate(a: RingElement, b: RingElement) -> bool:
-    return associate_unit(a, b) is not None
-
-
-def content_and_primitive(p: RingElement):
-    """Split p = content * primitive, peeling the last variable.
-
-    The content lives in the coefficient ring (one variable fewer, or the
-    scalar base ring for univariate input).  Content of 0 is 0.
-    """
-    d = p.descriptor
-    if d.primitive is None:
-        raise UnsupportedRingError("content requires a polynomial ring")
-    cont, prim = d.primitive(p.value)
-    return RingElement(d.coefficients, cont), RingElement(d, prim)
-
-
 # ---------------------------------------------------------------------------
-# Euclidean layer: division with remainder, extended gcd, CRT
+# Chinese remaindering over a Euclidean ring
 # ---------------------------------------------------------------------------
 
 
@@ -904,26 +804,6 @@ def _require_euclidean(ring: RingDescriptor, what: str) -> None:
         raise UnsupportedRingError(
             f"{what} requires a Euclidean ring (ZZ, QQ or QQ[x]); got {ring}"
         )
-
-
-def euclidean_divmod(a: RingElement, b: RingElement):
-    """(q, r) with a = q*b + r and r canonical: 0 <= r < |b| over ZZ,
-    deg r < deg b over QQ[x], r = 0 over QQ."""
-    a._check(b)
-    ring = a.descriptor
-    _require_euclidean(ring, "division with remainder")
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero")
-    q, r = ring.divmod(a.value, b.value)
-    return RingElement(ring, q), RingElement(ring, r)
-
-
-def euclidean_xgcd(a: RingElement, b: RingElement):
-    """(g, s, t) with s*a + t*b = g and g the canonical gcd."""
-    a._check(b)
-    ring = a.descriptor
-    _require_euclidean(ring, "extended gcd")
-    return tuple(RingElement(ring, v) for v in ring.xgcd(a.value, b.value))
 
 
 def crt(congruences: Sequence[Congruence]):

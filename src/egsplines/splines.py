@@ -67,10 +67,6 @@ class CoprimalityError(SplineError):
     """The witness construction needs pairwise coprime labels."""
 
 
-class SpanHypothesisError(SplineError):
-    """qhat_span_decomposition requires det associate to the key element."""
-
-
 class Spline:
     """A vertex labeling of one graph; one component per vertex, in order,
     held as raw values (values) and wrapped on first read (components).
@@ -352,13 +348,13 @@ def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tup
     c_k is the k-th Cramer numerator divided by det, None where that
     division fails, and c is None without f or when det = 0.
 
-    The entry of spline_determinant, certify_basis, qhat_span_decomposition
-    and the non-triangular branch of express_in_basis: ValueError("splines
-    live on different graphs") unless ms and f live on g (_check_graph),
-    raised before any arithmetic.  A matrix lower triangular in vertex
-    order (_triangular) has det = M[c][c]*det for c from n-1 down to 0,
-    with no elimination and no division, and c from _forward.  Otherwise
-    the columns' and f's values go to _bareiss in vertex order (v_1 first).
+    The entry of spline_determinant, certify_basis and the non-triangular
+    branch of express_in_basis: ValueError("splines live on different
+    graphs") unless ms and f live on g (_check_graph), raised before any
+    arithmetic.  A matrix lower triangular in vertex order (_triangular)
+    has det = M[c][c]*det for c from n-1 down to 0, with no elimination
+    and no division, and c from _forward.  Otherwise the columns' and f's
+    values go to _bareiss in vertex order (v_1 first).
     The row convention (v_n top .. v_1 bottom) reverses the n rows,
     n(n-1)/2 swaps, so det is negated once when that count is odd; c, a
     quotient of two determinants that share the sign, keeps it.
@@ -540,29 +536,6 @@ def express_in_basis(
     if _combination(g, ms, coefficients) != f.values:
         raise SplineError("internal error: Cramer reconstruction mismatch")
     return tuple(RingElement(ring, c) for c in coefficients)
-
-
-def qhat_span_decomposition(
-    g: LabeledGraph, ms: SplineMatrix, f: Spline
-) -> Tuple[RingElement, ...]:
-    """Ring elements x with sum(x_k F_k) = qhat * f.
-
-    Requires the matrix determinant to be associate to the key element, say
-    det = u*qhat.  Then x = u^-1 * adj(F) * f = F^-1 * (qhat * f) lies in
-    the ring, and it is what _solve gives for the target qhat * f.
-    """
-    _check_graph(g, ms, f)
-    ring = g.ring
-    key = qhat(g)
-    target = Spline._raw(g, [ring.mul(key.value, x) for x in f.values])
-    determinant, xs = _solve(g, ms, target)
-    if rings.associate_unit(RingElement(ring, determinant), key) is None:
-        raise SpanHypothesisError(
-            "determinant is not a unit multiple of the key element"
-        )
-    if None in xs or _combination(g, ms, xs) != target.values:
-        raise SplineError("internal error: span decomposition mismatch")
-    return tuple(RingElement(ring, x) for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ _normalize are kept verbatim below, run with ZZ's generic xgcd.
 """
 
 import dataclasses
+import functools
 import math
 import random
 from importlib import resources
@@ -22,7 +23,7 @@ from egsplines.cli import main
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import FlowUpCheck, flow_up_basis, hermite_form, verify_flow_up
-from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingDescriptor, lcm_many
+from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingDescriptor, RingElement
 from egsplines.splines import Spline
 
 from conftest import QX, qx, zz
@@ -48,7 +49,7 @@ def _eager_checks(g, basis):
     detail = "ok" if ok else f"det = {determinant}, key element = {key.qhat}"
     checks.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
     for cls, expected in zip(basis.classes, key.components):
-        ok = rings.is_associate(cls.leading_term, expected)
+        ok = rings.associate_unit(cls.leading_term, expected) is not None
         detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
         checks.append(
             FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
@@ -303,8 +304,10 @@ def _qx_graph(rng):
 
 def _outputs(g):
     basis = flow_up_basis(g)
-    labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    form = hermite_form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
+    ring = g.ring
+    labels = ring.values(list(g.vertex_labels) + [e.label for e in g.edges])
+    modulus = RingElement(ring, functools.reduce(ring.lcm, labels, ring.one.value))
+    form = hermite_form(_constraint_matrix(g), ring, modulus)
     return (
         repr([(cls.spline.values, cls.leading_term.value) for cls in basis.classes]),
         repr([[x.value for x in row] for row in form]),

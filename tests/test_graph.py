@@ -1,8 +1,9 @@
+import functools
 import random
 
 import pytest
 
-from egsplines.graph import GraphValidationError, LabeledGraph, _aggregate_table, trail_constraint
+from egsplines.graph import GraphValidationError, LabeledGraph, _aggregate_table
 from egsplines.oracle import (
     InstanceSpec,
     brute_minimal_leading_entry,
@@ -10,7 +11,7 @@ from egsplines.oracle import (
     trails_between,
 )
 from egsplines.pid import flow_up_basis
-from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingElement, gcd_many, lcm_many
+from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingElement
 from egsplines.splines import (
     Spline,
     SplineMatrix,
@@ -37,6 +38,14 @@ class TestValidate:
     def test_self_loop(self):
         g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 0, zz(2)), (0, 1, zz(2))])
         assert any("self-loop" in v for v in g.validate())
+
+    def test_self_loop_beyond_short_names(self):
+        # the loop's vertex has no name: it gets the fallback name v2
+        g = LabeledGraph(ZZ, [zz(1), zz(2)], [(1, 1, zz(3))], names=["a"])
+        assert g.validate() == [
+            "vertex name count does not match vertex count",
+            "edge 1: self-loop at v2",
+        ]
 
     def test_zero_labels_named(self):
         g = LabeledGraph(ZZ, [zz(0), zz(1)], [(0, 1, zz(0))], names=("a", "b"))
@@ -139,7 +148,14 @@ class TestTrails:
                     assert {t.vertices[k], t.vertices[k + 1]} == {e.u, e.v}
 
 
+def _table(g):
+    return _aggregate_table(g, g.ring.pair_operations())
+
+
 class TestTrailConstraint:
+    """The trail aggregate of each vertex pair, read from the aggregate
+    table as raw values, against trails_between."""
+
     def test_c3_symbolic_shape(self):
         g = LabeledGraph(
             ZXY,
@@ -147,31 +163,29 @@ class TestTrailConstraint:
             [(0, 1, zxy("x*y")), (1, 2, zxy("y^2")), (0, 2, zxy("y^3"))],
         )
         # lcm(r1, gcd(r2, r3)) for the two v2 -> v1 trails
-        expected = lcm_many(
-            [zxy("x*y"), gcd_many([zxy("y^2"), zxy("y^3")], ZXY)], ZXY
-        )
-        assert trail_constraint(g, 1, 0) == expected
+        expected = ZXY.lcm(zxy("x*y").value, ZXY.gcd(zxy("y^2").value, zxy("y^3").value))
+        assert _table(g)[1][0] == expected
 
     def test_single_edge(self, p2):
-        assert trail_constraint(p2, 1, 0) == zz(4)
+        assert _table(p2)[1][0] == 4
 
     def test_c3_integers(self, c3_int):
-        assert trail_constraint(c3_int, 1, 0) == zz(2)  # lcm(2, gcd(3, 5))
-        assert trail_constraint(c3_int, 2, 0) == zz(5)
-        assert trail_constraint(c3_int, 2, 1) == zz(3)
+        table = _table(c3_int)
+        assert table[1][0] == 2  # lcm(2, gcd(3, 5))
+        assert table[2][0] == 5
+        assert table[2][1] == 3
 
     def test_every_trail_gcd_divides_aggregate(self):
-        from egsplines.rings import divides
-
         for seed in range(20):
             g = random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.5, label_bound=30))
+            table = _table(g)
             for j in range(g.n):
                 for i in range(g.n):
                     if i == j:
                         continue
-                    aggregate = trail_constraint(g, j, i)
                     for t in trails_between(g, j, i):
-                        assert divides(gcd_many(t.edge_labels(g), g.ring), aggregate)
+                        trail_gcd = functools.reduce(ZZ.gcd, ZZ.values(t.edge_labels(g)))
+                        assert ZZ.divide(table[j][i], trail_gcd) is not None
 
     def test_pruned_matches_literal_enumeration(self):
         # the closure table against literal trail enumeration, every ordered
@@ -191,16 +205,19 @@ class TestTrailConstraint:
         graphs = [g for g in graphs if len(g.edges) <= 9]
         assert sum(_has_parallel_edges(g) for g in graphs) >= 5
         for g in graphs:
+            ring, table = g.ring, _table(g)
+            labels = ring.values(e.label for e in g.edges)
             for j in range(g.n):
                 for i in range(g.n):
                     if i == j:
                         continue
                     edge_sets = {frozenset(t.edges) for t in trails_between(g, j, i)}
                     values = [
-                        gcd_many([g.edges[idx].label for idx in edges], g.ring)
+                        functools.reduce(ring.gcd, [labels[idx] for idx in edges], ring.zero.value)
                         for edges in edge_sets
                     ]
-                    assert trail_constraint(g, j, i) == lcm_many(values, g.ring), (g, j, i)
+                    expected = functools.reduce(ring.lcm, values, ring.one.value)
+                    assert table[j][i] == expected, (g, j, i)
 
     def test_maximal_only_can_differ(self):
         # three parallel edges: the lcm of the parallel labels, since each
@@ -208,18 +225,20 @@ class TestTrailConstraint:
         g = LabeledGraph(
             ZZ, [zz(1), zz(1)], [(0, 1, zz(4)), (0, 1, zz(6)), (0, 1, zz(10))]
         )
-        assert trail_constraint(g, 1, 0) == zz(60)  # lcm(4, 6, 10, gcd)
+        assert _table(g)[1][0] == 60  # lcm(4, 6, 10, gcd)
 
     def test_same_endpoint_rejected(self, c3_int):
-        with pytest.raises(ValueError):
-            trail_constraint(c3_int, 1, 1)
+        # on a cycle the search would come back to the source
+        with pytest.raises(ValueError, match="must differ"):
+            trails_between(c3_int, 1, 1)
 
     def test_endpoint_out_of_range_rejected(self, c3_int):
-        # -1 would otherwise index the last vertex, and n past the table
-        for source, target in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        # -1 would otherwise start from the last vertex, and an index past
+        # the vertices would find no trail at all
+        for source, target in [(-1, 0), (0, -1), (3, 0), (0, 3), (0, 7)]:
             with pytest.raises(ValueError, match="0..2"):
-                trail_constraint(c3_int, source, target)
-        assert trail_constraint(c3_int, 0, 2) == zz(5)
+                trails_between(c3_int, source, target)
+        assert [t.edges for t in trails_between(c3_int, 0, 2)] == [(0, 1), (2,)]
 
     def test_foreign_label_rejected(self):
         # an edge label or a vertex label of another ring
@@ -229,12 +248,13 @@ class TestTrailConstraint:
         ]:
             g = LabeledGraph(ZZ, vertex_labels, [(0, 1, edge_label)])
             with pytest.raises(DescriptorMismatchError):
-                trail_constraint(g, 0, 1)
+                _table(g)
 
     def test_zero_label_unvalidated(self):
         # a zero edge label seeds its pair with 0, and 0 divides only 0
         g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(0)), (1, 2, zz(6)), (0, 2, zz(4))])
-        values = [trail_constraint(g, s, t).value for s in range(3) for t in range(3) if s != t]
+        table = _table(g)
+        values = [table[s][t] for s in range(3) for t in range(3) if s != t]
         assert values == [0, 12, 0, 12, 12, 12]
 
     def test_table_is_built_once_without_wrapping(self, monkeypatch):
@@ -248,9 +268,9 @@ class TestTrailConstraint:
             original(self, descriptor, value)
 
         monkeypatch.setattr(RingElement, "__init__", counting)
-        table = _aggregate_table(g)
+        table = _table(g)
         assert built == []
-        assert _aggregate_table(g) is table
+        assert _table(g) is table
 
 
 def _has_parallel_edges(g):

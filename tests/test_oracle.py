@@ -12,7 +12,7 @@ from egsplines.oracle import (
     random_instance,
     trails_between,
 )
-from egsplines.rings import ZZ, gcd
+from egsplines.rings import ZZ
 from egsplines.splines import coprime_label_violation, is_spline
 
 from conftest import zz
@@ -37,6 +37,15 @@ class TestBruteMinimalLeadingEntry:
     def test_rejects_polynomial_rings(self, t4):
         with pytest.raises(ValueError):
             brute_minimal_leading_entry(t4, 0, 10)
+
+    def test_index_out_of_range_rejected(self):
+        # -1 would otherwise read the last vertex's labels: 5 here, where
+        # the entry at index 2 is 30
+        g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(4)), (1, 2, zz(6))])
+        for index in (-1, 3):
+            with pytest.raises(ValueError, match="0..2"):
+                brute_minimal_leading_entry(g, index, 1000)
+        assert brute_minimal_leading_entry(g, 2, 1000) == 30
 
     def test_witness_exists_at_answer(self, c3_int):
         # a flow-up spline with the reported leading value must exist among
@@ -226,4 +235,4 @@ class TestRandomInstance:
             assert coprime_label_violation(g) is None
             labels = [x.value for x in g.vertex_labels] + [e.label.value for e in g.edges]
             for a, b in itertools.combinations(labels, 2):
-                assert gcd(zz(a), zz(b)) == ZZ.one
+                assert ZZ.gcd(a, b) == 1

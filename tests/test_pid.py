@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -6,7 +7,6 @@ import pytest
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
-from egsplines import rings
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -14,7 +14,6 @@ from egsplines.rings import (
     RingElement,
     UnsupportedRingError,
     associate_unit,
-    lcm_many,
     parse_element,
 )
 from egsplines.splines import (
@@ -68,8 +67,10 @@ def _stacked_flow_up(g):
     Hermite form.  Rows are vertices, columns are basis elements.  It
     shares hermite_form's column step and normalization with
     flow_up_basis; test_flow_up_matches_sympy_trailing_block shares none."""
-    labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    full = hermite_form(_constraint_matrix(g), g.ring, lcm_many(labels, g.ring))
+    ring = g.ring
+    labels = ring.values(list(g.vertex_labels) + [e.label for e in g.edges])
+    modulus = RingElement(ring, functools.reduce(ring.lcm, labels, ring.one.value))
+    full = hermite_form(_constraint_matrix(g), ring, modulus)
     k = len(g.edges)
     return [row[k:] for row in full[k:]]
 
@@ -305,8 +306,9 @@ class TestHermiteRationalPolynomials:
         nonmonic = 0
         for _ in range(40):
             g = _random_nonmonic_qx_graph(rng)
-            modulus = lcm_many(list(g.vertex_labels) + [e.label for e in g.edges], QX)
-            nonmonic += any(c.denominator != 1 for c in modulus.value)
+            labels = QX.values(list(g.vertex_labels) + [e.label for e in g.edges])
+            modulus = functools.reduce(QX.lcm, labels, QX.one.value)
+            nonmonic += any(c.denominator != 1 for c in modulus)
             basis = _basis_rows(flow_up_basis(g))
             tail = _stacked_flow_up(g)
             assert basis == tail, g
@@ -351,8 +353,9 @@ class TestHermiteRationalPolynomials:
                 g = _random_nonmonic_qx_graph(rng)
             else:
                 g = _random_qx_graph(rng)
-            labels = list(g.vertex_labels) + [e.label for e in g.edges]
-            nonmonic += any(c.denominator != 1 for c in lcm_many(labels, QX).value)
+            labels = QX.values(list(g.vertex_labels) + [e.label for e in g.edges])
+            modulus = functools.reduce(QX.lcm, labels, QX.one.value)
+            nonmonic += any(c.denominator != 1 for c in modulus)
             assert _basis_rows(flow_up_basis(g)) == _stacked_flow_up(g), g
         assert nonmonic >= 40
 
@@ -380,7 +383,7 @@ class TestHermiteRationalPolynomials:
             product = QX.one
             for i in range(n):
                 product = product * h[i][i]
-            assert rings.is_associate(product, modulus), (rows, det)
+            assert associate_unit(product, modulus) is not None, (rows, det)
             checked += 1
         assert checked >= 20
 
