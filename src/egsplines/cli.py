@@ -245,9 +245,8 @@ def cmd_flowup(args) -> int:
         f"determinant = {doc['unit']} * qhat" if unit is not None else "determinant does not match qhat"
     )
     lines.append("verification: " + ("all checks passed" if report.ok else "FAILED"))
-    for check in report.checks:
-        if not check.ok:
-            lines.append(f"  failed: {check.name} ({check.detail})")
+    for check in report.failures:
+        lines.append(f"  failed: {check.name} ({check.detail})")
     _emit(doc, args.json, lines)
     return EXIT_OK if report.ok else EXIT_REFUTED
 

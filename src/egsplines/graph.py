@@ -3,7 +3,8 @@
 A labeled graph carries one nonzero ring element per vertex and per edge,
 plus a fixed vertex ordering that the flow-up and key-element computations
 refer to.  Graphs are immutable and never relabeled; the validation result,
-the aggregate table and the key-element record are cached on each graph.
+the raw labels and the key-element record, not the aggregate table that
+the record is folded from, are cached on each graph.
 
 The key element is built from one pairwise aggregate: the lcm over s-t
 trails of the gcd of each trail's edge labels.  Divisibility classes of a
@@ -76,7 +77,6 @@ class LabeledGraph:
             names = tuple(f"v{i + 1}" for i in range(len(self.vertex_labels)))
         self.names = tuple(names)
         self._violations: Optional[Tuple[str, ...]] = None
-        self._table: Optional[list] = None  # raw values, see _aggregate_table
         self._labels: Optional[tuple] = None  # raw values, see _raw_labels
         self._key = None  # the record of splines.key_element
         adjacency: List[List[int]] = [[] for _ in self.vertex_labels]
@@ -180,8 +180,6 @@ def _aggregate_table(g: LabeledGraph, pairs: tuple) -> list:
     that is, is its gcd with the entry) skip the lcm.  The diagonal is
     never read.
     """
-    if g._table is not None:
-        return g._table
     n = g.n
     ring = g.ring
     gcd, lcm, _ = pairs
@@ -208,6 +206,5 @@ def _aggregate_table(g: LabeledGraph, pairs: tuple) -> list:
                 # is their gcd; 0 divides only 0, and lcm(entry, 0) = 0
                 if not candidate or gcd(candidate, row_i[j]) != candidate:
                     row_i[j] = table[j][i] = lcm(row_i[j], candidate)
-    g._table = table
     return table
 

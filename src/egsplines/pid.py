@@ -19,9 +19,9 @@ hermite_normal_form, which shares no code with them.
 verify_flow_up checks a basis against the key element on raw values:
 spline membership and shape per column, the determinant against Qhat,
 and each leading term against its canonical key-element component by
-comparing canonical associates.  Its FlowUpReport keeps the outcomes;
-ok reads them, and the FlowUpCheck records that egs flowup prints are
-built on the first read of checks.
+comparing canonical associates.  Its FlowUpReport holds a FlowUpCheck
+record for each failed check, the ones egs flowup prints, and none for a
+check that passes.
 """
 
 from __future__ import annotations
@@ -262,89 +262,66 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
 
 @dataclass(frozen=True)
 class FlowUpCheck:
+    """A failed check of verify_flow_up: its name and what went wrong."""
+
     name: str
-    ok: bool
     detail: str
 
 
 @dataclass(frozen=True)
 class FlowUpReport:
     """The outcome of verify_flow_up: the determinant, key element and unit
-    it compared (unit is None when they do not match), and the outcome of
-    every check on raw values.  Per class of the basis, violations holds
-    its spline violations (empty for a spline), shapes whether it is
-    flow-up at its index and leads whether its leading term matches its
-    key-element component, in components.
-
-    ok reads those outcomes.  checks, the FlowUpCheck records, is built on
-    its first read: per class its spline and flow-up checks, then the
-    determinant check, then per class its leading-term check.
-    """
+    it compared (unit is None when they do not match), and a FlowUpCheck
+    for each failed check, in order: per class its spline and flow-up
+    checks, then the determinant check, then per class its leading-term
+    check.  ok when nothing failed."""
 
     determinant: RingElement
     key: RingElement
     unit: Optional[RingElement]
-    classes: Tuple[FlowUpClass, ...]
-    components: Tuple[RingElement, ...]
-    violations: Tuple[Tuple[str, ...], ...]
-    shapes: Tuple[bool, ...]
-    leads: Tuple[bool, ...]
+    failures: Tuple[FlowUpCheck, ...]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.unit is not None and all(self.shapes) and all(self.leads)
-            and not any(self.violations)
-        )
-
-    @functools.cached_property
-    def checks(self) -> Tuple[FlowUpCheck, ...]:
-        out: List[FlowUpCheck] = []
-        for cls, violations, shape in zip(self.classes, self.violations, self.shapes):
-            i = cls.index + 1
-            out.append(
-                FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
-            )
-            detail = "ok" if shape else "shape violated"
-            out.append(FlowUpCheck(f"column {i} is flow-up at index {i}", shape, detail))
-        ok = self.unit is not None
-        detail = "ok" if ok else f"det = {self.determinant}, key element = {self.key}"
-        out.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
-        for cls, expected, ok in zip(self.classes, self.components, self.leads):
-            detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
-            out.append(
-                FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
-            )
-        return tuple(out)
+        return not self.failures
 
 
 def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     """Check a candidate flow-up basis against the PID-case equivalences.
 
-    Columns must be splines of triangular shape, the determinant must be a
-    unit multiple of the key element, and each leading term must be
-    associate to the corresponding key-element component (over a PID, the
-    minimal leading term at that index).  Every check runs on raw values.
-    The components are canonical, so a leading term is associate to its
-    component exactly when its canonical associate equals it, which needs
-    no division; a leading term of another ring raises
-    DescriptorMismatchError.  The report keeps the outcomes and builds its
-    FlowUpCheck records only when they are read.  ValueError("splines live
-    on different graphs") unless the basis and its splines live on g
-    itself, raised before any check.
+    Columns must be splines of triangular shape (splines._flows_up), the
+    determinant must be a unit multiple of the key element, and each
+    leading term must be associate to the corresponding key-element
+    component (over a PID, the minimal leading term at that index).  Every
+    check runs on raw values.  The components are canonical, so a leading
+    term is associate to its component exactly when its canonical
+    associate equals it, which needs no division; a leading term of
+    another ring raises DescriptorMismatchError.  Only a failed check gets
+    a FlowUpCheck.  ValueError("splines live on different graphs") unless
+    the basis and its splines live on g itself, raised before any check.
     """
     classes = basis.classes
     if basis.graph is not g or any(c.spline.graph is not g for c in classes):
         raise ValueError("splines live on different graphs")
-    violations = tuple(tuple(splines._violations(g, c.spline.values)) for c in classes)
-    shapes = tuple(
-        not any(c.spline.values[: c.index]) and bool(c.spline.values[c.index]) for c in classes
-    )
+    failures: List[FlowUpCheck] = []
+    for c in classes:
+        i, values = c.index + 1, c.spline.values
+        violations = splines._violations(g, values)
+        if violations:
+            failures.append(FlowUpCheck(f"column {i} is a spline", "; ".join(violations)))
+        if not splines._flows_up(values, c.index):
+            failures.append(FlowUpCheck(f"column {i} is flow-up at index {i}", "shape violated"))
     determinant = splines.spline_determinant(basis.matrix())
     key = splines.key_element(g)
     unit = rings.associate_unit(determinant, key.qhat)
+    if unit is None:
+        detail = f"det = {determinant}, key element = {key.qhat}"
+        failures.append(FlowUpCheck("determinant is a unit multiple of the key element", detail))
     canon, terms = g.ring.canon, g.ring.values(c.leading_term for c in classes)
-    leads = tuple(canon(t) == expected.value for t, expected in zip(terms, key.components))
-    return FlowUpReport(
-        determinant, key.qhat, unit, classes, key.components, violations, shapes, leads
-    )
+    for c, t, expected in zip(classes, terms, key.components):
+        if canon(t) != expected.value:
+            failures.append(FlowUpCheck(
+                f"leading term {c.index + 1} matches the formula value",
+                f"leading term {c.leading_term}, formula {expected}",
+            ))
+    return FlowUpReport(determinant, key.qhat, unit, tuple(failures))

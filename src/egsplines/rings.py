@@ -543,7 +543,10 @@ def _polynomial_operations(c: RingDescriptor) -> dict:
 
     def long_division(a, b):
         """(q, r) with a = q*b + r and deg r < deg b, dividing each leading
-        coefficient exactly in c; None when one of them does not divide."""
+        coefficient exactly in c; None when one of them does not divide.
+        ZeroDivisionError for b = 0, as over ZZ and QQ."""
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
         db = len(b) - 1
         lead = b[db]
         rem = list(a)

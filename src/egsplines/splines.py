@@ -8,11 +8,11 @@ can refute non-spline columns.
 Matrix convention: a set of candidates F_1..F_n is viewed as the n x n
 matrix whose column k is F_k with rows ordered v_n (top) down to v_1
 (bottom).  All determinants below use that fixed convention; associate
-checks absorb the sign, and _solve applies the convention's one sign.
+checks absorb the sign, and _determinant applies the convention's one sign.
 
 Flow-up bases and coprime witness matrices are lower triangular in vertex
 order: column k is zero at the vertices before v_k and nonzero at v_k
-(_triangular).  Such a matrix is solved without elimination: its
+(_flows_up, _triangular).  Such a matrix is solved without elimination: its
 determinant is the product of the diagonal, and its coefficients come from
 exact forward substitution (_forward), one division per column, which
 decides every column of a target inside or outside the span.  Every other
@@ -340,39 +340,26 @@ def _bareiss(
 
 def spline_determinant(ms: SplineMatrix) -> RingElement:
     """Exact determinant under the fixed row convention (v_n top .. v_1 bottom)."""
-    return RingElement(ms.graph.ring, _solve(ms.graph, ms)[0])
+    return RingElement(ms.graph.ring, _determinant(ms))
 
 
-def _solve(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> tuple:
-    """The raw (det, c) of the matrix of ms and, when given, the target f:
-    c_k is the k-th Cramer numerator divided by det, None where that
-    division fails, and c is None without f or when det = 0.
-
-    The entry of spline_determinant, certify_basis and the non-triangular
-    branch of express_in_basis: ValueError("splines live on different
-    graphs") unless ms and f live on g (_check_graph), raised before any
-    arithmetic.  A matrix lower triangular in vertex order (_triangular)
-    has det = M[c][c]*det for c from n-1 down to 0, with no elimination
-    and no division, and c from _forward.  Otherwise the columns' and f's
-    values go to _bareiss in vertex order (v_1 first).
-    The row convention (v_n top .. v_1 bottom) reverses the n rows,
-    n(n-1)/2 swaps, so det is negated once when that count is odd; c, a
-    quotient of two determinants that share the sign, keeps it.
-    """
-    _check_graph(g, ms, f)
-    ring = g.ring
+def _determinant(ms: SplineMatrix):
+    """The raw determinant of the matrix of ms under the row convention:
+    the product of the diagonal of a matrix lower triangular in vertex
+    order (_triangular), with no elimination and no division, else _bareiss
+    on the rows in vertex order (v_1 first).  The row convention (v_n top
+    .. v_1 bottom) reverses the n rows, n(n-1)/2 swaps, so det is negated
+    once when that count is odd."""
+    ring, n = ms.graph.ring, ms.graph.n
     if _triangular(ms):
         det = ring.one.value
-        for k in range(g.n - 1, -1, -1):
+        for k in range(n - 1, -1, -1):
             det = ring.mul(ms.columns[k].values[k], det)
-        c = None if f is None else _forward(ring, ms, f.values)
     else:
-        rows = list(zip(*(col.values for col in ms.columns)))
-        det, y = _bareiss(ring, rows, None if f is None else f.values)
-        c = None if y is None else [ring.divide(v, det) for v in y]
-    if det and g.n * (g.n - 1) // 2 % 2:
+        det = _bareiss(ring, list(zip(*(col.values for col in ms.columns))))[0]
+    if det and n * (n - 1) // 2 % 2:
         det = ring.neg(det)
-    return det, c
+    return det
 
 
 def _check_graph(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) -> None:
@@ -380,11 +367,16 @@ def _check_graph(g: LabeledGraph, ms: SplineMatrix, f: Optional[Spline] = None) 
         raise ValueError("splines live on different graphs")
 
 
+def _flows_up(values: Sequence, k: int) -> bool:
+    """Whether raw values are zero before v_k and nonzero at v_k: a flow-up shape."""
+    return bool(values[k]) and not any(values[:k])
+
+
 def _triangular(ms: SplineMatrix) -> bool:
-    """Whether each column k is zero at the vertices before v_k and nonzero
-    at v_k: the matrix is lower triangular in vertex order with a nonzero
-    diagonal, as every flow-up basis and coprime witness matrix is."""
-    return all(col.values[k] and not any(col.values[:k]) for k, col in enumerate(ms.columns))
+    """Whether each column k flows up at k (_flows_up): the matrix is lower
+    triangular in vertex order with a nonzero diagonal, as every flow-up
+    basis and coprime witness matrix is."""
+    return all(_flows_up(col.values, k) for k, col in enumerate(ms.columns))
 
 
 def _forward(ring: rings.RingDescriptor, ms: SplineMatrix, target: Sequence) -> list:
@@ -445,10 +437,6 @@ class BasisCertificate:
     unit: Optional[RingElement] = None
     failing_columns: Tuple[int, ...] = ()
 
-    @property
-    def is_certified(self) -> bool:
-        return self.verdict is Verdict.CERTIFIED
-
 
 def coprime_label_violation(g: LabeledGraph) -> Optional[Tuple[str, str]]:
     """A pair of labels with non-unit gcd, or None when pairwise coprime."""
@@ -472,7 +460,8 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     an open question and is never assumed here.
     """
     g.require_valid()
-    determinant = RingElement(g.ring, _solve(g, ms)[0])
+    _check_graph(g, ms)
+    determinant = RingElement(g.ring, _determinant(ms))
     key = qhat(g)
     failing = tuple(idx for idx, col in enumerate(ms.columns) if _violations(g, col.values))
     if failing:
@@ -511,25 +500,29 @@ def express_in_basis(
 ) -> Tuple[RingElement, ...]:
     """Coefficients c with sum(c_k F_k) = f; NotInSpanError when f is not in
     the span, ZeroDivisionError when the columns are dependent (det 0),
-    ValueError when ms or f lives on another graph than g (see _solve).
+    ValueError("splines live on different graphs") when ms or f lives on
+    another graph than g, raised before any arithmetic.
 
     A matrix lower triangular in vertex order (_triangular) is solved by
     exact forward substitution (_forward), n divisions, without computing
     its determinant.  Any other matrix goes through Cramer's rule: the
     column-replaced determinants divided by the matrix determinant, all
-    from one elimination (see _solve).  Either way NotInSpanError lists
-    every failing column.  The output is verified by full reconstruction
-    on raw values before it is returned, so an arithmetic fault cannot
-    produce silent garbage.
+    from one elimination (_bareiss); a quotient of two determinants, it
+    needs no row-convention sign (_determinant).  Either way NotInSpanError
+    lists every failing column.  The output is verified by full
+    reconstruction on raw values before it is returned, so an arithmetic
+    fault cannot produce silent garbage.
     """
     _check_graph(g, ms, f)
     ring = g.ring
     if _triangular(ms):
         coefficients = _forward(ring, ms, f.values)
     else:
-        determinant, coefficients = _solve(g, ms, f)
+        rows = list(zip(*(col.values for col in ms.columns)))
+        determinant, numerators = _bareiss(ring, rows, f.values)
         if not determinant:
             raise ZeroDivisionError("cannot express against a singular matrix")
+        coefficients = [ring.divide(y, determinant) for y in numerators]
     if None in coefficients:
         failed = tuple(k for k, c in enumerate(coefficients) if c is None)
         raise NotInSpanError(failed[0], failed)

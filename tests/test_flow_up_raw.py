@@ -1,19 +1,21 @@
 """Flow-up verification on raw values, and the Hermite layer's column steps.
 
-verify_flow_up decides every check on raw values and builds its
-FlowUpCheck records only when report.checks is read.  The records must
-equal those of the eager loop that built them on every call, kept
-verbatim below as _eager_checks, on passing and tampered bases over ZZ
-and QQ[x].  ZZ's xgcd runs on ints, and _merger and _normalize reduce
-their entries inline; the Hermite forms and flow-up bases must equal
-those of the earlier column steps, whose _reducer, _merger and
-_normalize are kept verbatim below, run with ZZ's generic xgcd.
+verify_flow_up decides every check on raw values and builds a
+FlowUpCheck record only for a check that fails.  Its failures must equal,
+in order, the failed records of the eager loop that built a record for
+every check, kept below as _eager_checks with its own record type, on
+passing and tampered bases over ZZ and QQ[x].  ZZ's xgcd runs on ints,
+and _merger and _normalize reduce their entries inline; the Hermite
+forms and flow-up bases must equal those of the earlier column steps,
+whose _reducer, _merger and _normalize are kept verbatim below, run with
+ZZ's generic xgcd.
 """
 
 import dataclasses
 import functools
 import math
 import random
+from collections import namedtuple
 from importlib import resources
 
 import pytest
@@ -22,12 +24,15 @@ from egsplines import pid, rings, splines
 from egsplines.cli import main
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.pid import FlowUpCheck, flow_up_basis, hermite_form, verify_flow_up
+from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
 from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingDescriptor, RingElement
 from egsplines.splines import Spline
 
 from conftest import QX, qx, zz
 from test_pid import _constraint_matrix
+
+
+_EagerCheck = namedtuple("_EagerCheck", "name ok detail")
 
 
 def _eager_checks(g, basis):
@@ -37,24 +42,28 @@ def _eager_checks(g, basis):
         i, values = cls.index + 1, cls.spline.values
         violations = splines._violations(g, values)
         checks.append(
-            FlowUpCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
+            _EagerCheck(f"column {i} is a spline", not violations, "; ".join(violations) or "ok")
         )
         ok = not any(values[: i - 1]) and bool(values[i - 1])
         detail = "ok" if ok else "shape violated"
-        checks.append(FlowUpCheck(f"column {i} is flow-up at index {i}", ok, detail))
+        checks.append(_EagerCheck(f"column {i} is flow-up at index {i}", ok, detail))
     determinant = splines.spline_determinant(basis.matrix())
     key = splines.key_element(g)
     unit = rings.associate_unit(determinant, key.qhat)
     ok = unit is not None
     detail = "ok" if ok else f"det = {determinant}, key element = {key.qhat}"
-    checks.append(FlowUpCheck("determinant is a unit multiple of the key element", ok, detail))
+    checks.append(_EagerCheck("determinant is a unit multiple of the key element", ok, detail))
     for cls, expected in zip(basis.classes, key.components):
         ok = rings.associate_unit(cls.leading_term, expected) is not None
         detail = "ok" if ok else f"leading term {cls.leading_term}, formula {expected}"
         checks.append(
-            FlowUpCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
+            _EagerCheck(f"leading term {cls.index + 1} matches the formula value", ok, detail)
         )
     return tuple(checks)
+
+
+def _failed(checks):
+    return [(c.name, c.detail) for c in checks if not c.ok]
 
 
 def _replace_class(basis, k, **changes):
@@ -72,8 +81,9 @@ def _variants(g):
     it still passes), and four broken copies: a column scaled by a non-unit
     (2 over ZZ, x over QQ[x]) with its leading term (the determinant and
     that leading term fail), a column that is no spline, a column with a
-    nonzero entry above its index, and a wrong leading term on an unchanged
-    column."""
+    nonzero entry above its index, a wrong leading term on an unchanged
+    column, and several failures at once: the last column both no spline
+    and nonzero above its index, and a wrong first leading term."""
     basis = flow_up_basis(g)
     ring, last = g.ring, g.n - 1
     factor = ring.variable("x") if ring.is_polynomial else ring.from_int(2)
@@ -83,7 +93,9 @@ def _variants(g):
     values[last] = ring.add(values[last], ring.one.value)
     shape = list(basis.classes[last].spline.values)
     shape[0] = basis.classes[0].spline.values[0]
+    several = shape[:last] + values[last:]
     lead = basis.classes[0].leading_term
+    wrong_lead = lead * factor + ring.one
     return [
         ("flow-up basis", basis),
         ("associate leading term", _replace_class(basis, 0, leading_term=lead * unit)),
@@ -92,7 +104,10 @@ def _variants(g):
         )),
         ("non-spline column", _replace_class(basis, last, spline=Spline._raw(g, values))),
         ("broken shape", _replace_class(basis, last, spline=Spline._raw(g, shape))),
-        ("wrong leading term", _replace_class(basis, 0, leading_term=lead * factor + ring.one)),
+        ("wrong leading term", _replace_class(basis, 0, leading_term=wrong_lead)),
+        ("several failures", _replace_class(
+            _replace_class(basis, last, spline=Spline._raw(g, several)), 0, leading_term=wrong_lead
+        )),
     ]
 
 
@@ -115,26 +130,39 @@ class TestLazyRecords:
     def test_records_equal_the_eager_loop(self, g):
         for what, basis in _variants(g):
             report = verify_flow_up(g, basis)
-            assert report.checks == _eager_checks(g, basis), what
-            assert report.ok == all(c.ok for c in report.checks), what
+            failed = [(c.name, c.detail) for c in report.failures]
+            assert failed == _failed(_eager_checks(g, basis)), what
             assert report.ok == (what in PASSING), what
 
     def test_p2_scaled_column(self):
         # the tampered basis of test_pid's test_tampered_basis_fails_determinant
         g = _p2()
         report = verify_flow_up(g, dict(_variants(g))["scaled column"])
-        failed = [(c.name, c.detail) for c in report.checks if not c.ok]
+        failed = [(c.name, c.detail) for c in report.failures]
         assert failed == [
             ("determinant is a unit multiple of the key element", "det = -48, key element = 24"),
             ("leading term 2 matches the formula value", "leading term 24, formula 12"),
         ]
 
+    def test_p2_several_failures(self):
+        # per column its spline and shape checks, the determinant, then per
+        # column its leading term: column 2's fail before column 1's
+        g = _p2()
+        report = verify_flow_up(g, dict(_variants(g))["several failures"])
+        assert [(c.name, c.detail) for c in report.failures] == [
+            ("column 2 is a spline", "vertex v2: component is not a multiple of 3; "
+             "edge 1 (v1,v2): difference is not a multiple of 4"),
+            ("column 2 is flow-up at index 2", "shape violated"),
+            ("determinant is a unit multiple of the key element", "det = -14, key element = 24"),
+            ("leading term 1 matches the formula value", "leading term 5, formula 2"),
+        ]
+
     def test_reading_ok_builds_no_record(self, monkeypatch):
-        built = []
+        built, record = [], pid.FlowUpCheck
 
         def spy(*args):
             built.append(args)
-            return FlowUpCheck(*args)
+            return record(*args)
 
         monkeypatch.setattr(pid, "FlowUpCheck", spy)
         for g in _graphs():
@@ -142,11 +170,9 @@ class TestLazyRecords:
                 built.clear()
                 report = verify_flow_up(g, basis)
                 report.ok
-                assert built == [], what
-                checks = report.checks
-                assert len(built) == 3 * g.n + 1
-                assert report.checks is checks
-                assert len(built) == 3 * g.n + 1
+                # a passing basis builds none, a failing one one per failure
+                assert len(built) == len(_failed(_eager_checks(g, basis))), what
+                assert built == [(c.name, c.detail) for c in report.failures], what
 
     def test_leading_term_of_another_ring_rejected(self):
         g = _p2()
@@ -168,7 +194,7 @@ def test_cli_flowup_prints_each_failed_check(capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     (expected,) = seen
-    failed = [f"  failed: {c.name} ({c.detail})" for c in expected if not c.ok]
+    failed = [f"  failed: {name} ({detail})" for name, detail in _failed(expected)]
     assert len(failed) == 2
     assert out[out.index("verification: FAILED") + 1:] == failed
 

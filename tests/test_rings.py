@@ -466,6 +466,16 @@ class TestExactDiv:
         assert ZX.divide(parse_element("2*x+2", ZX).value, parse_element("4", ZX).value) is None
         assert QX.divide(qx("2*x+2").value, qx("4").value) == qx("1/2*x+1/2").value
 
+    def test_zero_divisor_raises_zero_division(self):
+        # a polynomial ring's divide, and QQ[x]'s divmod, which runs the
+        # same division loop, refuse a zero divisor as ZZ's and QQ's do
+        cases = [(ZZ.divide, ZZ), (QQ.divide, QQ), (QX.divmod, QX)]
+        cases += [(ring.divide, ring) for ring in (ZX, QX, ZXY)]
+        for operation, ring in cases:
+            for text in ("0", "1", "3", "x^2-2*x+1" if ring.depth else "-6"):
+                with pytest.raises(ZeroDivisionError):
+                    operation(parse_element(text, ring).value, ring.zero.value)
+
 
 ZXYZ = polynomial_ring("x", "y", "z")
 

@@ -404,7 +404,7 @@ class TestKeyElement:
             assert associate_unit(h_factor(g) * classical_qg(g), qhat(g)) is not None
             basis = flow_up_basis(g)
             assert verify_flow_up(g, basis).ok
-            assert certify_basis(g, basis.matrix()).is_certified
+            assert certify_basis(g, basis.matrix()).verdict is Verdict.CERTIFIED
             monkeypatch.undo()
 
     def test_one_gcd_per_distinct_pair(self, monkeypatch):
