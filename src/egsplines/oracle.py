@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from . import graph
 from .graph import LabeledGraph
 from .rings import ZZ, RingElement
 from .splines import Spline
@@ -210,12 +209,10 @@ def brute_minimal_leading_entry(
     in 0..n-1; ValueError otherwise.
     """
     _require_integers(g)
-    g.require_valid()
     if not 0 <= index < g.n:
         raise ValueError(f"index must lie in 0..{g.n - 1}")
-    vertex_labels, edge_labels = graph._raw_labels(g)
-    m = [abs(label) for label in vertex_labels]  # m*ZZ = (-m)*ZZ
-    edges = [(e.u, e.v, abs(r)) for e, r in zip(g.edges, edge_labels)]
+    m = [abs(label) for label in g.vertex_values]  # m*ZZ = (-m)*ZZ
+    edges = [(e.u, e.v, abs(r)) for e, r in zip(g.edges, g.edge_values)]
     step = m[index]
     for idx in g.adjacency[index]:
         if g.edges[idx].other(index) < index:
@@ -248,14 +245,12 @@ def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
     deterministic and complete within the bound.
     """
     _require_integers(g)
-    g.require_valid()
-    vertex_labels, edge_labels = graph._raw_labels(g)
-    m = [abs(label) for label in vertex_labels]  # m*ZZ = (-m)*ZZ
+    m = [abs(label) for label in g.vertex_values]  # m*ZZ = (-m)*ZZ
     n = g.n
     out: List[Spline] = []
     values: List[int] = []
     down: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for e, r in zip(g.edges, edge_labels):
+    for e, r in zip(g.edges, g.edge_values):
         down[max(e.u, e.v)].append((min(e.u, e.v), abs(r)))
 
     def candidates(v: int):
@@ -321,4 +316,4 @@ def random_instance(spec: InstanceSpec) -> LabeledGraph:
     edges = [
         (u, v, ZZ.from_int(c)) for (u, v), c in zip(pairs, labels[n:])
     ]
-    return LabeledGraph(ZZ, vertex_labels, edges).require_valid()
+    return LabeledGraph(ZZ, vertex_labels, edges)

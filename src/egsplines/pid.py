@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import rings, splines
-from .graph import LabeledGraph, _raw_labels
+from .graph import LabeledGraph
 from .rings import RingDescriptor, RingElement, UnsupportedRingError
 from .splines import Spline, SplineMatrix
 
@@ -200,7 +200,6 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
     _intersect_edges gives a lower triangular basis H of M, and _normalize
     turns it into the unique Hermite form.
     """
-    g.require_valid()
     ring = g.ring
     if not ring.is_pid:
         raise UnsupportedRingError(
@@ -208,8 +207,7 @@ def flow_up_basis(g: LabeledGraph) -> TriangularBasis:
             f"got {ring}; over general GCD domains a free spline module "
             f"may have no flow-up basis at all"
         )
-    vertex_labels, edge_labels = _raw_labels(g)
-    modulus = ring.canon(functools.reduce(ring.lcm, vertex_labels + edge_labels))
+    modulus = ring.canon(functools.reduce(ring.lcm, g.vertex_values + g.edge_values))
     H = _intersect_edges(g, modulus)
     _normalize(H, ring, modulus)
     return TriangularBasis(g, tuple(
@@ -245,9 +243,8 @@ def _intersect_edges(g: LabeledGraph, modulus) -> List[list]:
     zero = ring.zero.value
     n = g.n
     merge = _merger(ring, modulus)
-    vertex_labels, edge_labels = _raw_labels(g)
-    H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(vertex_labels)]
-    for e, r in zip(g.edges, edge_labels):
+    H = [[m if i == j else zero for i in range(n)] for j, m in enumerate(g.vertex_values)]
+    for e, r in zip(g.edges, g.edge_values):
         u, v = e.endpoints()
         G, V, bound = r, [zero] * n, size(r)
         for j in range(v, -1, -1):
@@ -298,11 +295,14 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     associate equals it, which needs no division; a leading term of
     another ring raises DescriptorMismatchError.  Only a failed check gets
     a FlowUpCheck.  ValueError("splines live on different graphs") unless
-    the basis and its splines live on g itself, raised before any check.
+    the basis and its splines live on g itself, and ValueError when a class
+    index lies outside 0..n-1, both raised before any check.
     """
     classes = basis.classes
     if basis.graph is not g or any(c.spline.graph is not g for c in classes):
         raise ValueError("splines live on different graphs")
+    if any(not 0 <= c.index < g.n for c in classes):
+        raise ValueError(f"class indices must lie in 0..{g.n - 1}")
     failures: List[FlowUpCheck] = []
     for c in classes:
         i, values = c.index + 1, c.spline.values

@@ -20,13 +20,13 @@ matrix goes through the kernel (_bareiss), which takes the rows in vertex
 order and gives the determinant and every Cramer numerator from one
 fraction-free elimination.
 
-Values are unwrapped once, at the boundary: Spline checks each component
-to lie in the graph's ring and keeps its raw value, and SplineMatrix
-checks that its columns share one graph.  Spline arithmetic, membership,
-the elimination (_bareiss) and the Cramer divisions run on those raw
-values through the ring's operations.  RingElements are built only for
-Spline.components, on first read, and for results (determinants,
-coefficients, key elements).
+Values are unwrapped once, at the boundary: a LabeledGraph keeps its
+labels raw, Spline checks each component to lie in the graph's ring and
+keeps its raw value, and SplineMatrix checks that its columns share one
+graph.  Spline arithmetic, membership, the elimination (_bareiss) and the
+Cramer divisions run on those raw values through the ring's operations.
+RingElements are built only for Spline.components, on first read, and for
+results (determinants, coefficients, key elements).
 """
 
 from __future__ import annotations
@@ -139,27 +139,22 @@ def spline_violations(g: LabeledGraph, components: Sequence[RingElement]) -> Lis
 
 def _violations(g: LabeledGraph, values: Sequence) -> List[str]:
     """spline_violations on raw values of g's ring, through its sub and
-    divide; the labels are read unwrapped once per graph
-    (graph._raw_labels), each checked to lie in g's ring."""
-    labels, edge_labels = graph._raw_labels(g)
-    sub, divide = g.ring.sub, g.ring.divide
+    divide and g's raw labels."""
+    sub, divide, names, labels = g.ring.sub, g.ring.divide, g.names, g.vertex_values
     # 0 is a multiple of every label: a zero component and an edge with
-    # equal endpoint values pass without a division.  A nonzero value is a
-    # multiple of a label m when m is nonzero and divides it (0 | b only
-    # for b = 0, on a graph not yet validated).
+    # equal endpoint values pass without a division
     out: List[str] = []
     for i, f in enumerate(values):
-        m = labels[i]
-        if f and (not m or divide(f, m) is None):
+        if f and divide(f, labels[i]) is None:
             out.append(
-                f"vertex {g.vertex_name(i)}: component is not a multiple "
+                f"vertex {names[i]}: component is not a multiple "
                 f"of {g.vertex_labels[i]}"
             )
-    for idx, (e, r) in enumerate(zip(g.edges, edge_labels)):
+    for idx, (e, r) in enumerate(zip(g.edges, g.edge_values)):
         a, b = values[e.u], values[e.v]
-        if a != b and (not r or divide(sub(a, b), r) is None):
+        if a != b and divide(sub(a, b), r) is None:
             out.append(
-                f"edge {idx + 1} ({g.vertex_name(e.u)},{g.vertex_name(e.v)}): "
+                f"edge {idx + 1} ({names[e.u]},{names[e.v]}): "
                 f"difference is not a multiple of {e.label}"
             )
     return out
@@ -218,12 +213,11 @@ def key_element(g: LabeledGraph) -> KeyElement:
     """
     if g._key is not None:
         return g._key
-    g.require_valid()
     ring = g.ring
     pairs = ring.pair_operations()
     gcd, lcm, cofactor_of = pairs
     mul, canon = ring.mul, ring.canon
-    labels = graph._raw_labels(g)[0]
+    labels = g.vertex_values
     table = graph._aggregate_table(g, pairs)
     one = ring.one.value
     components = []
@@ -441,7 +435,7 @@ class BasisCertificate:
 def coprime_label_violation(g: LabeledGraph) -> Optional[Tuple[str, str]]:
     """A pair of labels with non-unit gcd, or None when pairwise coprime."""
     labels = list(g.vertex_labels) + [e.label for e in g.edges]
-    values, gcd, one = sum(graph._raw_labels(g), []), g.ring.gcd, g.ring.one.value
+    values, gcd, one = g.vertex_values + g.edge_values, g.ring.gcd, g.ring.one.value
     # the gcd is canonical, so a unit gcd is exactly one
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -459,7 +453,6 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     Otherwise the verdict is Inconclusive, because the general converse is
     an open question and is never assumed here.
     """
-    g.require_valid()
     _check_graph(g, ms)
     determinant = RingElement(g.ring, _determinant(ms))
     key = qhat(g)
@@ -548,15 +541,13 @@ def coprime_witness_matrices(g: LabeledGraph) -> List[SplineMatrix]:
     a covers both endpoints.  Every column is a spline and the determinant
     is associate to lhat_i^(n-1) times the key element.
     """
-    g.require_valid()
     violation = coprime_label_violation(g)
     if violation is not None:
         raise CoprimalityError(
             f"labels {violation[0]} and {violation[1]} are not coprime"
         )
     n, ring = g.n, g.ring
-    vertex_labels, edge_labels = graph._raw_labels(g)
-    labels = vertex_labels + edge_labels
+    labels = g.vertex_values + g.edge_values
     positions = [(i, i) for i in range(n)] + [e.endpoints() for e in g.edges]
     key, zero = qhat(g).value, ring.zero.value
     product = functools.reduce(ring.mul, labels, ring.one.value)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import egsplines
 from egsplines.cli import main
 
 DATA = "src/egsplines/data"
@@ -317,6 +322,26 @@ class TestExamples:
         code, out, _ = run(capsys, "examples")
         assert code == 0
         assert "6/6 example checks passed" in out
+
+    def test_failed_checks_fail_under_python_O(self):
+        # python -O strips assert statements: with Qhat times 7 and each
+        # component times 3, four checks must still fail
+        script = "\n".join([
+            "import sys",
+            "from egsplines import cli, splines",
+            "qhat, components = splines.qhat, splines.qhat_components",
+            "splines.qhat = lambda g: qhat(g) * g.ring.from_int(7)",
+            "splines.qhat_components = lambda g: tuple(c * g.ring.from_int(3) for c in components(g))",
+            "sys.exit(cli.main(['examples']))",
+        ])
+        package_root = str(Path(egsplines.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": package_root}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, encoding="utf-8", env=env
+        )
+        assert proc.returncode == 1
+        assert "FAIL t4 key element: key element mismatch" in proc.stdout
+        assert proc.stdout.endswith("2/6 example checks passed\n")
 
 
 class TestErrors:

@@ -13,12 +13,22 @@ files from the current code with
 
 and review the diff of tests/golden/ before committing it.  To add a case,
 append it to cases.json (any exit code) and regenerate.
+
+To replay every case through the installed `egs` console script instead,
+one subprocess per case, with the bundled data files read through the
+installed package, run
+
+    python tests/test_golden.py --installed
+
+It prints each case whose stdout or exit code differs and exits 1 if any
+does.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import subprocess
 import sys
 from importlib import resources
 
@@ -44,6 +54,25 @@ def replay(case):
     return code, out.getvalue()
 
 
+def replay_installed():
+    """Run every case through the installed egs console script and print
+    each mismatch; the number of mismatches."""
+    mismatches = []
+    for case in CASES:
+        name = case["name"]
+        run = subprocess.run(
+            ["egs", *map(_resolve, case["argv"])], capture_output=True, encoding="utf-8"
+        )
+        if run.returncode != case["exit"]:
+            mismatches.append(f"{name}: exit {run.returncode}, expected {case['exit']}")
+        elif run.stdout != (GOLDEN / f"{name}.out").read_text(encoding="utf-8"):
+            mismatches.append(f"{name}: stdout differs from {name}.out")
+    for line in mismatches:
+        print(f"mismatch: {line}")
+    print(f"{len(CASES) - len(mismatches)} of {len(CASES)} golden cases match")
+    return len(mismatches)
+
+
 def regenerate():
     for case in CASES:
         case["exit"], stdout = replay(case)
@@ -65,6 +94,9 @@ def test_golden_output(case):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    elif sys.argv[1:] == ["--installed"]:
+        sys.exit(bool(replay_installed()))
+    else:
         sys.exit(__doc__)
-    regenerate()

@@ -4,100 +4,79 @@ import random
 import pytest
 
 from egsplines.graph import GraphValidationError, LabeledGraph, _aggregate_table
-from egsplines.oracle import (
-    InstanceSpec,
-    brute_minimal_leading_entry,
-    random_instance,
-    trails_between,
-)
-from egsplines.pid import flow_up_basis
-from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingElement
-from egsplines.splines import (
-    Spline,
-    SplineMatrix,
-    certify_basis,
-    coprime_witness_matrices,
-    key_element,
-)
+from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.rings import QQ, ZZ, RingElement
 
 from conftest import QX, ZXY, qx, random_graph, zxy, zz
 
 
+def _rejected(*args, **kwargs):
+    """The violations that LabeledGraph(*args, **kwargs) raises."""
+    with pytest.raises(GraphValidationError) as info:
+        LabeledGraph(*args, **kwargs)
+    return info.value.violations
+
+
 class TestValidate:
     def test_t4_valid(self, t4):
-        assert t4.validate() == []
-        t4.require_valid()
+        assert t4.require_valid() is t4
+        assert t4.vertex_values == tuple(ZXY.values(t4.vertex_labels))
+        assert t4.edge_values == tuple(ZXY.values(e.label for e in t4.edges))
 
     def test_single_vertex_valid(self, single_vertex):
-        assert single_vertex.validate() == []
+        assert (single_vertex.vertex_values, single_vertex.edge_values) == ((5,), ())
+        assert single_vertex.adjacency == ((),)
 
     def test_disconnected(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [])
-        assert any("disconnected" in v for v in g.validate())
+        assert _rejected(ZZ, [zz(1), zz(1)], []) == ("disconnected: no path from v1 to v2",)
 
     def test_self_loop(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 0, zz(2)), (0, 1, zz(2))])
-        assert any("self-loop" in v for v in g.validate())
+        violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 0, zz(2)), (0, 1, zz(2))])
+        assert violations == ("edge 1: self-loop at v1",)
 
     def test_self_loop_beyond_short_names(self):
         # the loop's vertex has no name: it gets the fallback name v2
-        g = LabeledGraph(ZZ, [zz(1), zz(2)], [(1, 1, zz(3))], names=["a"])
-        assert g.validate() == [
+        assert _rejected(ZZ, [zz(1), zz(2)], [(1, 1, zz(3))], names=["a"]) == (
             "vertex name count does not match vertex count",
             "edge 1: self-loop at v2",
-        ]
+        )
 
     def test_zero_labels_named(self):
-        g = LabeledGraph(ZZ, [zz(0), zz(1)], [(0, 1, zz(0))], names=("a", "b"))
-        violations = g.validate()
-        assert any("vertex a" in v for v in violations)
-        assert any("edge 1" in v for v in violations)
+        violations = _rejected(ZZ, [zz(0), zz(1)], [(0, 1, zz(0))], names=("a", "b"))
+        assert violations == ("vertex a: zero label", "edge 1: zero label")
 
     def test_ring_mismatch(self):
-        g = LabeledGraph(ZZ, [zz(1), zxy("x")], [(0, 1, zz(2))])
-        assert any("ring mismatch" in v for v in g.validate())
+        violations = _rejected(ZZ, [zz(1), zxy("x")], [(0, 1, zz(2))])
+        assert violations == ("vertex v2: label ring mismatch",)
 
     def test_edge_endpoint_out_of_range(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2)), (0, 5, zz(3))])
-        assert g.validate() == ["edge 2: endpoint out of range"]
+        violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zz(2)), (0, 5, zz(3))])
+        assert violations == ("edge 2: endpoint out of range",)
 
     def test_edge_ring_mismatch(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zxy("x"))])
-        assert g.validate() == ["edge 1: label ring mismatch"]
+        violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zxy("x"))])
+        assert violations == ("edge 1: label ring mismatch",)
 
     def test_duplicate_names(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a", "a"))
-        assert any("unique" in v for v in g.validate())
+        violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a", "a"))
+        assert violations == ("vertex names are not unique",)
 
     def test_name_count_mismatch(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a",))
-        assert g.validate() == ["vertex name count does not match vertex count"]
-        with pytest.raises(GraphValidationError) as info:
-            g.require_valid()
-        assert info.value.violations == ("vertex name count does not match vertex count",)
+        violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a",))
+        assert violations == ("vertex name count does not match vertex count",)
 
     def test_entry_points_raise_the_violations(self):
-        g = LabeledGraph(ZZ, [zz(1), zz(2)], [])
-        basis = SplineMatrix(g, [Spline(g, [zz(1), zz(0)]), Spline(g, [zz(0), zz(2)])])
-        calls = {
-            "key_element": lambda: key_element(g),
-            "flow_up_basis": lambda: flow_up_basis(g),
-            "certify_basis": lambda: certify_basis(g, basis),
-            "coprime_witness_matrices": lambda: coprime_witness_matrices(g),
-            "brute_minimal_leading_entry": lambda: brute_minimal_leading_entry(g, 0, 5),
-        }
-        for name, call in calls.items():
-            with pytest.raises(GraphValidationError) as info:
-                call()
-            assert info.value.violations == ("disconnected: no path from v1 to v2",), name
+        # the constructor is the one entry point that checks a graph: a
+        # disconnected graph is never built, so no computation receives one
+        assert _rejected(ZZ, [zz(1), zz(2)], []) == ("disconnected: no path from v1 to v2",)
 
     def test_no_vertices(self):
-        g = LabeledGraph(ZZ, [], [])
-        assert any("no vertices" in v for v in g.validate())
+        assert _rejected(ZZ, [], []) == ("graph has no vertices",)
 
     def test_parallel_edges_allowed(self):
         g = LabeledGraph(ZZ, [zz(1), zz(1)], [(0, 1, zz(2)), (0, 1, zz(3))])
-        assert g.validate() == []
+        assert g.edge_values == (2, 3)
+        assert g.adjacency == ((0, 1), (0, 1))
 
 
 class TestTrails:
@@ -241,21 +220,19 @@ class TestTrailConstraint:
         assert [t.edges for t in trails_between(c3_int, 0, 2)] == [(0, 1), (2,)]
 
     def test_foreign_label_rejected(self):
-        # an edge label or a vertex label of another ring
-        for vertex_labels, edge_label in [
-            ([zz(2), zz(3)], QQ.from_int(2)),
-            ([QQ.from_int(2), zz(3)], zz(4)),
+        # an edge label or a vertex label of another ring: the graph is
+        # rejected when it is built, before any closure
+        for vertex_labels, edge_label, violation in [
+            ([zz(2), zz(3)], QQ.from_int(2), "edge 1: label ring mismatch"),
+            ([QQ.from_int(2), zz(3)], zz(4), "vertex v1: label ring mismatch"),
         ]:
-            g = LabeledGraph(ZZ, vertex_labels, [(0, 1, edge_label)])
-            with pytest.raises(DescriptorMismatchError):
-                _table(g)
+            assert _rejected(ZZ, vertex_labels, [(0, 1, edge_label)]) == (violation,)
 
-    def test_zero_label_unvalidated(self):
-        # a zero edge label seeds its pair with 0, and 0 divides only 0
-        g = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(0)), (1, 2, zz(6)), (0, 2, zz(4))])
-        table = _table(g)
-        values = [table[s][t] for s in range(3) for t in range(3) if s != t]
-        assert values == [0, 12, 0, 12, 12, 12]
+    def test_zero_edge_label_rejected(self):
+        # a zero edge label is rejected when the graph is built, so no
+        # closure seeds a pair with 0
+        edges = [(0, 1, zz(0)), (1, 2, zz(6)), (0, 2, zz(4))]
+        assert _rejected(ZZ, [zz(2), zz(3), zz(5)], edges) == ("edge 1: zero label",)
 
     def test_table_is_built_once_without_wrapping(self, monkeypatch):
         # the closure runs on raw values: building the table wraps nothing

@@ -484,6 +484,17 @@ class TestVerifyFlowUp:
     def test_single_vertex(self, single_vertex):
         assert verify_flow_up(single_vertex, flow_up_basis(single_vertex)).ok
 
+    def test_class_index_out_of_range_rejected(self, p2):
+        # 5 would index past the vertices and -1 would read from the end
+        import dataclasses
+
+        basis = flow_up_basis(p2)
+        for index in (5, -1):
+            moved = dataclasses.replace(basis.classes[1], index=index)
+            tampered = dataclasses.replace(basis, classes=(basis.classes[0], moved))
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                verify_flow_up(p2, tampered)
+
     def test_basis_of_another_graph_rejected(self, p2, c3_int):
         # more vertices, fewer vertices, and an equal twin built separately
         twin = LabeledGraph(

@@ -559,6 +559,23 @@ def test_packed_gcd_refuses_a_sparse_box(monkeypatch):
     assert time.perf_counter() - start < 0.05
 
 
+@pytest.mark.parametrize("name", ["ZZ[x,y]", "QQ[x,y]"])
+def test_packed_gcd_refuses_a_box_past_the_dense_bound(name, monkeypatch):
+    # the box of x^3000*(x+y) and (y^3000+1)*(x+y) would have 3,002^2
+    # slots, past the 3 * 6,003 slots of their dense counts: _flatten
+    # gives up at the second level, so the first packed gcd returns None
+    # and the PRS answers
+    ring = PACKED[name][0]
+    a, b = parse_element("x^3000*(x+y)", ring), parse_element("(y^3000+1)*(x+y)", ring)
+    boxes, outcomes = [], []
+    flatten, gcd = kronecker._flatten, kronecker.gcd
+    monkeypatch.setattr(kronecker, "_flatten", lambda *args: boxes.append(flatten(*args)) or boxes[-1])
+    monkeypatch.setattr(kronecker, "gcd", lambda *args: outcomes.append(gcd(*args)) or outcomes[-1])
+    got = [RingElement(ring, x) for x in ring.cofactors(a.value, b.value)]
+    assert (boxes[0], outcomes[0]) == (None, None)
+    assert got == [parse_element(t, ring) for t in ("x+y", "x^3000", "y^3000+1")]
+
+
 def test_packed_gcd_refuses_past_gcd_bytes(monkeypatch):
     # x^50+100 and y^50+100 fill a box of 51^2 = 2,601 slots, which
     # _flatten accepts, but need 2-byte slots: 5,202 bytes, past GCD_BYTES

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from egsplines import graph, kronecker, rings, splines
-from egsplines.graph import LabeledGraph
+from egsplines.graph import GraphValidationError, LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance, trails_between
 from egsplines.pid import flow_up_basis, verify_flow_up
 from egsplines.rings import ZZ, RingElement, associate_unit
@@ -98,16 +98,12 @@ class TestIsSpline:
         violations = spline_violations(p2, [zz(2), zz(3)])
         assert any("edge 1" in v for v in violations)
 
-    def test_zero_labels_divide_only_zero(self):
-        # an unvalidated graph: 0 | b only for b = 0, for vertices and edges
-        g = LabeledGraph(ZZ, [ZZ.zero, zz(3)], [(0, 1, ZZ.zero)])
-        assert spline_violations(g, [ZZ.zero, ZZ.zero]) == []
-        assert spline_violations(g, [zz(3), zz(3)]) == [
-            "vertex v1: component is not a multiple of 0"
-        ]
-        assert spline_violations(g, [ZZ.zero, zz(3)]) == [
-            "edge 1 (v1,v2): difference is not a multiple of 0"
-        ]
+    def test_zero_labels_rejected(self):
+        # a graph with zero labels is rejected when it is built, so the
+        # membership check never divides by a zero label
+        with pytest.raises(GraphValidationError) as info:
+            LabeledGraph(ZZ, [ZZ.zero, zz(3)], [(0, 1, ZZ.zero)])
+        assert info.value.violations == ("vertex v1: zero label", "edge 1: zero label")
 
     def test_foreign_components_rejected(self, p2):
         with pytest.raises(rings.DescriptorMismatchError):
@@ -133,25 +129,27 @@ class TestIsSpline:
                 "edge 1 (v1,v2): difference is not a multiple of 6",
                 "edge 2 (v2,v3): difference is not a multiple of 4",
             ]
-        # the components on every call; the 3 vertex and 2 edge labels once
-        assert unwrapped == [3, 3, 2, 3, 3, 3]
-        # the key element's fold and closure read the same unwrapped labels
+        # the components on every call; the labels were unwrapped when g
+        # was built
+        assert unwrapped == [3, 3, 3, 3]
+        assert (g.vertex_values, g.edge_values) == ((2, 3, 5), (6, 4))
+        # the key element's fold and closure read the same raw labels
         key_element(g)
-        assert unwrapped == [3, 3, 2, 3, 3, 3]
+        assert unwrapped == [3, 3, 3, 3]
         # and so does the flow-up basis's modulus, the lcm of the labels
         basis = flow_up_basis(g)
-        assert unwrapped == [3, 3, 2, 3, 3, 3]
+        assert unwrapped == [3, 3, 3, 3]
         assert [c.leading_term for c in basis.classes] == list(qhat_components(g))
         h = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(6)), (1, 2, zz(4))])
         unwrapped.clear()
         assert key_element(h).qhat == qhat(g)
-        assert unwrapped == [3, 2]
-        # the witnesses of a coprime graph are built on raw values: its
-        # labels are unwrapped once and no column is unwrapped again
+        assert unwrapped == []
+        # the witnesses of a coprime graph are built on raw values: no
+        # label or column is unwrapped again
         coprime = LabeledGraph(ZZ, [zz(2), zz(3), zz(5)], [(0, 1, zz(7)), (1, 2, zz(11))])
         unwrapped.clear()
         witnesses = coprime_witness_matrices(coprime)
-        assert unwrapped == [3, 2]
+        assert unwrapped == []
         assert [[col.values for col in ms.columns] for ms in witnesses][3] == [
             (330, 330, 0), (0, 2310, 0), (0, 0, 330),
         ]
