@@ -72,9 +72,10 @@ class LabeledGraph:
     ):
         self.ring = ring
         self.vertex_labels = tuple(vertex_labels)
+        self.n = len(self.vertex_labels)
         self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         if names is None:
-            names = tuple(f"v{i + 1}" for i in range(len(self.vertex_labels)))
+            names = tuple(f"v{i + 1}" for i in range(self.n))
         self.names = tuple(names)
         violations = self._check()
         if violations:
@@ -83,15 +84,12 @@ class LabeledGraph:
         self.edge_values = tuple(e.label.value for e in self.edges)
         self._key = None  # the record of splines.key_element
 
-    @property
-    def n(self) -> int:
-        return len(self.vertex_labels)
-
     def _check(self) -> List[str]:
         """Every invariant violation, in order: the vertex count and names,
         each vertex label, each edge; then, only when all of those pass,
         connectivity, which builds adjacency.  A vertex past the end of a
-        short names list is called v{i+1}."""
+        short names list is called v{i+1}.  A label that is not a
+        RingElement and an endpoint that is not an int are violations too."""
         v: List[str] = []
         n = self.n
         names = [*self.names, *(f"v{i + 1}" for i in range(len(self.names), n))]
@@ -102,18 +100,25 @@ class LabeledGraph:
         elif len(set(self.names)) != n:
             v.append("vertex names are not unique")
         for name, label in zip(names, self.vertex_labels):
-            if label.descriptor is not self.ring:
+            if not isinstance(label, RingElement):
+                v.append(f"vertex {name}: label is not a RingElement")
+            elif label.descriptor is not self.ring:
                 v.append(f"vertex {name}: label ring mismatch")
             elif label.is_zero:
                 v.append(f"vertex {name}: zero label")
         for idx, e in enumerate(self.edges):
             where = f"edge {idx + 1}"
+            if not (isinstance(e.u, int) and isinstance(e.v, int)):
+                v.append(f"{where}: endpoint is not a vertex index")
+                continue
             if not (0 <= e.u < n and 0 <= e.v < n):
                 v.append(f"{where}: endpoint out of range")
                 continue
             if e.u == e.v:
                 v.append(f"{where}: self-loop at {names[e.u]}")
-            if e.label.descriptor is not self.ring:
+            if not isinstance(e.label, RingElement):
+                v.append(f"{where}: label is not a RingElement")
+            elif e.label.descriptor is not self.ring:
                 v.append(f"{where}: label ring mismatch")
             elif e.label.is_zero:
                 v.append(f"{where}: zero label")

@@ -21,7 +21,10 @@ spline membership and shape per column, the determinant against Qhat,
 and each leading term against its canonical key-element component by
 comparing canonical associates.  Its FlowUpReport holds a FlowUpCheck
 record for each failed check, the ones egs flowup prints, and none for a
-check that passes.
+check that passes.  A basis hands out one SplineMatrix
+(TriangularBasis.matrix), and each Spline keeps its membership check, so
+verify_flow_up, certify_basis and express_in_basis on one basis check
+each column and compute the determinant once between them.
 """
 
 from __future__ import annotations
@@ -185,8 +188,15 @@ class TriangularBasis:
     graph: LabeledGraph
     classes: Tuple[FlowUpClass, ...]
 
-    def matrix(self) -> SplineMatrix:
+    @functools.cached_property
+    def _matrix(self) -> SplineMatrix:
         return SplineMatrix(self.graph, [c.spline for c in self.classes])
+
+    def matrix(self) -> SplineMatrix:
+        """The SplineMatrix of the class splines, in order: one object,
+        built on the first call, so its shape and determinant and its
+        columns' membership are computed once for every caller."""
+        return self._matrix
 
     def leading_terms(self) -> Tuple[RingElement, ...]:
         return tuple(c.leading_term for c in self.classes)
@@ -295,18 +305,19 @@ def verify_flow_up(g: LabeledGraph, basis: TriangularBasis) -> FlowUpReport:
     associate equals it, which needs no division; a leading term of
     another ring raises DescriptorMismatchError.  Only a failed check gets
     a FlowUpCheck.  ValueError("splines live on different graphs") unless
-    the basis and its splines live on g itself, and ValueError when a class
-    index lies outside 0..n-1, both raised before any check.
+    the basis and its splines live on g itself, and ValueError unless the
+    class indices are 0..n-1 in order, so that check k names class k and
+    compares it with component k; both are raised before any check.
     """
     classes = basis.classes
     if basis.graph is not g or any(c.spline.graph is not g for c in classes):
         raise ValueError("splines live on different graphs")
-    if any(not 0 <= c.index < g.n for c in classes):
-        raise ValueError(f"class indices must lie in 0..{g.n - 1}")
+    if [c.index for c in classes] != list(range(g.n)):
+        raise ValueError(f"class indices must be 0..{g.n - 1}, in order")
     failures: List[FlowUpCheck] = []
     for c in classes:
         i, values = c.index + 1, c.spline.values
-        violations = splines._violations(g, values)
+        violations = c.spline._membership()
         if violations:
             failures.append(FlowUpCheck(f"column {i} is a spline", "; ".join(violations)))
         if not splines._flows_up(values, c.index):

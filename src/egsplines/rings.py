@@ -676,8 +676,9 @@ class RingElement:
     __slots__ = ("descriptor", "value")
 
     def __init__(self, descriptor: RingDescriptor, value):
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "value", value)
+        # through the slot descriptors, bound once below, since __setattr__ refuses
+        _set_descriptor(self, descriptor)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingElement is immutable")
@@ -739,6 +740,8 @@ class RingElement:
     def __repr__(self) -> str:
         return f"<{format_element(self)} in {self.descriptor}>"
 
+
+_set_descriptor, _set_value = RingElement.descriptor.__set__, RingElement.value.__set__
 
 # (kind, variables, base) -> the one descriptor of that ring
 _RINGS: dict = {}

@@ -12,7 +12,7 @@ checks absorb the sign, and _determinant applies the convention's one sign.
 
 Flow-up bases and coprime witness matrices are lower triangular in vertex
 order: column k is zero at the vertices before v_k and nonzero at v_k
-(_flows_up, _triangular).  Such a matrix is solved without elimination: its
+(_flows_up).  Such a matrix is solved without elimination: its
 determinant is the product of the diagonal, and its coefficients come from
 exact forward substitution (_forward), one division per column, which
 decides every column of a target inside or outside the span.  Every other
@@ -27,6 +27,13 @@ graph.  Spline arithmetic, membership, the elimination (_bareiss) and the
 Cramer divisions run on those raw values through the ring's operations.
 RingElements are built only for Spline.components, on first read, and for
 results (determinants, coefficients, key elements).
+
+Splines and spline matrices are immutable, so each fact derived from one
+is computed once and kept on the object that owns it: a Spline keeps its
+membership violations after the first check (Spline._membership), and a
+SplineMatrix records its shape when it is built (_triangular) and keeps
+its raw determinant after the first _determinant call.  verify_flow_up,
+certify_basis and express_in_basis all read those.
 """
 
 from __future__ import annotations
@@ -72,10 +79,11 @@ class Spline:
     held as raw values (values) and wrapped on first read (components).
 
     Not self-validating: use is_spline / spline_violations to check the
-    membership conditions.
+    membership conditions.  Immutable: the membership violations, once
+    checked (_membership), are kept in the _violated slot.
     """
 
-    __slots__ = ("graph", "values", "_components")
+    __slots__ = ("graph", "values", "_components", "_violated")
 
     def __init__(self, graph: LabeledGraph, components: Sequence[RingElement]):
         if len(components) != graph.n:
@@ -85,12 +93,13 @@ class Spline:
         self.graph = graph
         self.values = tuple(graph.ring.values(components))
         self._components = tuple(components)
+        self._violated = None
 
     @classmethod
     def _raw(cls, graph: LabeledGraph, values) -> "Spline":
         """The spline of graph with these raw values of its ring, unchecked."""
         s = object.__new__(cls)
-        s.graph, s.values, s._components = graph, tuple(values), None
+        s.graph, s.values, s._components, s._violated = graph, tuple(values), None, None
         return s
 
     @property
@@ -120,8 +129,18 @@ class Spline:
         return Spline._raw(self.graph, map(self.graph.ring.neg, self.values))
 
     def scale(self, c: RingElement) -> "Spline":
-        (c,), mul = self.graph.ring.values([c]), self.graph.ring.mul
+        ring = self.graph.ring
+        # ring.values raises the TypeError or DescriptorMismatchError
+        c = c.value if type(c) is RingElement and c.descriptor is ring else ring.values([c])[0]
+        mul = ring.mul
         return Spline._raw(self.graph, [mul(c, x) for x in self.values])
+
+    def _membership(self) -> Tuple[str, ...]:
+        """The membership violations (_violations) on self's graph, empty
+        for a spline; checked on the first call and kept."""
+        if self._violated is None:
+            self._violated = tuple(_violations(self.graph, self.values))
+        return self._violated
 
     @property
     def is_zero(self) -> bool:
@@ -165,20 +184,31 @@ def is_spline(g: LabeledGraph, components: Sequence[RingElement]) -> bool:
 
 
 class SplineMatrix:
-    """Ordered list of n candidate splines, viewed as the n x n matrix."""
+    """Ordered list of n candidate splines, viewed as the n x n matrix.
 
-    __slots__ = ("graph", "columns")
+    Immutable.  The constructor records the shape, _triangular: whether
+    each column k flows up at k (_flows_up), that is, the matrix is lower
+    triangular in vertex order with a nonzero diagonal, as every flow-up
+    basis and coprime witness matrix is.  The raw determinant is kept in
+    _det after the first _determinant call.
+    """
+
+    __slots__ = ("graph", "columns", "_triangular", "_det")
 
     def __init__(self, graph: LabeledGraph, columns: Sequence[Spline]):
         if len(columns) != graph.n:
             raise ValueError(
                 f"need exactly {graph.n} columns, got {len(columns)}"
             )
-        for col in columns:
+        triangular = True
+        for k, col in enumerate(columns):
             if col.graph is not graph:
                 raise ValueError("all columns must live on the same graph")
+            triangular = triangular and _flows_up(col.values, k)
         self.graph = graph
         self.columns = tuple(columns)
+        self._triangular = triangular
+        self._det = None
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +368,17 @@ def spline_determinant(ms: SplineMatrix) -> RingElement:
 
 
 def _determinant(ms: SplineMatrix):
-    """The raw determinant of the matrix of ms under the row convention:
-    the product of the diagonal of a matrix lower triangular in vertex
-    order (_triangular), with no elimination and no division, else _bareiss
+    """The raw determinant of the matrix of ms under the row convention,
+    computed on the first call and kept in ms._det: the product of the
+    diagonal of a matrix lower triangular in vertex order
+    (ms._triangular), with no elimination and no division, else _bareiss
     on the rows in vertex order (v_1 first).  The row convention (v_n top
     .. v_1 bottom) reverses the n rows, n(n-1)/2 swaps, so det is negated
     once when that count is odd."""
+    if ms._det is not None:
+        return ms._det
     ring, n = ms.graph.ring, ms.graph.n
-    if _triangular(ms):
+    if ms._triangular:
         det = ring.one.value
         for k in range(n - 1, -1, -1):
             det = ring.mul(ms.columns[k].values[k], det)
@@ -353,6 +386,7 @@ def _determinant(ms: SplineMatrix):
         det = _bareiss(ring, list(zip(*(col.values for col in ms.columns))))[0]
     if det and n * (n - 1) // 2 % 2:
         det = ring.neg(det)
+    ms._det = det
     return det
 
 
@@ -366,17 +400,11 @@ def _flows_up(values: Sequence, k: int) -> bool:
     return bool(values[k]) and not any(values[:k])
 
 
-def _triangular(ms: SplineMatrix) -> bool:
-    """Whether each column k flows up at k (_flows_up): the matrix is lower
-    triangular in vertex order with a nonzero diagonal, as every flow-up
-    basis and coprime witness matrix is."""
-    return all(_flows_up(col.values, k) for k, col in enumerate(ms.columns))
-
-
 def _forward(ring: rings.RingDescriptor, ms: SplineMatrix, target: Sequence) -> list:
-    """The raw c with sum(c_k F_k) = target for a matrix ms that is
-    _triangular, by exact forward substitution, one division per column;
-    c_k is None where the coefficient lies outside the ring.
+    """The raw c with sum(c_k F_k) = target for a matrix ms lower
+    triangular in vertex order (ms._triangular), by exact forward
+    substitution, one division per column; c_k is None where the
+    coefficient lies outside the ring.
 
     The solution x over the fraction field is unique, so the failing
     columns are those of Cramer's rule.  rest is D*(target - sum_{j<k}
@@ -456,7 +484,7 @@ def certify_basis(g: LabeledGraph, ms: SplineMatrix) -> BasisCertificate:
     _check_graph(g, ms)
     determinant = RingElement(g.ring, _determinant(ms))
     key = qhat(g)
-    failing = tuple(idx for idx, col in enumerate(ms.columns) if _violations(g, col.values))
+    failing = tuple(idx for idx, col in enumerate(ms.columns) if col._membership())
     if failing:
         return BasisCertificate(
             Verdict.REFUTED_NOT_SPLINES, determinant, key, failing_columns=failing
@@ -496,7 +524,7 @@ def express_in_basis(
     ValueError("splines live on different graphs") when ms or f lives on
     another graph than g, raised before any arithmetic.
 
-    A matrix lower triangular in vertex order (_triangular) is solved by
+    A matrix lower triangular in vertex order (ms._triangular) is solved by
     exact forward substitution (_forward), n divisions, without computing
     its determinant.  Any other matrix goes through Cramer's rule: the
     column-replaced determinants divided by the matrix determinant, all
@@ -508,7 +536,7 @@ def express_in_basis(
     """
     _check_graph(g, ms, f)
     ring = g.ring
-    if _triangular(ms):
+    if ms._triangular:
         coefficients = _forward(ring, ms, f.values)
     else:
         rows = list(zip(*(col.values for col in ms.columns)))

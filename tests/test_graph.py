@@ -57,6 +57,23 @@ class TestValidate:
         violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zxy("x"))])
         assert violations == ("edge 1: label ring mismatch",)
 
+    def test_label_not_a_ring_element(self):
+        # plain ints as labels: each is a violation, not an AttributeError
+        assert _rejected(ZZ, [2, 3], [(0, 1, 4)]) == (
+            "vertex v1: label is not a RingElement",
+            "vertex v2: label is not a RingElement",
+            "edge 1: label is not a RingElement",
+        )
+
+    def test_endpoint_not_an_int(self):
+        # a float endpoint is a violation, not a TypeError from indexing
+        violations = _rejected(ZZ, [zz(2), zz(3)], [(0, 1.0, zz(4)), (0, 1, zz(5))])
+        assert violations == ("edge 1: endpoint is not a vertex index",)
+
+    def test_n_is_the_vertex_count(self, t4):
+        assert t4.n == len(t4.vertex_labels) == 4
+        assert "n" in vars(t4)
+
     def test_duplicate_names(self):
         violations = _rejected(ZZ, [zz(1), zz(1)], [(0, 1, zz(2))], names=("a", "a"))
         assert violations == ("vertex names are not unique",)

@@ -495,6 +495,49 @@ class TestVerifyFlowUp:
             with pytest.raises(ValueError, match=r"0\.\.1"):
                 verify_flow_up(p2, tampered)
 
+    def test_classes_out_of_order_rejected(self, p2):
+        # check k names class k and compares it with component k, so the
+        # classes must come in index order: swapped or repeated indices
+        # are refused, instead of a report that pairs one index's name
+        # with another's component
+        import dataclasses
+
+        basis = flow_up_basis(p2)
+        first, second = basis.classes
+        for classes in (
+            (second, first),
+            (first, dataclasses.replace(second, index=0)),
+            (dataclasses.replace(first, index=1), second),
+        ):
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                verify_flow_up(p2, dataclasses.replace(basis, classes=classes))
+
+    def test_each_column_checked_once(self, monkeypatch):
+        # verify_flow_up, certify_basis and a second certify_basis on one
+        # basis share its one matrix, its determinant and each column's
+        # membership check
+        from egsplines import splines
+
+        calls = []
+        original = splines._violations
+
+        def spy(g, values):
+            calls.append(values)
+            return original(g, values)
+
+        monkeypatch.setattr(splines, "_violations", spy)
+        for seed in range(4):
+            g = random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.5, label_bound=30))
+            basis = flow_up_basis(g)
+            calls.clear()
+            assert basis.matrix() is basis.matrix()
+            report = verify_flow_up(g, basis)
+            first = certify_basis(g, basis.matrix())
+            assert certify_basis(g, basis.matrix()) == first
+            assert report.ok and first.verdict is Verdict.CERTIFIED
+            assert report.determinant == first.determinant
+            assert calls == [c.spline.values for c in basis.classes]
+
     def test_basis_of_another_graph_rejected(self, p2, c3_int):
         # more vertices, fewer vertices, and an equal twin built separately
         twin = LabeledGraph(

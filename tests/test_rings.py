@@ -158,6 +158,20 @@ class TestCopyPickle:
             assert ours.spline.components == theirs.spline.components
             assert ours.spline.graph is copied.graph
         assert copied.graph.vertex_labels == c3_int.vertex_labels
+        # a basis whose matrix, determinant and memberships were computed
+        # before copying: the copy hands out one matrix, on its own graph,
+        # and gives the same verdicts
+        from egsplines.pid import verify_flow_up
+        from egsplines.splines import certify_basis
+
+        report = verify_flow_up(c3_int, basis)
+        cert = certify_basis(c3_int, basis.matrix())
+        for copied in (copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+            assert copied.matrix() is copied.matrix()
+            assert copied.matrix().graph is copied.graph
+            assert copied.matrix().columns == tuple(c.spline for c in copied.classes)
+            assert verify_flow_up(copied.graph, copied) == report
+            assert certify_basis(copied.graph, copied.matrix()) == cert
 
 
 class TestParseFormat:

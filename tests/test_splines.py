@@ -210,14 +210,26 @@ class TestSplineArithmetic:
         ]
         assert total.components is total.components
 
-    def test_scale_checks_its_scalar(self, p2):
+    def test_scale_checks_its_scalar(self, p2, monkeypatch):
+        # a scalar of the spline's ring is unwrapped in place; ring.values
+        # runs only for any other scalar, to raise its own error
         f = Spline(p2, [zz(2), zz(6)])
-        with pytest.raises(rings.DescriptorMismatchError):
+        calls = []
+        original = rings.RingDescriptor.values
+
+        def spy(self, elements):
+            calls.append(self)
+            return original(self, elements)
+
+        monkeypatch.setattr(rings.RingDescriptor, "values", spy)
+        assert f.scale(zz(-3)).values == (-6, -18) and calls == []
+        with pytest.raises(rings.DescriptorMismatchError, match=r"^cannot mix elements of ZZ and QQ$"):
             f.scale(rings.QQ.from_int(3))
         with pytest.raises(rings.DescriptorMismatchError):
             f.scale(QX.one)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^expected RingElement, got int$"):
             f.scale(3)
+        assert calls == [ZZ, ZZ, ZZ]
 
     def test_sum_across_graphs_refused(self):
         g, h, _ = _twin_graphs()
@@ -468,6 +480,22 @@ class TestDeterminant:
 
     def test_t4_basis_det_is_minus_qhat(self, t4, t4_basis_b):
         assert spline_determinant(t4_basis_b) == -qhat(t4)
+
+    def test_determinant_eliminated_once_per_matrix(self, t4, t4_basis_b, monkeypatch):
+        # t4_basis_b is not triangular, so its determinant needs _bareiss;
+        # the matrix keeps it for every later determinant and certificate
+        calls = []
+        original = splines._bareiss
+
+        def spy(ring, rows, rhs=None):
+            calls.append(rhs)
+            return original(ring, rows, rhs)
+
+        monkeypatch.setattr(splines, "_bareiss", spy)
+        first = spline_determinant(t4_basis_b)
+        assert spline_determinant(t4_basis_b) == first == -qhat(t4)
+        assert certify_basis(t4, t4_basis_b).determinant == first
+        assert calls == [None]
 
     def test_c3_rational_det_is_twice_qhat(self, c3_rat):
         columns = [
@@ -909,9 +937,32 @@ class TestTriangularPath:
     substitutes forward, which also decides every column of a target
     outside the span.  Each public result must be the
     one of the Cramer path, _bareiss and the divisions by det, which every
-    matrix takes when _triangular is switched off."""
+    matrix takes when its recorded shape, _triangular, is switched off
+    (_cramer_copy)."""
 
-    def test_matches_cramer_path(self, monkeypatch):
+    def test_recorded_shape_matches_the_old_check(self):
+        # in-order triangles, triangles with their columns or their rows
+        # permuted, a zero on the diagonal, and dense matrices
+        rng = random.Random(3407)
+        seen = {True: 0, False: 0}
+        for ring in (ZZ, QX, ZXY):
+            for trial in range(40):
+                n = 1 + trial % 6
+                g = _ones_graph(ring, n)
+                kind = ("regular", "singular", "unimodular")[trial % 3]
+                triangle = _vertex_order_triangle(rng, ring, n, kind)
+                by_columns = rng.sample(triangle, n)
+                order = rng.sample(range(n), n)
+                by_rows = [[col[v] for v in order] for col in triangle]
+                dense = [[_random_element(rng, ring) for _ in range(n)] for _ in range(n)]
+                for columns in (triangle, by_columns, by_rows, dense):
+                    ms = SplineMatrix(g, [Spline(g, col) for col in columns])
+                    assert ms._triangular is _old_triangular(ms), (ring, columns)
+                    seen[ms._triangular] += 1
+        assert min(seen.values()) >= 50, seen
+        assert not hasattr(splines, "_triangular")
+
+    def test_matches_cramer_path(self):
         rng = random.Random(3301)
         seen = {
             "member": 0,
@@ -945,22 +996,34 @@ class TestTriangularPath:
                 cases.append((g, [list(c.components) for c in ms.columns], "witness"))
         for g, columns, kind in cases:
             ms = SplineMatrix(g, [Spline(g, col) for col in columns])
-            assert splines._triangular(ms) == (kind != "singular")
+            assert ms._triangular == (kind != "singular")
             seen[kind] += 1
             coefficients = g.ring.values(_random_element(rng, g.ring) for _ in columns)
             member = Spline._raw(g, splines._combination(g, ms, coefficients))
             outside = Spline(g, [_random_element(rng, g.ring) for _ in columns])
             for f in (member, outside):
                 new = _outcomes(g, ms, f)
-                with monkeypatch.context() as patch:
-                    patch.setattr(splines, "_triangular", lambda ms: False)
-                    assert _outcomes(g, ms, f) == new, (g.ring, columns, f)
+                assert _outcomes(g, _cramer_copy(ms), f) == new, (g.ring, columns, f)
                 if kind != "singular":
                     seen["member" if new[1][0] == "ok" else "non_member"] += 1
                     assert new[0] == _cramer_determinant(g.ring, columns)
             if kind == "singular":
                 assert new[0].is_zero and new[1] == ("ZeroDivisionError",)
         assert min(seen.values()) >= 10, seen
+
+
+def _old_triangular(ms):
+    """splines._triangular before SplineMatrix recorded its shape, verbatim."""
+    return all(splines._flows_up(col.values, k) for k, col in enumerate(ms.columns))
+
+
+def _cramer_copy(ms):
+    """A new SplineMatrix of the columns of ms, its shape recorded as not
+    triangular, so that its determinant and expressions take the Cramer
+    path (_bareiss)."""
+    forced = SplineMatrix(ms.graph, ms.columns)
+    forced._triangular = False
+    return forced
 
 
 def _vertex_order_triangle(rng, ring, n, kind):
@@ -1178,7 +1241,7 @@ class TestSpanDecomposition:
         # t4_basis_b is not lower triangular in vertex order, so x comes
         # from _bareiss's numerators divided by det = u*qhat; it must be
         # u^-1 times those numerators, and sum x_k F_k must be qhat * f
-        assert not splines._triangular(t4_basis_b)
+        assert not t4_basis_b._triangular
         key = qhat(t4)
         xs = express_in_basis(t4, t4_basis_b, t4_target.scale(key))
         assert splines._combination(t4, t4_basis_b, ZXY.values(xs)) == tuple(
