@@ -8,7 +8,7 @@ Instance file:
   {"ring": {"kind": "integers"} | {"kind": "rationals"}
            | {"kind": "polynomial", "variables": ["x", ...],
               "base": "integers" (default) | "rationals"},
-   "vertices": [{"name": "v1", "label": EXPR}, ...],    nonempty, unique names
+   "vertices": [{"name": "v1", "label": EXPR}, ...],    nonempty, unique string names
    "edges": [{"u": "v1", "v": "v2", "label": EXPR}, ...]}    optional
 Spline-set file (the output of flowup --json is one):
   {"splines": [[EXPR, ...], ...]}    one component per vertex, vertex order
@@ -107,7 +107,9 @@ def load_instance(path: str) -> LabeledGraph:
     for entry in vertices:
         if not isinstance(entry, dict) or "name" not in entry or "label" not in entry:
             raise CliInputError(f"{path}: each vertex needs 'name' and 'label'")
-        names.append(str(entry["name"]))
+        if not isinstance(entry["name"], str):
+            raise CliInputError(f"{path}: vertex names must be strings")
+        names.append(entry["name"])
         labels.append(parse(entry["label"]))
     if len(set(names)) != len(names):
         raise CliInputError(f"{path}: vertex names must be unique")

@@ -1,16 +1,18 @@
 """Brute-force cross-checks and reproducible random instances.
 
 Everything here works at desk scale and is deliberately independent of the
-key-element formula: trails are enumerated literally, small splines are
-enumerated exhaustively, and over the integer descriptor minimal leading
-entries are found by residue search (congruence merging plus backtracking
-over the uncovered residues).
+key-element formula: trails are enumerated literally, and one depth-first
+search (`_depth_first`) both lists the small splines exhaustively and,
+over the integer descriptor, decides minimal leading entries by residue
+search (congruence merging plus backtracking over the open residues).
 
 The residue search decides one prime at a time.  The values at `index` of
 the splines that vanish below it form an ideal tZ of ZZ, and a system of
 congruences is solvable over ZZ exactly when it is solvable modulo every
 prime power in the labels; so t is the product over those primes p of the
-least p^e admissible modulo the largest power p^a of p in any label.
+least p^e admissible modulo the largest power p^a of p in any label.  Each
+call factors every distinct label once and builds the tables of each prime
+once, then reruns only the search for each exponent it tries.
 """
 
 from __future__ import annotations
@@ -120,75 +122,69 @@ def _bfs_order(g: LabeledGraph, fixed) -> List[int]:
     return order
 
 
-def _exists_mod_prime_power(m, edges, fixed, order, p: int, a: int) -> bool:
-    """Existence of the flow-up assignment modulo p^a, by residue search.
+def _depth_first(order, candidates, values: Dict[int, int]):
+    """Every completion of values over the vertices of order, depth first.
 
-    All moduli are powers of p, so a vertex's merged constraint is simply
-    the incident congruence with the highest exponent, checked against the
-    others; the search branches over the residues that merge leaves open.
+    order[k] takes each value of candidates(order[k]), which may read the
+    values set before it, and leaves values when they run out; so the
+    vertices of order follow the initial keys of values in their order.
+    Each complete assignment is yielded as values itself, live.  The stack
+    is explicit, so Python's recursion depth does not grow with the graph.
     """
-    pa = p**a
-
-    def val(x: int) -> int:
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        return e
-
-    m_exp = [min(val(label), a) for label in m]
-    e_exp = [min(val(r), a) for (_, _, r) in edges]
-
-    for k, (u, v2, _) in enumerate(edges):
-        if u in fixed and v2 in fixed:
-            if (fixed[u] - fixed[v2]) % p**e_exp[k] != 0:
-                return False
-    for v2, value in fixed.items():
-        if value % p ** m_exp[v2] != 0:
-            return False
-    assignment = dict(fixed)
-    # (neighbour, edge exponent) of every edge at each vertex, in edge order
-    incident: List[List[Tuple[int, int]]] = [[] for _ in m]
-    for (ea, eb, _), exp in zip(edges, e_exp):
-        incident[ea].append((eb, exp))
-        incident[eb].append((ea, exp))
-
-    def candidates(v2: int):
-        """The residues left open for v2 by the assigned vertices, in
-        ascending order; none when their congruences conflict."""
-        best_exp = m_exp[v2]
-        best_val = 0
-        constraints = [(0, m_exp[v2])]
-        reach = best_exp
-        for w, exp in incident[v2]:
-            if w in assignment:
-                constraints.append((assignment[w], exp))
-            reach = max(reach, exp)
-        for value, exp in constraints:
-            if exp > best_exp:
-                best_exp, best_val = exp, value
-        for value, exp in constraints:
-            if (value - best_val) % p**exp != 0:
-                return iter(())
-        step = p**best_exp
-        return iter(range(best_val % step, p**reach, step))
-
-    # depth-first over order, one candidate iterator per placed vertex
     if not order:
-        return True
-    stack = [candidates(order[0])]
+        yield values
+        return
+    stack = [iter(candidates(order[0]))]
     while stack:
-        v2 = order[len(stack) - 1]
+        v = order[len(stack) - 1]
         candidate = next(stack[-1], None)
         if candidate is None:
             stack.pop()
-            assignment.pop(v2, None)
-            continue
-        assignment[v2] = candidate
-        if len(stack) == len(order):
-            return True
-        stack.append(candidates(order[len(stack)]))
-    return False
+            values.pop(v, None)
+        else:
+            values[v] = candidate
+            if len(stack) == len(order):
+                yield values
+            else:
+                stack.append(iter(candidates(order[len(stack)])))
+
+
+def _least_exponent(g: LabeledGraph, index: int, order, factors, p: int, e: int, a: int) -> int:
+    """Least e' in e..a such that p^e' at index, 0 below it, completes to
+    a spline modulo p^a; factors maps each label to its factorization.
+
+    The tables of p are built once.  All moduli are powers of p, so a
+    vertex's merged constraint is the congruence with the highest exponent
+    among its label's and its assigned neighbours', checked against the
+    others; the search branches over the residues that it leaves open.
+    """
+    powers = [p**k for k in range(a + 1)]
+    m_exp = [factors[abs(x)].get(p, 0) for x in g.vertex_values]
+    incident: List[List[Tuple[int, int]]] = [[] for _ in m_exp]
+    for edge, r in zip(g.edges, g.edge_values):
+        exp = factors[abs(r)].get(p, 0)
+        incident[edge.u].append((edge.v, exp))
+        incident[edge.v].append((edge.u, exp))
+    values = dict.fromkeys(range(index), 0)
+
+    def candidates(v: int):
+        constraints = [(0, m_exp[v])]
+        reach = m_exp[v]
+        for w, exp in incident[v]:
+            if w in values:
+                constraints.append((values[w], exp))
+            reach = max(reach, exp)
+        best_val, best_exp = max(constraints, key=lambda c: c[1])
+        if any((value - best_val) % powers[exp] for value, exp in constraints):
+            return ()
+        return range(best_val % powers[best_exp], powers[reach], powers[best_exp])
+
+    while e < a:
+        values[index] = powers[e]
+        if next(_depth_first(order, candidates, values), None) is not None:
+            break
+        e += 1
+    return e
 
 
 def brute_minimal_leading_entry(
@@ -205,34 +201,37 @@ def brute_minimal_leading_entry(
     (forced by the definition, not by the formula under test), so e starts
     at the exponent of p in their lcm and rises until the residue search
     accepts p^e; e = a, t = 0 modulo p^a, is always admissible.  A bound
-    below that lcm returns None without a search.  index is a vertex index
-    in 0..n-1; ValueError otherwise.
+    below that lcm returns None without a search.
+
+    The fixed values need no check of their own: the zeros agree on every
+    edge between them and lie in every ideal, and p^e, with e at least the
+    exponent of p in each of those labels, lies in the vertex label's ideal
+    and agrees with each zero across an edge.  So the search visits only
+    the vertices above index, in BFS order from 0..index.  index is a
+    vertex index in 0..n-1; ValueError otherwise.
     """
     _require_integers(g)
     if not 0 <= index < g.n:
         raise ValueError(f"index must lie in 0..{g.n - 1}")
-    m = [abs(label) for label in g.vertex_values]  # m*ZZ = (-m)*ZZ
-    edges = [(e.u, e.v, abs(r)) for e, r in zip(g.edges, g.edge_values)]
-    step = m[index]
+    # m*ZZ = (-m)*ZZ, so every label is read as its absolute value
+    forced = [abs(g.vertex_values[index])]
     for idx in g.adjacency[index]:
         if g.edges[idx].other(index) < index:
-            step = math.lcm(step, edges[idx][2])
-    if step > bound:
+            forced.append(abs(g.edge_values[idx]))
+    if math.lcm(*forced) > bound:
         return None
-    zeros: Dict[int, int] = {s: 0 for s in range(index)}
+    labels = {*map(abs, g.vertex_values), *map(abs, g.edge_values)}
+    factors = {x: _factorize(x) for x in labels}
+    top: Dict[int, int] = {}
+    for exponents in factors.values():
+        for p, e in exponents.items():
+            top[p] = max(top.get(p, 0), e)
     order = _bfs_order(g, range(index + 1))
-    prime_exponents: Dict[int, int] = {}
-    for x in m + [r for (_, _, r) in edges]:
-        for p, e in _factorize(x).items():
-            prime_exponents[p] = max(prime_exponents.get(p, 0), e)
-    forced = _factorize(step)
     t = 1
-    for p, a in sorted(prime_exponents.items()):
-        e = forced.get(p, 0)
-        while e < a and not _exists_mod_prime_power(
-            m, edges, {**zeros, index: p**e}, order, p, a
-        ):
-            e += 1
+    for p, a in sorted(top.items()):
+        e = max(factors[x].get(p, 0) for x in forced)
+        if e < a:
+            e = _least_exponent(g, index, order, factors, p, e, a)
         t *= p**e
     return t if t <= bound else None
 
@@ -240,42 +239,26 @@ def brute_minimal_leading_entry(
 def enumerate_small_splines(g: LabeledGraph, bound: int) -> List[Spline]:
     """All splines with every component in [-bound, bound], exhaustively.
 
-    Backtracking over vertices in index order; candidate values per vertex
-    are the multiples of its label, ascending, so the output order is
+    A depth-first search over the vertices in index order; the candidate
+    values of a vertex are the multiples of its label, ascending, that
+    agree with the values below it on every edge, so the output order is
     deterministic and complete within the bound.
     """
     _require_integers(g)
     m = [abs(label) for label in g.vertex_values]  # m*ZZ = (-m)*ZZ
-    n = g.n
-    out: List[Spline] = []
-    values: List[int] = []
-    down: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    down: List[List[Tuple[int, int]]] = [[] for _ in m]
     for e, r in zip(g.edges, g.edge_values):
         down[max(e.u, e.v)].append((min(e.u, e.v), abs(r)))
+    values: Dict[int, int] = {}
 
     def candidates(v: int):
-        """Multiples of m_v in [-bound, bound], ascending, that agree with
-        values on every edge down to a vertex below v."""
         for candidate in range(-(bound // m[v]) * m[v], bound + 1, m[v]):
             if all((candidate - values[w]) % r == 0 for w, r in down[v]):
                 yield candidate
 
-    # depth-first over the vertices, one candidate iterator per placed vertex
-    stack = [candidates(0)]
-    while stack:
-        candidate = next(stack[-1], None)
-        if candidate is None:
-            stack.pop()
-            if values:
-                values.pop()
-            continue
-        values.append(candidate)
-        if len(values) == n:
-            out.append(Spline._raw(g, values))
-            values.pop()
-        else:
-            stack.append(candidates(len(values)))
-    return out
+    # values starts empty, so its keys are the vertices in index order
+    found = _depth_first(range(g.n), candidates, values)
+    return [Spline._raw(g, assignment.values()) for assignment in found]
 
 
 @dataclass(frozen=True)

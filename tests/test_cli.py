@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import egsplines
+from egsplines import oracle, pid, splines
 from egsplines.cli import main
 
 DATA = "src/egsplines/data"
@@ -316,6 +317,64 @@ class TestOracle:
         assert len(lines) == 3 and all(line.endswith("(agree)") for line in lines)
         assert f"index 2: formula {2**40}, brute minimum {2**40} (agree)" in lines
 
+    # each check of `egs oracle` fails when one function it compares lies;
+    # p2 passes every check unpatched (test_failure_paths_pass_unpatched)
+    P2_PASS = [
+        "index 1: formula 2, brute minimum 2 (agree)",
+        "index 2: formula 12, brute minimum 12 (agree)",
+        "enumerated 11 splines with components bounded by 6; 0 failed to reconstruct against the flow-up basis",
+        "20 random combinations reconstructed, 0 mismatches (seed 0)",
+        "flow-up determinant matches qhat up to sign",
+        "oracle: all checks passed",
+    ]
+
+    def test_failure_paths_pass_unpatched(self, capsys):
+        assert run(capsys, "oracle", data("p2.json")) == (0, "\n".join(self.P2_PASS) + "\n", "")
+
+    def check_failure(self, capsys, changed):
+        expected = dict(enumerate(self.P2_PASS))
+        expected.update(changed)
+        expected[5] = "oracle: FAILURES detected"
+        code, out, err = run(capsys, "oracle", data("p2.json"))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [expected[k] for k in range(6)]
+
+    def test_wrong_brute_minimum_disagrees(self, capsys, monkeypatch):
+        real = oracle.brute_minimal_leading_entry
+        monkeypatch.setattr(
+            oracle, "brute_minimal_leading_entry", lambda g, i, bound: real(g, i, bound) + 1
+        )
+        self.check_failure(capsys, {
+            0: "index 1: formula 2, brute minimum 3 (DISAGREE)",
+            1: "index 2: formula 12, brute minimum 13 (DISAGREE)",
+        })
+
+    def test_scaled_basis_column_fails_reconstruction(self, capsys, monkeypatch):
+        real = pid.flow_up_basis
+
+        def doubled(g):
+            first, second = real(g).classes
+            two = g.ring.from_int(2)
+            return pid.TriangularBasis(g, (first, pid.FlowUpClass(
+                second.spline.scale(two), second.index, second.leading_term * two
+            )))
+
+        monkeypatch.setattr(pid, "flow_up_basis", doubled)
+        self.check_failure(capsys, {
+            2: "enumerated 11 splines with components bounded by 6; "
+            "6 failed to reconstruct against the flow-up basis",
+            4: "flow-up determinant DOES NOT match qhat up to sign",
+        })
+
+    def test_wrong_coefficients_mismatch(self, capsys, monkeypatch):
+        real = splines.express_in_basis
+        monkeypatch.setattr(splines, "express_in_basis", lambda g, ms, f: [
+            g.ring.from_int(c.value + 1) for c in real(g, ms, f)
+        ])
+        self.check_failure(capsys, {
+            3: "20 random combinations reconstructed, 20 mismatches (seed 0)",
+        })
+
 
 class TestExamples:
     def test_all_pass(self, capsys):
@@ -530,6 +589,27 @@ class TestErrors:
             code, _, err = run(capsys, "qhat", str(bad))
             assert code == 2
             assert "is not a declared vertex" in err
+
+    @pytest.mark.parametrize(
+        "names, edge",
+        [
+            # the number 1 could never be an edge endpoint
+            ([1, "v2"], {"u": 1, "v": "v2", "label": "3"}),
+            # 1 and "1" read as the same name
+            ([1, "1"], {"u": "1", "v": "1", "label": "3"}),
+        ],
+    )
+    def test_non_string_vertex_name_exit_2(self, capsys, tmp_path, names, edge):
+        bad = tmp_path / "bad.json"
+        doc = {
+            "ring": {"kind": "integers"},
+            "vertices": [{"name": name, "label": "2"} for name in names],
+            "edges": [edge],
+        }
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "qhat", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: vertex names must be strings\n"
 
     @pytest.mark.parametrize(
         "ring",

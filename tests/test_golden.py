@@ -22,11 +22,16 @@ installed package, run
 
 It prints each case whose stdout or exit code differs and exits 1 if any
 does.
+
+test_replay_needs_no_third_party_package replays every case once more in
+one `python -S` child, site-packages off and src on PYTHONPATH, and
+requires every case to match with no sympy, hypothesis or pytest imported.
 """
 
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -91,6 +96,34 @@ def test_golden_output(case):
     expected = (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
     assert stdout == expected
     assert code == case["exit"]
+
+
+# replays every case in a child with site-packages off, then prints the
+# number of cases, the mismatched names, the test packages imported and
+# whether pytest could be found at all
+_SITE_FREE_REPLAY = """
+import importlib.util, sys
+sys.path.insert(0, sys.argv[1])
+import test_golden as t
+bad = [c["name"] for c in t.CASES
+       if t.replay(c) != (c["exit"], (t.GOLDEN / (c["name"] + ".out")).read_text(encoding="utf-8"))]
+imported = {name.partition(".")[0] for name in sys.modules}
+print(len(t.CASES), bad, sorted(imported & {"sympy", "hypothesis", "pytest"}),
+      importlib.util.find_spec("pytest") is not None)
+"""
+
+
+def test_replay_needs_no_third_party_package():
+    # pyproject.toml promises no runtime dependencies, but tier-1 runs with
+    # the test extras installed, so a stray import of one would pass there
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", _SITE_FREE_REPLAY, str(GOLDEN.parent)],
+        env=env, capture_output=True, encoding="utf-8",
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"{len(CASES)} [] [] False\n"
 
 
 if __name__ == "__main__":

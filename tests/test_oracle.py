@@ -227,6 +227,16 @@ class TestRandomInstance:
             for label in list(g.vertex_labels) + [e.label for e in g.edges]:
                 assert 1 <= label.value <= 13
 
+    def test_no_vertices(self):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            random_instance(InstanceSpec(seed=0, n=0))
+
+    def test_coprime_pool(self):
+        # with no extra edges, n vertices take 2n - 1 of the 40 primes
+        assert random_instance(InstanceSpec(seed=0, n=20, edge_density=0, coprime=True)).n == 20
+        with pytest.raises(ValueError, match="^instance too large for the coprime prime pool$"):
+            random_instance(InstanceSpec(seed=0, n=21, edge_density=0, coprime=True))
+
     def test_coprime_mode(self):
         for seed in range(20):
             g = random_instance(InstanceSpec(seed=seed, n=5, edge_density=0.6, coprime=True))

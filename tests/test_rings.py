@@ -50,6 +50,14 @@ class TestDescriptor:
             polynomial_ring("2bad")
         with pytest.raises(ValueError):
             RingDescriptor("gaussian")
+        with pytest.raises(ValueError, match="^integers descriptor takes no variables$"):
+            RingDescriptor("integers", ["x"])
+        with pytest.raises(ValueError, match="^base must be ZZ or QQ$"):
+            polynomial_ring("x", base=ZX)
+
+    def test_unknown_variable(self):
+        with pytest.raises(UnsupportedRingError, match="^no variable 'z' in ZZ\\[x,y\\]$"):
+            ZXY.variable("z")
 
     def test_pid_flags(self):
         assert ZZ.is_pid and QQ.is_pid and QX.is_pid
@@ -1037,6 +1045,14 @@ class TestCrt:
     def test_single(self):
         x, modulus = crt([Congruence(ZZ.zero, zz(7))])
         assert x.is_zero and modulus == zz(7)
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="^crt needs at least one congruence$"):
+            crt([])
+
+    def test_mixed_rings(self):
+        with pytest.raises(DescriptorMismatchError, match="^congruences must share one ring$"):
+            crt([Congruence(zz(1), zz(4)), Congruence(qx("1"), qx("x"))])
 
     def test_incompatible_names_pair(self):
         with pytest.raises(IncompatibleCongruencesError) as info:

@@ -173,6 +173,16 @@ def _random_combination(rng, g, basis):
     return out
 
 
+class TestSizes:
+    def test_spline_component_count(self, p2):
+        with pytest.raises(ValueError, match="^expected 2 components, got 1$"):
+            Spline(p2, [zz(2)])
+
+    def test_matrix_column_count(self, p2):
+        with pytest.raises(ValueError, match="^need exactly 2 columns, got 1$"):
+            SplineMatrix(p2, [Spline(p2, [zz(2), zz(6)])])
+
+
 class TestSplineArithmetic:
     """Splines hold raw values: +, - and scale run on them, and components
     wraps them on first read."""
@@ -612,6 +622,16 @@ class TestBareissKernel:
                         assert not det.is_zero
         assert min(shaped.values()) >= 5, shaped
 
+    def test_failed_exact_division_raises(self):
+        # the first division of this elimination, 36 by the pivot 2, is
+        # exact; a ring that refuses it must make _bareiss raise
+        ring = _RefusingRing(ZZ)
+        with pytest.raises(rings.NotDivisibleError, match="^36 is not divisible by 2 in ZZ$"):
+            _bareiss(ring, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        assert ring.divisions == 1
+        det, _ = _bareiss(ZZ, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+        assert det == 18
+
     @staticmethod
     def _check_against_cofactors(rng, ring, rows, seen):
         """Check det, the numerators and express_in_basis of rows with a
@@ -800,6 +820,17 @@ class _CountingRing:
     def divide(self, a, b):
         self.divisions += 1
         return self.ring.divide(a, b)
+
+
+class _RefusingRing(_CountingRing):
+    """A proxy of ring whose divide refuses the first division."""
+
+    def divide(self, a, b):
+        self.divisions += 1
+        return None if self.divisions == 1 else self.ring.divide(a, b)
+
+    def __str__(self):
+        return str(self.ring)
 
 
 def _wrapped_bareiss(ring, rows, target=None):
