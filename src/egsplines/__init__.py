@@ -4,25 +4,22 @@ Computes the key element from one all-pairs (lcm, gcd) closure of the edge
 labels, certifies candidate bases via the determinant criterion over GCD
 domains, and synthesizes flow-up bases over PIDs by intersecting one edge
 congruence at a time into a triangular basis and normalizing it into
-Hermite form, with brute-force oracles for integer instances.
+Hermite form.  The brute-force oracle in egsplines.oracle cross-checks
+integer instances by a route that shares no code with these.
 """
 
 from .graph import LabeledGraph
-from .oracle import Trail, trails_between
 from .pid import (
     FlowUpClass,
     TriangularBasis,
     flow_up_basis,
-    hermite_form,
     verify_flow_up,
 )
 from .rings import (
     QQ,
     ZZ,
-    Congruence,
     RingDescriptor,
     RingElement,
-    crt,
     format_element,
     parse_element,
     polynomial_ring,
@@ -51,7 +48,6 @@ __all__ = [
     "QQ",
     "ZZ",
     "BasisCertificate",
-    "Congruence",
     "FlowUpClass",
     "LabeledGraph",
     "NotInSpanError",
@@ -59,18 +55,15 @@ __all__ = [
     "RingElement",
     "Spline",
     "SplineMatrix",
-    "Trail",
     "TriangularBasis",
     "Verdict",
     "certify_basis",
     "classical_qg",
     "coprime_witness_matrices",
-    "crt",
     "express_in_basis",
     "flow_up_basis",
     "format_element",
     "h_factor",
-    "hermite_form",
     "is_spline",
     "key_element",
     "parse_element",
@@ -78,6 +71,5 @@ __all__ = [
     "qhat",
     "qhat_components",
     "spline_determinant",
-    "trails_between",
     "verify_flow_up",
 ]

@@ -64,12 +64,16 @@ class CliInputError(Exception):
 def _ring_from_json(doc) -> RingDescriptor:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliInputError("ring must be an object with a 'kind' field")
+    if not isinstance(doc["kind"], str):
+        raise CliInputError("ring 'kind' must be a string")
     variables, base = (), ""
     if doc["kind"] == "polynomial":
         variables = doc.get("variables")
         base = doc.get("base", "integers")
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise CliInputError("polynomial ring needs a 'variables' list of strings")
+        if not isinstance(base, str):
+            raise CliInputError("ring 'base' must be a string")
     try:
         return RingDescriptor(doc["kind"], variables, base)
     except (TypeError, ValueError) as exc:

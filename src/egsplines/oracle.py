@@ -1,10 +1,10 @@
 """Brute-force cross-checks and reproducible random instances.
 
 Everything here works at desk scale and is deliberately independent of the
-key-element formula: trails are enumerated literally, and one depth-first
-search (`_depth_first`) both lists the small splines exhaustively and,
-over the integer descriptor, decides minimal leading entries by residue
-search (congruence merging plus backtracking over the open residues).
+key-element formula: one depth-first search (`_depth_first`) both lists
+the small splines exhaustively and, over the integer descriptor, decides
+minimal leading entries by residue search (congruence merging plus
+backtracking over the open residues).
 
 The residue search decides one prime at a time.  The values at `index` of
 the splines that vanish below it form an ideal tZ of ZZ, and a system of
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .graph import LabeledGraph
-from .rings import ZZ, RingElement
+from .rings import ZZ
 from .splines import Spline
 
 _PRIMES = [
@@ -31,60 +31,6 @@ _PRIMES = [
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173,
 ]
-
-
-@dataclass(frozen=True)
-class Trail:
-    """Walk that repeats no edge; vertices may repeat.
-
-    vertices has one more entry than edges; vertices[k] and vertices[k+1]
-    are the endpoints of edges[k].
-    """
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[int, ...]
-
-    def edge_labels(self, g: LabeledGraph) -> Tuple[RingElement, ...]:
-        return tuple(g.edges[idx].label for idx in self.edges)
-
-
-def trails_between(g: LabeledGraph, source: int, target: int) -> List[Trail]:
-    """All trails from the source vertex to the target vertex.
-
-    Depth-first extension over unused edges, in input edge order, so the
-    result order is deterministic.  Trails passing through the target and
-    returning later are all reported.  The count grows exponentially with
-    the edges: this is the literal definition that the key element's
-    aggregate table is tested against, for small graphs only.  The
-    endpoints are vertex indices in 0..n-1 and must differ; ValueError
-    otherwise.
-    """
-    if not (0 <= source < g.n and 0 <= target < g.n):
-        raise ValueError(f"trail endpoints must lie in 0..{g.n - 1}")
-    if source == target:
-        raise ValueError("trail endpoints must differ")
-    out: List[Trail] = []
-    path_vertices = [source]
-    path_edges: List[int] = []
-    used = [False] * len(g.edges)
-    # one iterator over the adjacency of each vertex on the path
-    stack = [iter(g.adjacency[source])]
-    while stack:
-        idx = next((idx for idx in stack[-1] if not used[idx]), None)
-        if idx is None:
-            stack.pop()
-            if path_edges:
-                used[path_edges.pop()] = False
-                path_vertices.pop()
-            continue
-        other = g.edges[idx].other(path_vertices[-1])
-        used[idx] = True
-        path_vertices.append(other)
-        path_edges.append(idx)
-        if other == target:
-            out.append(Trail(tuple(path_vertices), tuple(path_edges)))
-        stack.append(iter(g.adjacency[other]))
-    return out
 
 
 def _require_integers(g: LabeledGraph) -> None:

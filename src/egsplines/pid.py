@@ -6,15 +6,15 @@ labels.  Its column Hermite form is a flow-up basis whose pivots are the
 key-element components.  flow_up_basis cuts diag(m_v) down by one edge
 congruence at a time (_intersect_edges, O(n^2) ring operations per edge)
 to a lower triangular basis of M, then normalizes that triangle into
-Hermite form (_normalize).  hermite_form, the general column Hermite form
-modulo a lattice exponent, inserts its columns one at a time into
-modulus*I and normalizes the same way.  Both build their triangle with
-one 2x2 unimodular column step (_merger) and run on raw values through
-the ring's own operations (add, mul, divmod, xgcd, ...), wrapping
-RingElements only at exit; ZZ's xgcd runs on ints.  _merger and
-_normalize reduce an entry modulo the lcm of all labels in place, once
-its size reaches the modulus's.  The tests check both against sympy's
-hermite_normal_form, which shares no code with them.
+Hermite form (_normalize).  The triangle is built with one 2x2 unimodular
+column step (_merger), and both run on raw values through the ring's own
+operations (add, mul, divmod, xgcd, ...), wrapping RingElements only at
+exit; ZZ's xgcd runs on ints.  _merger and _normalize reduce an entry
+modulo the lcm of all labels in place, once its size reaches the
+modulus's.  The independent check of flow_up_basis is the sympy
+trailing-block test: over ZZ, the trailing n x n block of sympy's
+hermite_normal_form of the stacked constraint matrix is the spline module
+in Hermite form, and sympy shares no code with this module.
 
 verify_flow_up checks a basis against the key element on raw values:
 spline membership and shape per column, the determinant against Qhat,
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import rings, splines
 from .graph import LabeledGraph
@@ -40,58 +40,8 @@ from .splines import Spline, SplineMatrix
 
 
 # ---------------------------------------------------------------------------
-# Column Hermite form modulo a lattice exponent
+# The column step and the Hermite normalization
 # ---------------------------------------------------------------------------
-
-
-def hermite_form(
-    rows: Sequence[Sequence[RingElement]],
-    ring: RingDescriptor,
-    modulus: RingElement,
-) -> List[List[RingElement]]:
-    """Column Hermite form of the lattice spanned by the columns and modulus*R^N.
-
-    N is the number of rows.  The result is lower triangular, with canonical
-    pivots (positive integers, monic polynomials), and in each pivot row the
-    entries left of the pivot reduced modulo it.  Euclidean descriptors only
-    (ZZ, QQ and QQ[x]); ValueError for a zero modulus or rows of unequal
-    length.
-
-    H starts as modulus*I.  Each column v is inserted by walking its rows
-    down: where v_i != 0, the step merges v into H_i, which leaves the gcd
-    of the two in H_i's pivot and v zero in row i.  The step is unimodular,
-    and an entry it reduces modulo D = modulus sits in a row r > i, where
-    D*e_r lies in the span of the columns H_r, ..., H_(N-1) not yet touched
-    by this insertion; so H spans the lattice after each insertion, and
-    _normalize turns it into the Hermite form.
-
-    The entries and the modulus are unwrapped once, each checked to lie in
-    ring (DescriptorMismatchError otherwise); the pass runs on raw values
-    through ring's operations and wraps only the result.
-    """
-    if not ring.is_pid:
-        raise UnsupportedRingError(
-            f"hermite form needs a Euclidean ring, got {ring}"
-        )
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("the rows must have equal length")
-    (modulus,) = ring.values([modulus])
-    if not modulus:
-        raise ValueError("the modulus must be nonzero")
-    values = [ring.values(row) for row in rows]
-    zero = ring.zero.value
-    modulus = ring.canon(modulus)
-    merge = _merger(ring, modulus)
-    H = [[modulus if r == c else zero for r in range(nrows)] for c in range(nrows)]
-    for c in range(ncols):
-        v = [row[c] for row in values]
-        for i, col in enumerate(H):
-            if v[i]:
-                merge(col, v, col[i], v[i], i)
-    _normalize(H, ring, modulus)
-    return [[RingElement(ring, col[r]) for col in H] for r in range(nrows)]
 
 
 def _merger(ring: RingDescriptor, modulus):

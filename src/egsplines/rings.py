@@ -33,7 +33,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -63,18 +62,6 @@ class ParseError(RingError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class IncompatibleCongruencesError(RingError):
-    """A congruence system has no solution; carries a violating pair."""
-
-    def __init__(self, i: int, j: int):
-        super().__init__(
-            f"congruences {i} and {j} are incompatible: "
-            f"residues differ modulo gcd of the moduli"
-        )
-        self.i = i
-        self.j = j
 
 
 # A variable name: an ASCII letter, then ASCII letters, digits and "_".
@@ -757,19 +744,6 @@ def polynomial_ring(*variables: str, base: RingDescriptor = ZZ) -> RingDescripto
     return RingDescriptor("polynomial", tuple(variables), base.kind)
 
 
-@dataclass(frozen=True)
-class Congruence:
-    """x = residue (mod modulus); both in one ring, modulus nonzero."""
-
-    residue: RingElement
-    modulus: RingElement
-
-    def __post_init__(self):
-        self.residue._check(self.modulus)
-        if self.modulus.is_zero:
-            raise ValueError("congruence modulus must be nonzero")
-
-
 # ---------------------------------------------------------------------------
 # Associates
 # ---------------------------------------------------------------------------
@@ -798,60 +772,6 @@ def associate_unit(a: RingElement, b: RingElement) -> Optional[RingElement]:
     if b.is_zero:
         return d.one
     return RingElement(d, d.divide(a.value, b.value))
-
-
-# ---------------------------------------------------------------------------
-# Chinese remaindering over a Euclidean ring
-# ---------------------------------------------------------------------------
-
-
-def _require_euclidean(ring: RingDescriptor, what: str) -> None:
-    if not ring.is_pid:
-        raise UnsupportedRingError(
-            f"{what} requires a Euclidean ring (ZZ, QQ or QQ[x]); got {ring}"
-        )
-
-
-def crt(congruences: Sequence[Congruence]):
-    """Solve a simultaneous congruence system over a Euclidean ring.
-
-    Returns (x, L) with x = a_i (mod b_i) for every i, reduced modulo
-    L = lcm of the moduli.  Raises IncompatibleCongruencesError naming a
-    violating pair (0-based) when no solution exists.
-    """
-    congruences = list(congruences)
-    if not congruences:
-        raise ValueError("crt needs at least one congruence")
-    ring = congruences[0].residue.descriptor
-    _require_euclidean(ring, "crt")
-    for c in congruences:
-        if c.residue.descriptor is not ring:
-            raise DescriptorMismatchError("congruences must share one ring")
-    residues = [c.residue.value for c in congruences]
-    moduli = [c.modulus.value for c in congruences]
-    add, sub, mul, gcd_ = ring.add, ring.sub, ring.mul, ring.gcd
-    canon, divide, divmod_ = ring.canon, ring.divide, ring.divmod
-
-    # pairwise solvability criterion; reported pairs refer to input positions
-    # (moduli are nonzero, so each gcd is too)
-    n = len(congruences)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if divide(sub(residues[i], residues[j]), gcd_(moduli[i], moduli[j])) is None:
-                raise IncompatibleCongruencesError(i, j)
-
-    m = canon(moduli[0])
-    x = divmod_(residues[0], m)[1]
-    for r, b in zip(residues[1:], moduli[1:]):
-        b = canon(b)
-        g, s, _ = ring.xgcd(m, b)
-        # pairwise compatibility of the merged class is implied by the
-        # pairwise checks above (Euclidean CRT), so both divisions are exact
-        step = divide(sub(r, x), g)
-        x = add(x, mul(mul(m, s), step))
-        m = canon(divide(mul(m, b), g))
-        x = divmod_(x, m)[1]
-    return RingElement(ring, x), RingElement(ring, m)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,11 @@ from egsplines import oracle, pid, rings, splines
 from egsplines.cli import main as cli_main
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.rings import (
-    ZZ,
-    Congruence,
-    IncompatibleCongruencesError,
-    associate_unit,
-    crt,
-)
+from egsplines.rings import ZZ, associate_unit
 from egsplines.splines import Spline, SplineMatrix, Verdict
 
 from conftest import QX, zxy, zz
+from refs import Congruence, IncompatibleCongruencesError, crt
 
 
 def _data(name):

@@ -612,6 +612,22 @@ class TestErrors:
         assert err == f"error: {bad}: vertex names must be strings\n"
 
     @pytest.mark.parametrize(
+        "ring, field",
+        [
+            ({"kind": ["polynomial"]}, "kind"),
+            ({"kind": {"name": "integers"}}, "kind"),
+            ({"kind": "polynomial", "variables": ["x"], "base": ["integers"]}, "base"),
+            ({"kind": "polynomial", "variables": ["x"], "base": {"name": "integers"}}, "base"),
+        ],
+    )
+    def test_non_string_ring_field_exit_2(self, capsys, tmp_path, ring, field):
+        # a list or dict used to reach the descriptor's intern table and
+        # print "bad ring: unhashable type"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ring": ring, "vertices": [{"name": "v1", "label": "2"}]}))
+        assert run(capsys, "qhat", str(bad)) == (2, "", f"error: ring '{field}' must be a string\n")
+
+    @pytest.mark.parametrize(
         "ring",
         [
             {"kind": "polynomial", "variables": [1]},

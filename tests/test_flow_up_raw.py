@@ -24,12 +24,12 @@ from egsplines import pid, rings, splines
 from egsplines.cli import main
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
+from egsplines.pid import flow_up_basis, verify_flow_up
 from egsplines.rings import QQ, ZZ, DescriptorMismatchError, RingDescriptor, RingElement
 from egsplines.splines import Spline
 
 from conftest import QX, qx, zz
-from test_pid import _constraint_matrix
+from refs import _constraint_matrix, hermite_form
 
 
 _EagerCheck = namedtuple("_EagerCheck", "name ok detail")

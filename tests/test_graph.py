@@ -4,10 +4,11 @@ import random
 import pytest
 
 from egsplines.graph import GraphValidationError, LabeledGraph, _aggregate_table
-from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.rings import QQ, ZZ, RingElement
 
 from conftest import QX, ZXY, qx, random_graph, zxy, zz
+from refs import trails_between
 
 
 def _rejected(*args, **kwargs):

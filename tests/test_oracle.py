@@ -10,12 +10,12 @@ from egsplines.oracle import (
     brute_minimal_leading_entry,
     enumerate_small_splines,
     random_instance,
-    trails_between,
 )
 from egsplines.rings import ZZ
 from egsplines.splines import coprime_label_violation, is_spline
 
 from conftest import zz
+from refs import trails_between
 
 
 class TestBruteMinimalLeadingEntry:

@@ -6,7 +6,7 @@ import pytest
 
 from egsplines.graph import LabeledGraph
 from egsplines.oracle import InstanceSpec, random_instance
-from egsplines.pid import flow_up_basis, hermite_form, verify_flow_up
+from egsplines.pid import flow_up_basis, verify_flow_up
 from egsplines.rings import (
     QQ,
     ZZ,
@@ -25,37 +25,11 @@ from egsplines.splines import (
 )
 
 from conftest import QX, ZX, qx, zz
+from refs import _constraint_matrix, hermite_form
 
 
 def _values(rows):
     return [[x.value for x in row] for row in rows]
-
-
-def _constraint_matrix(g):
-    """(|E|+|V|) x (|V|+|E|) matrix whose column lattice lifts the splines.
-
-    Columns: one coefficient a_v per vertex, then one b_e per edge.  The row
-    of edge e = {v_a, v_b} with a < b reads m_a * a_{v_a} - m_b * a_{v_b}
-    - r_e * b_e; below the edge rows, the row of vertex v holds m_v in
-    column v.  A column combination (a, b) has a zero edge part exactly when
-    its vertex part (m_v * a_v) is a spline, so the splines are the lattice
-    vectors whose first |E| coordinates vanish.
-    """
-    n, k = g.n, len(g.edges)
-    zero = g.ring.zero
-    rows = []
-    for e_index, e in enumerate(g.edges):
-        a, b = e.endpoints()
-        row = [zero] * (n + k)
-        row[a] = g.vertex_labels[a]
-        row[b] = -g.vertex_labels[b]
-        row[n + e_index] = -e.label
-        rows.append(row)
-    for v in range(n):
-        row = [zero] * (n + k)
-        row[v] = g.vertex_labels[v]
-        rows.append(row)
-    return rows
 
 
 def _stacked_flow_up(g):

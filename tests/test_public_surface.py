@@ -1,21 +1,25 @@
-"""The package's public surface and the imports of its modules.
+"""The package's public surface, the imports of every module, and the
+names of the test modules.
 
 egsplines.__all__ is the contract: the paper's computations (the key
 element and its parts, certification, expression in a basis, flow-up
-bases and their check), the brute-force references they are tested
-against, and ring construction, parsing and formatting.  Every module
-uses each name it imports, checked on the syntax tree, since no linter
-runs with the tests.
+bases and their check) and ring construction, parsing and formatting.
+The references that the tests compare against live in tests/refs.py, not
+in the package.  Every package and test module uses each name it imports,
+checked on the syntax tree, since no linter runs with the tests.  No test
+module shares its name with a bench module: the bench smoke test puts
+bench/ on sys.path, and a test module of the same name imported first
+would stand in for the bench's.
 """
 
 import ast
 from pathlib import Path
 
 import egsplines
+from egsplines import oracle, pid, rings
 
 SURFACE = [
     "BasisCertificate",
-    "Congruence",
     "FlowUpClass",
     "LabeledGraph",
     "NotInSpanError",
@@ -24,19 +28,16 @@ SURFACE = [
     "RingElement",
     "Spline",
     "SplineMatrix",
-    "Trail",
     "TriangularBasis",
     "Verdict",
     "ZZ",
     "certify_basis",
     "classical_qg",
     "coprime_witness_matrices",
-    "crt",
     "express_in_basis",
     "flow_up_basis",
     "format_element",
     "h_factor",
-    "hermite_form",
     "is_spline",
     "key_element",
     "parse_element",
@@ -44,11 +45,23 @@ SURFACE = [
     "qhat",
     "qhat_components",
     "spline_determinant",
-    "trails_between",
     "verify_flow_up",
 ]
 
+# test-only references: tests/refs.py holds them, the package must not
+TEST_ONLY = [
+    "Congruence",
+    "IncompatibleCongruencesError",
+    "Trail",
+    "_require_euclidean",
+    "crt",
+    "hermite_form",
+    "trails_between",
+]
+
 PACKAGE = Path(egsplines.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def test_all_is_the_chosen_surface():
@@ -58,6 +71,8 @@ def test_all_is_the_chosen_surface():
     namespace = {}
     exec("from egsplines import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(SURFACE)
+    for module in (rings, pid, oracle):
+        assert [name for name in TEST_ONLY if hasattr(module, name)] == [], module.__name__
 
 
 def _unused_imports(tree):
@@ -75,16 +90,23 @@ def _unused_imports(tree):
 
 
 def test_every_import_is_used():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 7
+    package = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(package) >= 7 and len(tests) >= 15
     unused = {}
-    for path in modules:
+    for path in package + tests:
         found = _unused_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if found:
-            unused[path.name] = found
+            unused[f"{path.parent.name}/{path.name}"] = found
     assert unused == {}
 
 
 def test_unused_import_is_found():
     tree = ast.parse("import math\nfrom typing import List, Optional\nx: List = math.pi\n")
     assert _unused_imports(tree) == [(2, "Optional")]
+
+
+def test_no_test_module_shadows_a_bench_module():
+    bench = {p.stem for p in BENCH.glob("*.py")}
+    assert len(bench) >= 6
+    assert sorted(p.stem for p in TESTS.glob("*.py") if p.stem in bench) == []

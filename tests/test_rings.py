@@ -15,16 +15,13 @@ from egsplines.graph import LabeledGraph
 from egsplines.rings import (
     QQ,
     ZZ,
-    Congruence,
     DescriptorMismatchError,
-    IncompatibleCongruencesError,
     ParseError,
     RingDescriptor,
     RingElement,
     UnsupportedRingError,
     associate_unit,
     canonical_associate,
-    crt,
     format_element,
     parse_element,
     polynomial_ring,
@@ -32,6 +29,7 @@ from egsplines.rings import (
 from egsplines.splines import spline_violations
 
 from conftest import QX, QXY, ZX, ZXY, qx, qxy, zxy, zz
+from refs import Congruence, IncompatibleCongruencesError, crt
 from test_acceptance import _check_lcm_gcd_identities
 
 

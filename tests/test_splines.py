@@ -1,17 +1,20 @@
 import functools
 import gc
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import egsplines
 from egsplines import graph, kronecker, rings, splines
 from egsplines.graph import GraphValidationError, LabeledGraph
-from egsplines.oracle import InstanceSpec, random_instance, trails_between
+from egsplines.oracle import InstanceSpec, random_instance
 from egsplines.pid import flow_up_basis, verify_flow_up
-from egsplines.rings import ZZ, RingElement, associate_unit
+from egsplines.rings import ZZ, RingElement, associate_unit, parse_element
 from egsplines.splines import (
     _bareiss,
     CoprimalityError,
@@ -34,6 +37,36 @@ from egsplines.splines import (
 )
 
 from conftest import QX, QXY, ZXY, qx, qxy, random_graph, zxy, zz
+from refs import trails_between
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    import gen
+finally:
+    sys.path.remove(str(BENCH))
+
+
+def _relation_graphs():
+    """Seeded graphs over ZZ, QQ[x], ZZ[x,y] and QQ[x,y] for the key
+    element's relations, from random_instance and the bench generators."""
+    graphs = [
+        random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.5, label_bound=30))
+        for seed in range(15)
+    ]
+    for seed in range(60):
+        data = gen.qx_data(random.Random(f"relations:qx:{seed}"), 2 + seed % 5, 0.4)
+        graphs.append(gen.qx_graph(egsplines, data))
+    for base, ring, parse in (("ZZ", ZXY, zxy), ("QQ", QXY, qxy)):
+        for seed in range(20):
+            rng = random.Random(f"relations:{base}:{seed}")
+            data = gen.poly_data(rng, base, 3 + seed % 3, seed % 3, coprime=seed % 4 == 0)
+            graphs.append(LabeledGraph(
+                ring,
+                [parse(gen.product_text(m)) for m in data["m"]],
+                [(u, v, parse(gen.product_text(r))) for u, v, r in data["edges"]],
+            ))
+    return graphs
 
 
 def make_matrix(g, rows_of_strings, parse):
@@ -467,9 +500,14 @@ class TestKeyElement:
         assert set(vars(g)) == attributes
 
     def test_reordering_invariance_over_pids(self):
+        # relation 1: Qhat does not depend on the vertex order, up to a unit,
+        # over every ring and not only the PIDs, since at each irreducible p
+        # the sum of the exponents of p in the components is the exponent of
+        # p in the determinant of any local basis
         rng = random.Random(41)
-        for seed in range(15):
-            g = random_instance(InstanceSpec(seed=seed, n=4, edge_density=0.5, label_bound=30))
+        graphs = _relation_graphs()
+        assert {str(g.ring) for g in graphs} == {"ZZ", "QQ[x]", "ZZ[x,y]", "QQ[x,y]"}
+        for g in graphs:
             perm = list(range(g.n))
             rng.shuffle(perm)
             permuted = LabeledGraph(
@@ -477,7 +515,21 @@ class TestKeyElement:
                 [g.vertex_labels[perm[i]] for i in range(g.n)],
                 [(perm.index(e.u), perm.index(e.v), e.label) for e in g.edges],
             )
-            assert associate_unit(qhat(g), qhat(permuted)) is not None
+            assert associate_unit(qhat(g), qhat(permuted)) is not None, (g.ring, perm)
+
+    def test_parallel_and_unit_edges_keep_components(self):
+        # relation 2: a parallel copy of an edge imposes a congruence the
+        # graph already has, and an edge labelled by a unit imposes none,
+        # so neither changes the spline module or any component
+        rng = random.Random(43)
+        for g in _relation_graphs():
+            edges = [(e.u, e.v, e.label) for e in g.edges]
+            unit = parse_element("-2/3" if g.ring.base == "rationals" else "-1", g.ring)
+            for added in (rng.choice(edges), (*rng.sample(range(g.n), 2), unit)):
+                grown = list(edges)
+                grown.insert(rng.randrange(len(grown) + 1), added)
+                bigger = LabeledGraph(g.ring, g.vertex_labels, grown)
+                assert qhat_components(bigger) == qhat_components(g), (g.ring, added)
 
 
 class TestDeterminant:
